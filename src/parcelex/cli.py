@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import datetime
+import hashlib
 import itertools
 import json
 import re
@@ -27,6 +28,7 @@ from .hunalign import (
     HunParams,
     align_hunalign,
     build_lexicon,
+    lexicon_header,
     load_lexicon,
     save_lexicon,
     similarity_align,
@@ -291,6 +293,15 @@ def _doc_texts(doc) -> list[str]:
     return [p.text for p in doc.paragraphs[1:]]
 
 
+def _lexicon_cache_key(params: HunParams, celexes, src_texts, tgt_texts) -> str:
+    """What a cached lexicon was built from: the parameters and phase 1's input texts."""
+    h = hashlib.sha256()
+    for c in celexes:
+        doc = json.dumps([format_celex(c), src_texts[c], tgt_texts[c]], ensure_ascii=False)
+        h.update(doc.encode("utf-8") + b"\n")
+    return f"hun_params={params.digest()} inputs={h.hexdigest()}"
+
+
 def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, aligner: str):
     src_docs = corpus.get(src_lang, {})
     tgt_docs = corpus.get(tgt_lang, {})
@@ -315,10 +326,13 @@ def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, al
     src_texts = {c: _doc_texts(src_docs[c]) for c in common}
     tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}
     cache = config.output_root / "alignments" / "hunalign" / f"{src_lang}-{tgt_lang}.lexicon.txt"
-    if cache.is_file():
+    key = _lexicon_cache_key(config.hun, common, src_texts, tgt_texts)
+    if cache.is_file() and lexicon_header(cache) == key:
         lexicon = load_lexicon(cache)
         _log(f"{src_lang}-{tgt_lang}: cached lexicon ({len(lexicon)} entries), skipping phases 1-2")
     else:
+        if cache.is_file():
+            _log(f"{src_lang}-{tgt_lang}: lexicon cache miss (parameters or texts changed)")
         phase1 = [
             similarity_align(
                 src_texts[c], tgt_texts[c], None, config.hun,
@@ -328,7 +342,7 @@ def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, al
         ]
         lexicon = build_lexicon(phase1, src_texts, tgt_texts, config.hun, first_n=2)
         cache.parent.mkdir(parents=True, exist_ok=True)
-        save_lexicon(lexicon, cache)
+        save_lexicon(lexicon, cache, header=key)
     alignments = align_hunalign(
         src_texts, tgt_texts, config.hun,
         src_lang=src_lang, tgt_lang=tgt_lang, first_n=2, lexicon=lexicon,
@@ -411,7 +425,17 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
     if not celex_ids:
         raise InputError("bitext requires --celex")
     name = aligner or config.aligners[0]
-    corpus = _load_tei_corpus(config)
+    docs: dict[tuple[str, CelexId], object] = {}
+
+    def tei(lang: str, celex: CelexId):
+        # Parse only the documents asked for, each once.
+        if (lang, celex) not in docs:
+            path = config.output_root / "tei" / lang / f"{jrc_document_id(celex, lang)}.xml"
+            if not path.is_file():
+                raise InputError(f"missing TEI document for {format_celex(celex)} ({lang}): {path}")
+            docs[(lang, celex)] = parse_tei(path.read_text(encoding="utf-8"))
+        return docs[(lang, celex)]
+
     n = 0
     for src, tgt in [so.canonical_pair(*p) for p in pairs]:
         file = _load_standoff(config, name, src, tgt)
@@ -419,11 +443,7 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
         for celex in celex_ids:
             if celex not in links_by_celex:
                 raise InputError(f"no links for {format_celex(celex)} in {src}-{tgt}")
-            src_doc = corpus.get(src, {}).get(celex)
-            tgt_doc = corpus.get(tgt, {}).get(celex)
-            if src_doc is None or tgt_doc is None:
-                raise InputError(f"missing TEI document for {format_celex(celex)} ({src},{tgt})")
-            xml = so.generate_inplace(src_doc, tgt_doc, links_by_celex[celex])
+            xml = so.generate_inplace(tei(src, celex), tei(tgt, celex), links_by_celex[celex])
             _write(
                 config.output_root / "bitext" / f"jrc{format_celex(celex)}-{src}-{tgt}.xml",
                 xml,

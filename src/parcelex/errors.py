@@ -53,6 +53,10 @@ class InstanceTooLargeError(ParcelexError, ValueError):
     """Instance exceeds the exhaustive oracle's size bound."""
 
 
+class MalformedLexiconError(ParcelexError, ValueError):
+    """A lexicon line lacks its three fields or carries a weight outside [0, 1]."""
+
+
 class NoOneToOneLinksError(ParcelexError, ValueError):
     """Lexicon bootstrapping found no 1-1 links to sample from."""
 

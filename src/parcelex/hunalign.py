@@ -6,6 +6,13 @@ construction of a bilingual lexicon from a random sample of the 1-1 links
 found; and a second alignment pass that adds lexicon evidence to the
 similarity.  Unlike the length-based aligner this one never produces 2-2
 beads but can split one paragraph into up to ``max_split`` counterparts.
+
+Every bead scores exactly what ``segment_similarity`` returns for its
+merged segments, but the dynamic program does not build merged segments:
+each merged run's token-type and number sets are made once per document,
+and the lexicon share of a whole source row of beads is summed at once
+from per-token columns of best translation weights (see ``_LexiconRows``).
+The lexicon pass therefore costs about as much as the first pass.
 """
 
 from __future__ import annotations
@@ -17,11 +24,13 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from pathlib import Path
 
 from .beads import AlignmentLink, BitextAlignment, links_cover
 from .celex import CelexId
-from .errors import EmptyCollectionError, NoOneToOneLinksError
+from .errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError
 
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+")
 _NUMERIC_RE = re.compile(r"^\d")
@@ -100,7 +109,11 @@ class HunParams:
 
 @dataclass
 class Lexicon:
-    """Bilingual token-pair association weights bootstrapped from 1-1 links."""
+    """Bilingual token-pair association weights bootstrapped from 1-1 links.
+
+    Weights lie in [0, 1]; the aligner's scoring relies on them being
+    nonnegative.
+    """
 
     entries: dict[tuple[str, str], float]
     src_counts: Counter
@@ -109,6 +122,8 @@ class Lexicon:
     def __post_init__(self):
         by_src: dict[str, dict[str, float]] = {}
         for (s, t), w in self.entries.items():
+            if not 0.0 <= w <= 1.0:
+                raise MalformedLexiconError(f"weight of {s!r} -> {t!r} is {w!r}, not in [0, 1]")
             by_src.setdefault(s, {})[t] = w
         self._by_src = by_src
 
@@ -119,20 +134,27 @@ class Lexicon:
         return len(self.entries)
 
 
-def number_similarity(a, b) -> float:
-    """Jaccard overlap of two number-token sets; 1.0 when both are empty."""
-    a, b = set(a), set(b)
+def _jaccard(a, b) -> float:
     if not a and not b:
         return 1.0
-    return len(a & b) / len(a | b)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
+
+
+def _dice(a, b) -> float:
+    if not a and not b:
+        return 0.0
+    return 2 * len(a & b) / (len(a) + len(b))
+
+
+def number_similarity(a, b) -> float:
+    """Jaccard overlap of two number-token sets; 1.0 when both are empty."""
+    return _jaccard(set(a), set(b))
 
 
 def identical_word_ratio(s: TokenizedSegment, t: TokenizedSegment) -> float:
     """Dice ratio of shared token types; 0 when both segments are empty."""
-    s_types, t_types = set(s.tokens), set(t.tokens)
-    if not s_types and not t_types:
-        return 0.0
-    return 2 * len(s_types & t_types) / (len(s_types) + len(t_types))
+    return _dice(set(s.tokens), set(t.tokens))
 
 
 def _length_score(l1: int, l2: int) -> float:
@@ -153,6 +175,24 @@ def _lexicon_score(s: TokenizedSegment, t: TokenizedSegment, lexicon: Lexicon) -
     return total / len(s.tokens)
 
 
+def _features(s: TokenizedSegment):
+    """(length, token types, number tokens, token count): what a bead score reads."""
+    return s.length, frozenset(s.tokens), s.number_tokens, len(s.tokens)
+
+
+def _similarity(s, t, lexicon_score: float | None, params: HunParams) -> float:
+    """Score two segments given as ``_features`` tuples; the lexicon share is precomputed."""
+    base = (
+        params.w_length * _length_score(s[0], t[0])
+        + params.w_identical * _dice(s[1], t[1])
+        + params.w_number * _jaccard(s[2], t[2])
+    )
+    if lexicon_score is None:
+        scale = params.w_length + params.w_identical + params.w_number
+        return base / scale if scale > 0 else 0.0
+    return base + params.w_lexicon * lexicon_score
+
+
 def segment_similarity(
     s: TokenizedSegment,
     t: TokenizedSegment,
@@ -165,15 +205,8 @@ def segment_similarity(
     to 1, so a pair of identical segments still scores 1.0.
     """
     params = params or HunParams()
-    base = (
-        params.w_length * _length_score(s.length, t.length)
-        + params.w_identical * identical_word_ratio(s, t)
-        + params.w_number * number_similarity(s.number_tokens, t.number_tokens)
-    )
-    if lexicon is None:
-        scale = params.w_length + params.w_identical + params.w_number
-        return base / scale if scale > 0 else 0.0
-    return base + params.w_lexicon * _lexicon_score(s, t, lexicon)
+    lexicon_score = None if lexicon is None else _lexicon_score(s, t, lexicon)
+    return _similarity(_features(s), _features(t), lexicon_score, params)
 
 
 def _moves(max_split: int):
@@ -182,6 +215,87 @@ def _moves(max_split: int):
         moves.append((k, 1))
         moves.append((1, k))
     return tuple(moves)
+
+
+def _merged_features(segs, max_split: int) -> dict[int, list]:
+    """``feats[k][i]``: the ``_features`` of ``merge_segments(segs[i:i+k])``.
+
+    Built once per document: each merged run extends the run one shorter by
+    one paragraph, so its type and number sets are unions made once rather
+    than once per bead.
+    """
+    one = [_features(s) for s in segs]
+    feats = {1: one}
+    for k in range(2, max_split + 1):
+        prev = feats[k - 1]
+        feats[k] = [
+            (
+                prev[i][0] + 1 + one[i + k - 1][0],
+                prev[i][1] | one[i + k - 1][1],
+                prev[i][2] | one[i + k - 1][2],
+                prev[i][3] + one[i + k - 1][3],
+            )
+            for i in range(len(segs) - k + 1)
+        ]
+    return feats
+
+
+def _add_columns(totals: list[float], tokens, column) -> list[float]:
+    """Add ``column(token)`` into ``totals`` elementwise, one token after another."""
+    for token in tokens:
+        totals = list(map(add, totals, column(token)))
+    return totals
+
+
+class _LexiconRows:
+    """Lexicon scores of every bead that starts at one source paragraph.
+
+    ``column(token)`` holds, for each target paragraph j, the token's best
+    translation weight among j's types (0.0 when j is empty), computed once
+    per document.  With nonnegative weights the best over a run of target
+    paragraphs is the elementwise max of their columns, and a merged
+    source's tokens are its paragraphs' tokens in order.  So every bead's
+    sum is built by adding columns token by token: at each target position
+    this is the same sequence of ``+=`` that ``_lexicon_score`` performs on
+    the merged segments, which gives the same bits.
+    """
+
+    def __init__(self, src_segs, src_feats, tgt_feats, lexicon: Lexicon, max_split: int):
+        self._translations = lexicon.translations
+        self._tokens = [[t for t in s.tokens if self._translations(t)] for s in src_segs]
+        self._counts = {k: [f[3] for f in feats] for k, feats in src_feats.items()}
+        self._tgt_types = [f[1] for f in tgt_feats[1]]
+        self._columns: dict[str, list[float]] = {}
+        self._max_split = max_split
+
+    def column(self, token: str) -> list[float]:
+        col = self._columns.get(token)
+        if col is None:
+            translations = self._translations(token)
+            keys, get = translations.keys(), translations.get
+            col = self._columns[token] = [
+                max(map(get, keys & types), default=0.0) for types in self._tgt_types
+            ]
+        return col
+
+    def row(self, i: int) -> dict[tuple[int, int], list[float]]:
+        """Per move ``(a, b)`` from source paragraph i, the lexicon score at each target j."""
+        n, m = len(self._tokens), len(self._tgt_types)
+        tokens = self._tokens[i]
+        single = {t: self.column(t) for t in tokens}
+        runs = single
+        sums = {}
+        for b in range(1, self._max_split + 1):
+            if b > 1:  # best over target paragraphs j .. j+b-1
+                runs = {t: list(map(max, runs[t], single[t][b - 1 :])) for t in runs}
+            sums[(1, b)] = _add_columns([0.0] * (m - b + 1), tokens, runs.__getitem__)
+        for a in range(2, min(self._max_split, n - i) + 1):
+            sums[(a, 1)] = _add_columns(sums[(a - 1, 1)], self._tokens[i + a - 1], self.column)
+        scores = {}
+        for (a, b), totals in sums.items():
+            count = self._counts[a][i]
+            scores[(a, b)] = [x / count for x in totals] if count else [0.0] * len(totals)
+        return scores
 
 
 def similarity_align(
@@ -196,45 +310,66 @@ def similarity_align(
     first_tgt: int = 1,
     aligner: str = "hunalign",
 ) -> BitextAlignment:
-    """Maximal total-similarity monotone alignment over 1-1, 1-0, 0-1, k-1, 1-k."""
+    """Maximal total-similarity monotone alignment over 1-1, 1-0, 0-1, k-1, 1-k.
+
+    Every bead scores exactly what ``segment_similarity`` gives its merged
+    segments; the fill computes a whole source row of bead scores at once
+    and records each cell's chosen bead score for the traceback.
+    """
     params = params or HunParams()
     src_segs = [tokenize(t, first_src + i) for i, t in enumerate(src_pars)]
     tgt_segs = [tokenize(t, first_tgt + j) for j, t in enumerate(tgt_pars)]
     n, m = len(src_segs), len(tgt_segs)
     moves = _moves(params.max_split)
-
-    # merged[k][i] = segments i..i+k concatenated
-    merged_src = {1: src_segs}
-    merged_tgt = {1: tgt_segs}
-    for k in range(2, params.max_split + 1):
-        merged_src[k] = [merge_segments(src_segs[i : i + k]) for i in range(n - k + 1)]
-        merged_tgt[k] = [merge_segments(tgt_segs[j : j + k]) for j in range(m - k + 1)]
-
-    def bead_score(a, b, i, j):
-        if a == 0 or b == 0:
-            return -params.skip_penalty
-        return segment_similarity(merged_src[a][i], merged_tgt[b][j], lexicon, params)
+    src_feats = _merged_features(src_segs, params.max_split)
+    tgt_feats = _merged_features(tgt_segs, params.max_split)
+    lexicon_rows = (
+        None if lexicon is None
+        else _LexiconRows(src_segs, src_feats, tgt_feats, lexicon, params.max_split)
+    )
+    skip = -params.skip_penalty
 
     neg = -math.inf
-    score = [[neg] * (m + 1) for _ in range(n + 1)]
+    # Filling row i reads only rows i .. i + max_split, so older rows are dropped.
+    score: dict[int, list[float]] = {}
     choice = [[None] * (m + 1) for _ in range(n + 1)]
-    score[n][m] = 0.0
+    chosen = [[None] * (m + 1) for _ in range(n + 1)]
     for i in range(n, -1, -1):
+        beads = {}
+        if i < n:
+            lex = None if lexicon_rows is None else lexicon_rows.row(i)
+            for a, b in moves:
+                if a == 0 or b == 0 or i + a > n:
+                    continue
+                s_feat = src_feats[a][i]
+                lex_ab = repeat(None) if lex is None else lex[(a, b)]
+                beads[(a, b)] = [
+                    _similarity(s_feat, t_feat, x, params)
+                    for t_feat, x in zip(tgt_feats[b], lex_ab)
+                ]
+        score[i] = row = [neg] * (m + 1)
+        choice_row, chosen_row = choice[i], chosen[i]
         for j in range(m, -1, -1):
             if i == n and j == m:
+                row[j] = 0.0
                 continue
             best = neg
-            best_move = None
-            for a, b in moves:
+            best_move = best_bead = None
+            for move in moves:
+                a, b = move
                 ii, jj = i + a, j + b
                 if ii > n or jj > m:
                     continue
-                s = bead_score(a, b, i, j) + score[ii][jj]
+                bead = skip if a == 0 or b == 0 else beads[move][j]
+                s = bead + score[ii][jj]
                 if s > best:
                     best = s
-                    best_move = (a, b)
-            score[i][j] = best
-            choice[i][j] = best_move
+                    best_move = move
+                    best_bead = bead
+            row[j] = best
+            choice_row[j] = best_move
+            chosen_row[j] = best_bead
+        score.pop(i + params.max_split + 1, None)
 
     links = []
     i = j = 0
@@ -245,7 +380,7 @@ def similarity_align(
                 arity=(a, b),
                 src_pars=tuple(range(first_src + i, first_src + i + a)),
                 tgt_pars=tuple(range(first_tgt + j, first_tgt + j + b)),
-                score=bead_score(a, b, i, j),
+                score=chosen[i][j],
             )
         )
         i += a
@@ -357,20 +492,41 @@ def number_token_fraction(texts) -> float:
     return numeric / total
 
 
-def save_lexicon(lexicon: Lexicon, path) -> None:
-    """Write ``src\\ttgt\\tweight`` lines, heaviest first."""
-    lines = [
+def save_lexicon(lexicon: Lexicon, path, header: str | None = None) -> None:
+    """Write ``src\\ttgt\\tweight`` lines, heaviest first, after an optional ``# header`` line."""
+    lines = [] if header is None else [f"# {header}"]
+    lines += [
         f"{s}\t{t}\t{w!r}"
         for (s, t), w in sorted(lexicon.entries.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def lexicon_header(path) -> str | None:
+    """The header ``save_lexicon`` wrote into the file, or None when it has none."""
+    with open(path, encoding="utf-8") as f:
+        first = f.readline().rstrip("\n")
+    return first[2:] if first.startswith("# ") else None
+
+
 def load_lexicon(path) -> Lexicon:
+    """Read a ``save_lexicon`` file; a malformed line raises ``MalformedLexiconError``."""
     entries = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        if not line or (number == 1 and line.startswith("#")):
             continue
-        s, t, w = line.split("\t")
-        entries[(s, t)] = float(w)
-    return Lexicon(entries=entries, src_counts=Counter(), tgt_counts=Counter())
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLexiconError(
+                f"{path}:{number}: expected 3 tab-separated fields, got {len(fields)}"
+            )
+        s, t, w = fields
+        try:
+            entries[(s, t)] = float(w)
+        except ValueError:
+            raise MalformedLexiconError(f"{path}:{number}: weight {w!r} is not a number") from None
+    try:
+        return Lexicon(entries=entries, src_counts=Counter(), tgt_counts=Counter())
+    except MalformedLexiconError as exc:
+        raise MalformedLexiconError(f"{path}: {exc}") from None

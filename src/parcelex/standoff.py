@@ -20,6 +20,8 @@ from .errors import (
     EmptyCollectionError,
     MalformedXmlError,
     MismatchedDocumentsError,
+    SchemaViolationError,
+    UnsupportedArityError,
 )
 from .tei import TeiDocument
 
@@ -76,6 +78,31 @@ def _split_pars(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(";"))
 
 
+def _parse_link(arity: str, source: str, target: str, score: str | None) -> AlignmentLink:
+    """A link from its serialized fields; a corrupted field is an input error."""
+    try:
+        a, b = parse_arity(arity)
+    except ValueError:
+        raise UnsupportedArityError(f"bad link type {arity!r}") from None
+    src_pars, tgt_pars = _split_pars(source), _split_pars(target)
+    try:
+        return AlignmentLink(
+            arity=(a, b),
+            src_pars=src_pars,
+            tgt_pars=tgt_pars,
+            score=float(score) if score is not None else None,
+        )
+    except ValueError as exc:
+        raise SchemaViolationError(f"bad link {arity} {source!r} {target!r}: {exc}") from None
+
+
+def _standoff_file(src_lang: str, tgt_lang: str, entries) -> StandoffFile:
+    try:
+        return StandoffFile(src_lang=src_lang, tgt_lang=tgt_lang, entries=tuple(entries))
+    except ValueError as exc:
+        raise SchemaViolationError(str(exc)) from None
+
+
 def export_standoff_xml(file: StandoffFile) -> str:
     """Pointer document: one linkGrp per celex, one link element per bead."""
     w = ['<?xml version="1.0" encoding="utf-8"?>\n']
@@ -104,22 +131,14 @@ def import_standoff_xml(xml_text: str) -> StandoffFile:
     entries = []
     for grp in root.findall("linkGrp"):
         celex = parse_celex(grp.get("n", ""))
-        links = []
-        for el in grp.findall("link"):
-            arity = parse_arity(el.get("type", ""))
-            score = el.get("score")
-            links.append(
-                AlignmentLink(
-                    arity=arity,
-                    src_pars=_split_pars(el.get("source", "")),
-                    tgt_pars=_split_pars(el.get("target", "")),
-                    score=float(score) if score is not None else None,
-                )
+        links = tuple(
+            _parse_link(
+                el.get("type", ""), el.get("source", ""), el.get("target", ""), el.get("score")
             )
-        entries.append((celex, tuple(links)))
-    return StandoffFile(
-        src_lang=root.get("src", ""), tgt_lang=root.get("tgt", ""), entries=tuple(entries)
-    )
+            for el in grp.findall("link")
+        )
+        entries.append((celex, links))
+    return _standoff_file(root.get("src", ""), root.get("tgt", ""), entries)
 
 
 def export_csv(file: StandoffFile) -> str:
@@ -145,22 +164,18 @@ def import_csv(csv_text: str) -> StandoffFile:
             langs = (m.group(1), m.group(2))
         lines = lines[1:]
     if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"expected header {CSV_HEADER!r}")
+        raise SchemaViolationError(f"expected header {CSV_HEADER!r}")
     per_celex: dict[CelexId, list[AlignmentLink]] = {}
     for line in lines[1:]:
-        code, arity, src, tgt, score = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise SchemaViolationError(f"expected 5 fields, got {len(fields)}: {line!r}")
+        code, arity, src, tgt, score = fields
         per_celex.setdefault(parse_celex(code), []).append(
-            AlignmentLink(
-                arity=parse_arity(arity),
-                src_pars=_split_pars(src),
-                tgt_pars=_split_pars(tgt),
-                score=float(score) if score else None,
-            )
+            _parse_link(arity, src, tgt, score or None)
         )
-    return StandoffFile(
-        src_lang=langs[0],
-        tgt_lang=langs[1],
-        entries=tuple((c, tuple(links)) for c, links in sorted(per_celex.items())),
+    return _standoff_file(
+        langs[0], langs[1], ((c, tuple(links)) for c, links in sorted(per_celex.items()))
     )
 
 

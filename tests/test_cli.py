@@ -5,7 +5,8 @@ import pytest
 
 from conftest import FIXTURES
 from parcelex.celex import parse_celex
-from parcelex.cli import InputError, load_config, main, run
+from parcelex.cli import InputError, _lexicon_cache_key, load_config, main, run
+from parcelex.hunalign import HunParams
 from parcelex.standoff import import_csv, import_standoff_xml
 from parcelex.tei import parse_tei
 
@@ -199,3 +200,116 @@ def test_config_requires_languages(tmp_path, profiles_dir):
     config_path = make_config(tmp_path, profiles_dir, languages=[])
     with pytest.raises(InputError):
         load_config(config_path)
+
+
+def _cli(config_path, *args) -> int:
+    return main([args[0], "--config", str(config_path), *args[1:]])
+
+
+def test_corrupted_lexicon_cache_exits_1(tmp_path, profiles_dir):
+    config_path = make_config(tmp_path, profiles_dir)
+    assert _cli(config_path, "fetch") == 0
+    assert _cli(config_path, "normalize") == 0
+    align = ("align", "--aligner", "hunalign", "--pairs", "en-fr")
+    assert _cli(config_path, *align) == 0
+    cache = tmp_path / "out" / "alignments" / "hunalign" / "en-fr.lexicon.txt"
+    header, first, *rest = cache.read_text(encoding="utf-8").splitlines()
+    s, t, _ = first.split("\t")
+    for bad in (f"{s}\t{t}", f"{s}\t{t}\tnan", f"{s}\t{t}\t-0.5"):
+        cache.write_text("\n".join([header, bad, *rest]) + "\n", encoding="utf-8")
+        assert _cli(config_path, *align) == 1
+
+
+def test_lexicon_cache_keyed_to_params_and_texts(tmp_path, profiles_dir, capsys):
+    config_path = make_config(tmp_path, profiles_dir)
+    assert _cli(config_path, "fetch") == 0
+    assert _cli(config_path, "normalize") == 0
+    align = ("align", "--aligner", "hunalign", "--pairs", "en-fr")
+    assert _cli(config_path, *align) == 0
+    cache = tmp_path / "out" / "alignments" / "hunalign" / "en-fr.lexicon.txt"
+    first = cache.read_bytes()
+    assert first.startswith(b"# hun_params=")
+
+    make_config(tmp_path, profiles_dir, hun_params={"min_cooc": 5})
+    capsys.readouterr()
+    assert _cli(config_path, *align) == 0
+    assert "lexicon cache miss" in capsys.readouterr().err
+    rebuilt = cache.read_bytes()
+    assert rebuilt != first
+    assert len(rebuilt.splitlines()) < len(first.splitlines())
+
+    # A fresh build under the new parameters writes the same file ...
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    fresh_config = make_config(fresh, profiles_dir, hun_params={"min_cooc": 5})
+    for stage in ("fetch", "normalize"):
+        assert _cli(fresh_config, stage) == 0
+    assert _cli(fresh_config, *align) == 0
+    assert (fresh / "out" / "alignments" / "hunalign" / "en-fr.lexicon.txt").read_bytes() == rebuilt
+
+    # ... and a rerun under unchanged parameters and texts reuses it.
+    assert _cli(config_path, *align) == 0
+    assert "cached lexicon" in capsys.readouterr().err
+    assert cache.read_bytes() == rebuilt
+
+
+def test_lexicon_cache_key_covers_params_and_every_text():
+    c = parse_celex("31984D0001")
+    src, tgt = {c: ["un", "deux"]}, {c: ["one", "two"]}
+    key = _lexicon_cache_key(HunParams(), [c], src, tgt)
+    assert key == _lexicon_cache_key(HunParams(), [c], {c: ["un", "deux"]}, tgt)
+    assert key != _lexicon_cache_key(HunParams(rng_seed=99), [c], src, tgt)
+    assert key != _lexicon_cache_key(HunParams(), [c], src, {c: ["one", "two."]})
+    assert key != _lexicon_cache_key(HunParams(), [c], {c: ["un deux"]}, tgt)
+
+
+@pytest.mark.parametrize(
+    "old, new", [('type="1-1"', 'type="x-1"'), ('source="2"', 'source="2;3"')]
+)
+def test_corrupted_standoff_exits_1(tmp_path, profiles_dir, old, new):
+    config_path = make_config(tmp_path, profiles_dir)
+    for stage in ("fetch", "normalize"):
+        assert _cli(config_path, stage) == 0
+    assert _cli(config_path, "align", "--aligner", "gale_church") == 0
+    path = tmp_path / "out" / "alignments" / "gale_church" / "en-fr.standoff.xml"
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert _cli(config_path, "export", "--aligner", "gale_church") == 1
+    assert _cli(
+        config_path, "bitext", "--aligner", "gale_church", "--pairs", "en-fr",
+        "--celex", "31984D0001",
+    ) == 1
+
+
+def test_bitext_parses_only_the_documents_it_emits(tmp_path, profiles_dir, monkeypatch):
+    # 3 languages x 6 documents: the fixture documents plus renamed copies.
+    html = tmp_path / "html"
+    html.mkdir()
+    for code in ("31984D0001", "31985R0002", "31986L0003"):
+        for lang in ("de", "en", "fr"):
+            text = (FIXTURES / "html" / f"{code}-{lang}.html").read_text(encoding="utf-8")
+            (html / f"{code}-{lang}.html").write_text(text, encoding="utf-8")
+            (html / f"{code[:3]}9{code[4:]}-{lang}.html").write_text(text, encoding="utf-8")
+    config_path = make_config(
+        tmp_path, profiles_dir, source={"mode": "local_directory", "root": str(html)}
+    )
+    for stage in ("fetch", "normalize"):
+        assert _cli(config_path, stage) == 0
+    assert len(list((tmp_path / "out" / "tei").rglob("*.xml"))) == 18
+    assert _cli(config_path, "align", "--aligner", "gale_church", "--pairs", "en-fr") == 0
+
+    import parcelex.cli
+
+    calls = []
+
+    def counting_parse_tei(text):
+        calls.append(1)
+        return parse_tei(text)
+
+    monkeypatch.setattr(parcelex.cli, "parse_tei", counting_parse_tei)
+    bitext = ("bitext", "--aligner", "gale_church", "--pairs", "en-fr", "--celex")
+    assert _cli(config_path, *bitext, "31984D0001") == 0
+    assert len(calls) == 2
+    (tmp_path / "out" / "tei" / "fr" / "jrc31994D0001-fr.xml").unlink()
+    assert _cli(config_path, *bitext, "31994D0001") == 1

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +7,14 @@ from hypothesis import strategies as st
 
 from parcelex.beads import links_cover
 from parcelex.celex import CelexId
-from parcelex.errors import EmptyCollectionError, NoOneToOneLinksError
+from parcelex.errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError
 from parcelex.hunalign import (
     HunParams,
     Lexicon,
     align_hunalign,
     build_lexicon,
     identical_word_ratio,
+    lexicon_header,
     load_lexicon,
     merge_segments,
     number_similarity,
@@ -331,3 +333,113 @@ def test_params_validation():
         HunParams(sample_size=0)
     with pytest.raises(ValueError):
         HunParams(max_split=1)
+
+
+def _reference_align(src_pars, tgt_pars, lexicon, params):
+    """Naive DP: every bead scored by segment_similarity on its merged segments."""
+    src = [tokenize(t, 1 + i) for i, t in enumerate(src_pars)]
+    tgt = [tokenize(t, 1 + j) for j, t in enumerate(tgt_pars)]
+    n, m = len(src), len(tgt)
+    moves = [(1, 1), (1, 0), (0, 1)]
+    for k in range(2, params.max_split + 1):
+        moves += [(k, 1), (1, k)]
+
+    def bead(a, b, i, j):
+        if a == 0 or b == 0:
+            return -params.skip_penalty
+        return segment_similarity(
+            merge_segments(src[i : i + a]), merge_segments(tgt[j : j + b]), lexicon, params
+        )
+
+    score = [[-float("inf")] * (m + 1) for _ in range(n + 1)]
+    choice = [[None] * (m + 1) for _ in range(n + 1)]
+    score[n][m] = 0.0
+    for i in range(n, -1, -1):
+        for j in range(m, -1, -1):
+            if (i, j) == (n, m):
+                continue
+            for a, b in moves:
+                if i + a <= n and j + b <= m:
+                    s = bead(a, b, i, j) + score[i + a][j + b]
+                    if s > score[i][j]:
+                        score[i][j], choice[i][j] = s, (a, b)
+    links = []
+    i = j = 0
+    while (i, j) != (n, m):
+        a, b = choice[i][j]
+        links.append(
+            ((a, b), tuple(range(1 + i, 1 + i + a)), tuple(range(1 + j, 1 + j + b)),
+             bead(a, b, i, j).hex())
+        )
+        i, j = i + a, j + b
+    return links
+
+
+@pytest.fixture(scope="module")
+def reference_lexicons():
+    bt = planted_bitext(n_pairs=80, dict_size=12, seed=3, n_function_words=3)
+    celexes = sorted(bt.src_docs)
+    phase1 = [
+        similarity_align(bt.src_docs[c], bt.tgt_docs[c], None, P, celex=c) for c in celexes
+    ]
+    # min_cooc 1 keeps many weights that are not short binary fractions, so
+    # the order in which a bead adds them shows in the bits of its score.
+    boot = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, HunParams(min_cooc=1))
+    # "orphan" has translations, but none of them ever occurs on the target side.
+    orphan = Lexicon(
+        entries={**boot.entries, ("orphan", "nowhere"): 0.7, ("orphan", "absent"): 0.2},
+        src_counts=None, tgt_counts=None,
+    )
+    empty = Lexicon(entries={}, src_counts=None, tgt_counts=None)
+    src_words = sorted({w for d in bt.src_docs.values() for p in d for w in p.split()})
+    tgt_words = sorted({w for d in bt.tgt_docs.values() for p in d for w in p.split()})
+    return (None, empty, boot, orphan), src_words + ["orphan"], tgt_words
+
+
+@pytest.mark.parametrize("case", range(50))
+def test_similarity_align_matches_reference_bit_for_bit(case, reference_lexicons):
+    lexicons, src_words, tgt_words = reference_lexicons
+    rng = random.Random(case)
+    params = HunParams(max_split=(2, 3, 4)[case % 3])
+    lexicon = lexicons[case % 4]
+    numbers = ["7", "1984", "12.5", "2003"]
+
+    def paragraph(words):
+        if rng.random() < 0.15:
+            return ""
+        pool = rng.sample(words, 8) + numbers[: rng.randint(0, 2)]
+        return " ".join(rng.choice(pool) for _ in range(rng.randint(1, 16)))
+
+    src = [paragraph(src_words) for _ in range(rng.randint(0, 9))]
+    tgt = [paragraph(tgt_words) for _ in range(rng.randint(0, 9))]
+    got = similarity_align(src, tgt, lexicon, params)
+    assert [
+        (l.arity, l.src_pars, l.tgt_pars, l.score.hex()) for l in got.links
+    ] == _reference_align(src, tgt, lexicon, params)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["a\tx", "a\tx\t0.5\textra", "a\tx\tnan", "a\tx\t-0.25", "a\tx\t1.5", "a\tx\tinf", "a\tx\theavy"],
+)
+def test_load_lexicon_rejects_malformed_lines(tmp_path, line):
+    path = tmp_path / "lex.txt"
+    path.write_text(f"b\ty\t1.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(MalformedLexiconError, match="lex.txt"):
+        load_lexicon(path)
+
+
+def test_lexicon_rejects_weights_outside_unit_interval():
+    with pytest.raises(MalformedLexiconError):
+        Lexicon(entries={("a", "x"): -0.1}, src_counts=None, tgt_counts=None)
+
+
+def test_lexicon_header_round_trip(tmp_path):
+    lexicon = Lexicon(entries={("a", "x"): 0.5}, src_counts=None, tgt_counts=None)
+    path = tmp_path / "lex.txt"
+    save_lexicon(lexicon, path, header="hun_params=abc inputs=def")
+    assert path.read_text(encoding="utf-8").splitlines()[0] == "# hun_params=abc inputs=def"
+    assert lexicon_header(path) == "hun_params=abc inputs=def"
+    assert load_lexicon(path).entries == lexicon.entries
+    save_lexicon(lexicon, path)
+    assert lexicon_header(path) is None

@@ -12,6 +12,8 @@ from parcelex.errors import (
     EmptyCollectionError,
     MalformedXmlError,
     MismatchedDocumentsError,
+    SchemaViolationError,
+    UnsupportedArityError,
 )
 from parcelex.standoff import (
     AgreementReport,
@@ -92,6 +94,33 @@ def test_csv_empty_file_header_only():
 def test_csv_round_trip():
     f = _file(score=0.123456)
     assert import_csv(export_csv(f)) == f
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("31960D0511,x-1,6,6,", UnsupportedArityError),
+        ("31960D0511,1-1,6;7,6,", SchemaViolationError),
+        ("31960D0511,1-1,6,6", SchemaViolationError),
+        ("31960D0511,1-1,6,6,high", SchemaViolationError),
+    ],
+)
+def test_csv_corrupted_rows_are_input_errors(row, error):
+    text = f"# standoff-csv v1 et-mt\ncelex,arity,src_pars,tgt_pars,score\n{row}\n"
+    with pytest.raises(error):
+        import_csv(text)
+
+
+def test_xml_unsorted_groups_are_schema_violations():
+    xml = export_standoff_xml(_file())
+    group = xml[xml.index("  <linkGrp") : xml.index("</standoff>")]
+    with pytest.raises(SchemaViolationError):
+        import_standoff_xml(xml.replace(group, group + group.replace("31960D0511", "31950D0511")))
+
+
+def test_csv_bad_header_is_schema_violation():
+    with pytest.raises(SchemaViolationError):
+        import_csv("celex,arity\n")
 
 
 def test_entries_must_be_sorted():
