@@ -3,11 +3,13 @@
 A link of arity a-b pairs a contiguous source paragraphs with b contiguous
 target paragraphs; 1-0 and 0-1 links carry unmatched paragraphs.  A
 document's links are monotone and jointly cover every paragraph of both
-sides exactly once.
+sides exactly once.  ``monotone_dp`` finds the cheapest such segmentation
+for both aligners.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .celex import CelexId
@@ -46,9 +48,6 @@ class BitextAlignment:
     aligner: str
     params_digest: str = ""
 
-    def total_score(self) -> float:
-        return sum(l.score or 0.0 for l in self.links)
-
 
 def links_cover(links, n_src: int, n_tgt: int, first_src: int = 1, first_tgt: int = 1) -> bool:
     """True iff links are monotone and cover both sides exactly once."""
@@ -70,3 +69,66 @@ def parse_arity(label: str) -> tuple[int, int]:
     """Parse an ``a-b`` arity label."""
     a, _, b = label.partition("-")
     return int(a), int(b)
+
+
+def monotone_dp(n: int, m: int, moves, row_beads):
+    """Cheapest monotone path of beads from (0, 0) to (n, m), as ``(move, i, j, bead)`` steps.
+
+    ``moves`` lists the arities ``(a, b)`` in tie-break order: of equally
+    cheap choices the earlier move wins.  ``row_beads(i)`` maps each move
+    that fits at source position i to its bead costs indexed by target
+    position j; every cell but (n, m) needs a move that fits.  Rows are
+    filled from the end, and only the path costs of rows i .. i + max a are
+    kept; each cell's chosen move and bead are kept for the traceback.
+    """
+    inf = math.inf
+    depth = max((a for a, _ in moves), default=0)
+    cost: dict[int, list[float]] = {}
+    chosen_move = [None] * (n + 1)
+    chosen_bead = [None] * (n + 1)
+    for i in range(n, -1, -1):
+        row = [inf] * (m + 1)
+        beads = row_beads(i)
+        # (move, bead costs, path costs of the row the move lands on, b)
+        options = [
+            (move, beads[move], cost[i + move[0]] if move[0] else row, move[1])
+            for move in moves if move in beads
+        ]
+        move_row = chosen_move[i] = [None] * (m + 1)
+        bead_row = chosen_bead[i] = [None] * (m + 1)
+        if i == n:
+            row[m] = 0.0
+        for j in range(m - 1 if i == n else m, -1, -1):
+            best, best_move = inf, None
+            for move, costs, landing, b in options:
+                jj = j + b
+                if jj > m:
+                    continue
+                bead = costs[j]
+                c = bead + landing[jj]
+                if c < best:
+                    best, best_move, best_bead = c, move, bead
+            row[j], move_row[j], bead_row[j] = best, best_move, best_bead
+        cost[i] = row
+        cost.pop(i + depth, None)
+
+    steps = []
+    i = j = 0
+    while i < n or j < m:
+        move = chosen_move[i][j]
+        steps.append((move, i, j, chosen_bead[i][j]))
+        i, j = i + move[0], j + move[1]
+    return steps
+
+
+def steps_to_links(steps, first_src: int, first_tgt: int) -> list[AlignmentLink]:
+    """Links of ``(move, i, j, score)`` steps, numbering paragraphs from first_src/first_tgt."""
+    return [
+        AlignmentLink(
+            arity=(a, b),
+            src_pars=tuple(range(first_src + i, first_src + i + a)),
+            tgt_pars=tuple(range(first_tgt + j, first_tgt + j + b)),
+            score=score,
+        )
+        for (a, b), i, j, score in steps
+    ]

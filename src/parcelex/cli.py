@@ -49,6 +49,8 @@ from .tei import build_document, classify_sections, parse_tei, serialize_tei
 SUBCOMMANDS = ("fetch", "normalize", "align", "export", "bitext", "stats", "agree")
 ALIGNERS = ("gale_church", "hunalign")
 
+# What normalize reads of each manifest entry.
+_MANIFEST_KEYS = frozenset({"celex", "lang", "file", "source_url", "retrieved"})
 _FIXTURE_FILE_RE = re.compile(r"^(\d{5}[A-Z]\d{4}(?:\(\d{2}\))?)-([a-z]{2})\.(html|txt)$")
 
 
@@ -183,7 +185,17 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
     path = config.output_root / "raw" / "manifest.json"
     if not path.is_file():
         raise InputError(f"{path} missing; run fetch first")
-    return json.loads(path.read_text(encoding="utf-8"))["documents"]
+    try:
+        documents = json.loads(path.read_text(encoding="utf-8"))["documents"]
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+    except (KeyError, TypeError):
+        raise InputError(f'{path}: no "documents" list') from None
+    if not isinstance(documents, list) or not all(
+        isinstance(entry, dict) and _MANIFEST_KEYS <= entry.keys() for entry in documents
+    ):
+        raise InputError(f"{path}: every document needs the keys {sorted(_MANIFEST_KEYS)}")
+    return documents
 
 
 def _load_profiles(config: PipelineConfig):
@@ -263,19 +275,19 @@ def cmd_normalize(config: PipelineConfig) -> None:
     _log(f"normalized {n} documents into {config.output_root / 'tei'}")
 
 
-def _load_tei_corpus(config: PipelineConfig) -> dict[str, dict[CelexId, object]]:
-    corpus: dict[str, dict[CelexId, object]] = {}
+def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[CelexId, object]]:
+    """Parse the TEI documents of ``langs`` (default: every language directory)."""
     tei_root = config.output_root / "tei"
     if not tei_root.is_dir():
         raise InputError(f"{tei_root} missing; run normalize first")
-    for lang_dir in sorted(tei_root.iterdir()):
-        if not lang_dir.is_dir():
-            continue
-        for path in sorted(lang_dir.glob("*.xml")):
+    paths = sorted(tei_root.glob("*/*.xml"))
+    if not paths:
+        raise InputError(f"no TEI documents under {tei_root}")
+    corpus: dict[str, dict[CelexId, object]] = {}
+    for path in paths:
+        if langs is None or path.parent.name in langs:
             doc = parse_tei(path.read_text(encoding="utf-8"))
             corpus.setdefault(doc.lang, {})[doc.celex] = doc
-    if not corpus:
-        raise InputError(f"no TEI documents under {tei_root}")
     return corpus
 
 
@@ -351,14 +363,13 @@ def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, al
 
 
 def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None, jobs: int = 1) -> None:
-    corpus = _load_tei_corpus(config)
+    pairs = _resolve_pairs(config, pairs)
+    corpus = _load_tei_corpus(config, {lang for pair in pairs for lang in pair})
     aligners = (aligner,) if aligner else config.aligners
     for name in aligners:
         if name not in ALIGNERS:
             raise InputError(f"unknown aligner {name!r}")
-    tasks = [
-        (src, tgt, name) for src, tgt in _resolve_pairs(config, pairs) for name in aligners
-    ]
+    tasks = [(src, tgt, name) for src, tgt in pairs for name in aligners]
 
     def work(task):
         src, tgt, name = task

@@ -57,6 +57,10 @@ class MalformedLexiconError(ParcelexError, ValueError):
     """A lexicon line lacks its three fields or carries a weight outside [0, 1]."""
 
 
+class MalformedProfileError(ParcelexError, ValueError):
+    """A language profile line is not ``<ngram><TAB><rank>``, or its ranks have gaps."""
+
+
 class NoOneToOneLinksError(ParcelexError, ValueError):
     """Lexicon bootstrapping found no 1-1 links to sample from."""
 

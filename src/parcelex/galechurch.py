@@ -14,8 +14,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .beads import AlignmentLink, BitextAlignment, links_cover
+from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
 from .celex import CelexId
 from .errors import InstanceTooLargeError, UnsupportedArityError
 
@@ -126,50 +127,41 @@ def _split_at_hard_links(n_src, n_tgt, first_src, first_tgt, hard_links):
 
 
 def _dp_block(src_lengths, tgt_lengths, params: GCParams):
-    """Minimal-cost monotone segmentation of one block, as (arity, a, b) steps."""
+    """Minimal-cost monotone segmentation of one block, as ``monotone_dp`` steps.
+
+    Beads cost exactly what ``bead_cost`` gives them, but the prior logs and
+    skip costs are worked out once per block, run lengths come from prefix
+    sums, and ``_match_cost`` is memoized on the integer length sums.
+    """
     n, m = len(src_lengths), len(tgt_lengths)
-    inf = math.inf
-    cost = [[inf] * (m + 1) for _ in range(n + 1)]
-    choice = [[None] * (m + 1) for _ in range(n + 1)]
-    cost[n][m] = 0.0
-    for i in range(n, -1, -1):
-        for j in range(m, -1, -1):
-            if i == n and j == m:
+    moves = [(a, b) for a, b in ARITY_PREFERENCE if a <= n and b <= m]
+    for a, b in moves:
+        if (a, b) not in params.arity_priors:
+            raise UnsupportedArityError(f"unsupported arity {a}-{b}")
+    log_prior = {move: math.log(params.arity_priors[move]) for move in moves}
+    skip = _match_cost(params.skip_delta)
+    src_sums = list(accumulate(src_lengths, initial=0))
+    tgt_sums = list(accumulate(tgt_lengths, initial=0))
+    tgt_runs = [[tgt_sums[j + b] - tgt_sums[j] for j in range(m - b + 1)] for b in (0, 1, 2)]
+    match_costs: dict[int, dict[int, float]] = {}  # l1 -> l2 -> _match_cost
+
+    def row_beads(i):
+        beads = {}
+        for a, b in moves:
+            if i + a > n:
                 continue
-            best = inf
-            best_arity = None
-            for a, b in ARITY_PREFERENCE:
-                ii, jj = i + a, j + b
-                if ii > n or jj > m:
-                    continue
-                c = bead_cost(src_lengths[i:ii], tgt_lengths[j:jj], (a, b), params) + cost[ii][jj]
-                if c < best:
-                    best = c
-                    best_arity = (a, b)
-            cost[i][j] = best
-            choice[i][j] = best_arity
-    steps = []
-    i = j = 0
-    while (i, j) != (n, m):
-        a, b = choice[i][j]
-        steps.append(((a, b), i, j))
-        i += a
-        j += b
-    return steps
+            runs, lp = tgt_runs[b], log_prior[(a, b)]
+            if a == 0 or b == 0:
+                beads[(a, b)] = [-lp + skip] * len(runs)
+                continue
+            l1 = src_sums[i + a] - src_sums[i]
+            known = match_costs.setdefault(l1, {})
+            for l2 in set(runs).difference(known):
+                known[l2] = _match_cost(length_delta(l1, l2, params))
+            beads[(a, b)] = [known[l2] - lp for l2 in runs]
+        return beads
 
-
-def _steps_to_links(steps, src_lengths, tgt_lengths, first_src, first_tgt, params):
-    links = []
-    for (a, b), i, j in steps:
-        links.append(
-            AlignmentLink(
-                arity=(a, b),
-                src_pars=tuple(range(first_src + i, first_src + i + a)),
-                tgt_pars=tuple(range(first_tgt + j, first_tgt + j + b)),
-                score=bead_cost(src_lengths[i : i + a], tgt_lengths[j : j + b], (a, b), params),
-            )
-        )
-    return links
+    return monotone_dp(n, m, moves, row_beads)
 
 
 def align_gale_church(
@@ -197,12 +189,8 @@ def align_gale_church(
     for (s_lo, s_hi), (t_lo, t_hi) in _split_at_hard_links(
         len(src_lengths), len(tgt_lengths), first_src, first_tgt, hard_links
     ):
-        block_src = src_lengths[s_lo:s_hi]
-        block_tgt = tgt_lengths[t_lo:t_hi]
-        steps = _dp_block(block_src, block_tgt, params)
-        links.extend(
-            _steps_to_links(steps, block_src, block_tgt, first_src + s_lo, first_tgt + t_lo, params)
-        )
+        steps = _dp_block(src_lengths[s_lo:s_hi], tgt_lengths[t_lo:t_hi], params)
+        links.extend(steps_to_links(steps, first_src + s_lo, first_tgt + t_lo))
     assert links_cover(links, len(src_lengths), len(tgt_lengths), first_src, first_tgt)
     return BitextAlignment(
         celex=celex,
@@ -266,14 +254,7 @@ def exhaustive_align(
             path.pop()
 
     explore(0, 0, 0.0)
-    links = _steps_to_links(
-        [(arity, i, j) for arity, i, j, _ in best_steps or []],
-        src_lengths,
-        tgt_lengths,
-        first_src,
-        first_tgt,
-        params,
-    )
+    links = steps_to_links(best_steps or [], first_src, first_tgt)
     return BitextAlignment(
         celex=celex,
         src_lang=src_lang,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 import re
 from collections import Counter
@@ -28,7 +27,7 @@ from itertools import repeat
 from operator import add
 from pathlib import Path
 
-from .beads import AlignmentLink, BitextAlignment, links_cover
+from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
 from .celex import CelexId
 from .errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError
 
@@ -313,8 +312,7 @@ def similarity_align(
     """Maximal total-similarity monotone alignment over 1-1, 1-0, 0-1, k-1, 1-k.
 
     Every bead scores exactly what ``segment_similarity`` gives its merged
-    segments; the fill computes a whole source row of bead scores at once
-    and records each cell's chosen bead score for the traceback.
+    segments; a whole source row of bead scores is computed at once.
     """
     params = params or HunParams()
     src_segs = [tokenize(t, first_src + i) for i, t in enumerate(src_pars)]
@@ -327,64 +325,27 @@ def similarity_align(
         None if lexicon is None
         else _LexiconRows(src_segs, src_feats, tgt_feats, lexicon, params.max_split)
     )
-    skip = -params.skip_penalty
 
-    neg = -math.inf
-    # Filling row i reads only rows i .. i + max_split, so older rows are dropped.
-    score: dict[int, list[float]] = {}
-    choice = [[None] * (m + 1) for _ in range(n + 1)]
-    chosen = [[None] * (m + 1) for _ in range(n + 1)]
-    for i in range(n, -1, -1):
-        beads = {}
-        if i < n:
-            lex = None if lexicon_rows is None else lexicon_rows.row(i)
-            for a, b in moves:
-                if a == 0 or b == 0 or i + a > n:
-                    continue
-                s_feat = src_feats[a][i]
-                lex_ab = repeat(None) if lex is None else lex[(a, b)]
-                beads[(a, b)] = [
-                    _similarity(s_feat, t_feat, x, params)
-                    for t_feat, x in zip(tgt_feats[b], lex_ab)
-                ]
-        score[i] = row = [neg] * (m + 1)
-        choice_row, chosen_row = choice[i], chosen[i]
-        for j in range(m, -1, -1):
-            if i == n and j == m:
-                row[j] = 0.0
+    # monotone_dp minimizes negated similarities (a skip scores -skip_penalty);
+    # negation is exact, so the path, its ties and the scores are unchanged.
+    def row_beads(i):
+        beads = {(0, 1): [params.skip_penalty] * m}
+        if i == n:
+            return beads
+        beads[(1, 0)] = [params.skip_penalty] * (m + 1)
+        lex = None if lexicon_rows is None else lexicon_rows.row(i)
+        for a, b in moves:
+            if a == 0 or b == 0 or i + a > n:
                 continue
-            best = neg
-            best_move = best_bead = None
-            for move in moves:
-                a, b = move
-                ii, jj = i + a, j + b
-                if ii > n or jj > m:
-                    continue
-                bead = skip if a == 0 or b == 0 else beads[move][j]
-                s = bead + score[ii][jj]
-                if s > best:
-                    best = s
-                    best_move = move
-                    best_bead = bead
-            row[j] = best
-            choice_row[j] = best_move
-            chosen_row[j] = best_bead
-        score.pop(i + params.max_split + 1, None)
+            s_feat = src_feats[a][i]
+            lex_ab = repeat(None) if lex is None else lex[(a, b)]
+            beads[(a, b)] = [
+                -_similarity(s_feat, t_feat, x, params) for t_feat, x in zip(tgt_feats[b], lex_ab)
+            ]
+        return beads
 
-    links = []
-    i = j = 0
-    while (i, j) != (n, m):
-        a, b = choice[i][j]
-        links.append(
-            AlignmentLink(
-                arity=(a, b),
-                src_pars=tuple(range(first_src + i, first_src + i + a)),
-                tgt_pars=tuple(range(first_tgt + j, first_tgt + j + b)),
-                score=chosen[i][j],
-            )
-        )
-        i += a
-        j += b
+    steps = monotone_dp(n, m, moves, row_beads)
+    links = steps_to_links([(move, i, j, -bead) for move, i, j, bead in steps], first_src, first_tgt)
     assert links_cover(links, n, m, first_src, first_tgt)
     assert all(link.arity != (2, 2) for link in links)
     return BitextAlignment(

@@ -118,6 +118,8 @@ _DROP_BLOCK_RE = re.compile(
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
 _BREAK_RE = re.compile(r"<\s*(?:br|p|/p)\b[^>]*>", re.IGNORECASE)
 _TAG_RE = re.compile(r"<[^>]*>")
+# A tag cut off by the end of input: "<" and a letter or "/", with no ">" after.
+_UNTERMINATED_TAG_RE = re.compile(r"<[A-Za-z/][^>]*\Z")
 _WS_COLLAPSE = re.compile(r"\s+")
 
 
@@ -126,12 +128,14 @@ def html_to_paragraphs(content: str) -> list[str]:
 
     Paragraph breaks come from <p>/<br> tags or line breaks; all other
     markup is stripped and character entities are decoded.  Tag matching is
-    case-insensitive and tolerates unclosed elements.
+    case-insensitive and tolerates unclosed elements; a tag cut off by the
+    end of input is dropped.
     """
     text = _COMMENT_RE.sub(" ", content)
     text = _DROP_BLOCK_RE.sub(" ", text)
     text = _BREAK_RE.sub("\n", text)
     text = _TAG_RE.sub(" ", text)
+    text = _UNTERMINATED_TAG_RE.sub(" ", text)
     text = html.unescape(text)
     paragraphs = []
     for chunk in text.split("\n"):

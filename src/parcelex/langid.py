@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyTextError, InsufficientTrainingDataError
+from .errors import EmptyTextError, InsufficientTrainingDataError, MalformedProfileError
 
 DEFAULT_PROFILE_SIZE = 400
 DEFAULT_NGRAM_ORDERS = (1, 2, 3, 4, 5)
@@ -117,16 +117,27 @@ def save_profile(profile: LanguageProfile, path: str | Path) -> None:
 
 
 def load_profile(path: str | Path, lang: str | None = None, k: int | None = None) -> LanguageProfile:
-    """Load a persisted profile; lang defaults to the file stem."""
+    """Load a persisted profile; lang defaults to the file stem.
+
+    A malformed line, or ranks other than 1..K, raise ``MalformedProfileError``.
+    """
     path = Path(path)
     ranks: dict[str, int] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line:
             continue
-        gram, rank = line.split("\t")
-        ranks[gram] = int(rank)
-    return LanguageProfile(
-        lang=lang or path.stem,
-        ngram_ranks=ranks,
-        k=k if k is not None else max(len(ranks), DEFAULT_PROFILE_SIZE),
-    )
+        try:
+            gram, rank = line.split("\t")
+            ranks[gram] = int(rank)
+        except ValueError:
+            raise MalformedProfileError(
+                f"{path}:{number}: expected <ngram><TAB><rank>, got {line!r}"
+            ) from None
+    try:
+        return LanguageProfile(
+            lang=lang or path.stem,
+            ngram_ranks=ranks,
+            k=k if k is not None else max(len(ranks), DEFAULT_PROFILE_SIZE),
+        )
+    except ValueError as exc:
+        raise MalformedProfileError(f"{path}: {exc}") from None

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ def make_config(tmp_path, profiles_dir, **overrides):
         "aligners": ["gale_church", "hunalign"],
         "selection": False,
         "seed": 7,
-        "profiles_dir": str(profiles_dir),
+        "profiles_dir": profiles_dir and str(profiles_dir),
         "eurovoc_map": "eurovoc.json",
     }
     config.update(overrides)
@@ -313,3 +314,61 @@ def test_bitext_parses_only_the_documents_it_emits(tmp_path, profiles_dir, monke
     assert len(calls) == 2
     (tmp_path / "out" / "tei" / "fr" / "jrc31994D0001-fr.xml").unlink()
     assert _cli(config_path, *bitext, "31994D0001") == 1
+
+
+def _untab_profile_line(root):
+    path = root / "profiles" / "en.profile"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace("\t", " ")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _truncate_manifest(root):
+    path = root / "out" / "raw" / "manifest.json"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    return path
+
+
+def _manifest_without_documents(root):
+    path = root / "out" / "raw" / "manifest.json"
+    documents = json.loads(path.read_text(encoding="utf-8"))["documents"]
+    path.write_text(json.dumps({"docs": documents}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_untab_profile_line, _truncate_manifest, _manifest_without_documents]
+)
+def test_corrupted_profile_or_manifest_exits_1(tmp_path, profiles_dir, corrupt, capsys):
+    shutil.copytree(profiles_dir, tmp_path / "profiles")
+    config_path = make_config(tmp_path, tmp_path / "profiles")
+    assert _cli(config_path, "fetch") == 0
+    path = corrupt(tmp_path)
+    capsys.readouterr()
+    assert _cli(config_path, "normalize") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and str(path) in err
+
+
+def test_align_parses_only_the_languages_of_its_pairs(tmp_path, monkeypatch):
+    # Without profiles the cross-labeled fr document is kept: en 3 + fr 4 + de 3.
+    config_path = make_config(tmp_path, None)
+    for stage in ("fetch", "normalize"):
+        assert _cli(config_path, stage) == 0
+    assert len(list((tmp_path / "out" / "tei").rglob("*.xml"))) == 10
+
+    import parcelex.cli
+
+    calls = []
+
+    def counting_parse_tei(text):
+        calls.append(1)
+        return parse_tei(text)
+
+    monkeypatch.setattr(parcelex.cli, "parse_tei", counting_parse_tei)
+    assert _cli(config_path, "align", "--aligner", "gale_church", "--pairs", "en-fr") == 0
+    assert len(calls) == 7
+    assert _cli(config_path, "align", "--aligner", "gale_church") == 0
+    assert len(calls) == 17

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 from parcelex.beads import links_cover
 from parcelex.errors import InstanceTooLargeError, UnsupportedArityError
 from parcelex.galechurch import (
+    ARITY_PREFERENCE,
+    DEFAULT_PRIORS,
     GCParams,
+    _split_at_hard_links,
     align_gale_church,
     alignment_cost,
     bead_cost,
     exhaustive_align,
     length_delta,
+    segment_length,
 )
 
 P = GCParams()
@@ -189,3 +193,96 @@ def test_params_validation():
 def test_digest_stable():
     assert GCParams().digest() == GCParams().digest()
     assert GCParams().digest() != GCParams(variance=7.0).digest()
+
+
+def _reference_block(src_lengths, tgt_lengths, params, first_src, first_tgt):
+    """Straightforward DP: ``bead_cost`` priced afresh for every bead of every cell."""
+    n, m = len(src_lengths), len(tgt_lengths)
+
+    def bead(a, b, i, j):
+        return bead_cost(src_lengths[i : i + a], tgt_lengths[j : j + b], (a, b), params)
+
+    cost = [[math.inf] * (m + 1) for _ in range(n + 1)]
+    choice = [[None] * (m + 1) for _ in range(n + 1)]
+    cost[n][m] = 0.0
+    for i in range(n, -1, -1):
+        for j in range(m, -1, -1):
+            if (i, j) == (n, m):
+                continue
+            for a, b in ARITY_PREFERENCE:
+                if i + a <= n and j + b <= m:
+                    c = bead(a, b, i, j) + cost[i + a][j + b]
+                    if c < cost[i][j]:
+                        cost[i][j], choice[i][j] = c, (a, b)
+    links = []
+    i = j = 0
+    while (i, j) != (n, m):
+        a, b = choice[i][j]
+        links.append(
+            ((a, b), tuple(range(first_src + i, first_src + i + a)),
+             tuple(range(first_tgt + j, first_tgt + j + b)), bead(a, b, i, j).hex())
+        )
+        i, j = i + a, j + b
+    return links
+
+
+def _reference_align(src, tgt, params, hard_links=None, first=1):
+    src_lengths = [segment_length(t, params.length_unit) for t in src]
+    tgt_lengths = [segment_length(t, params.length_unit) for t in tgt]
+    links = []
+    for (s_lo, s_hi), (t_lo, t_hi) in _split_at_hard_links(
+        len(src), len(tgt), first, first, hard_links
+    ):
+        links += _reference_block(
+            src_lengths[s_lo:s_hi], tgt_lengths[t_lo:t_hi], params, first + s_lo, first + t_lo
+        )
+    return links
+
+
+def _link_bits(alignment):
+    return [(l.arity, l.src_pars, l.tgt_pars, l.score.hex()) for l in alignment.links]
+
+
+REFERENCE_PARAMS = (
+    P,
+    GCParams(length_unit="words"),
+    GCParams(mean_ratio=1.15, variance=3.1, skip_delta=2.5),
+    GCParams(
+        arity_priors={(1, 1): 0.7, (2, 1): 0.1, (1, 2): 0.08, (1, 0): 0.03, (0, 1): 0.04, (2, 2): 0.05},
+        length_unit="words",
+    ),
+)
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_dp_matches_reference_bit_for_bit(case):
+    rng = random.Random(case)
+    params = REFERENCE_PARAMS[case % len(REFERENCE_PARAMS)]
+    # A few distinct paragraph shapes, so that many beads share length sums.
+    shapes = [
+        " ".join("w" * rng.randint(1, 9) for _ in range(rng.randint(0, 30)))
+        for _ in range(rng.randint(1, 12))
+    ]
+    n = 0 if rng.random() < 0.1 else rng.randint(1, 16)
+    m = 0 if rng.random() < 0.1 else rng.randint(1, 16)
+    src = [rng.choice(shapes) for _ in range(n)]
+    tgt = [rng.choice(shapes) for _ in range(m)]
+    hard_links = None
+    if case % 3 == 0 and n and m:
+        cuts = sorted(rng.sample(range(n + 1), min(2, n + 1)))
+        tcuts = sorted(rng.sample(range(m + 1), len(cuts)))
+        # (s_n, t_n): the last paragraph numbers before the cut
+        hard_links = [(1 + s, 1 + t) for s, t in zip(cuts, tcuts)]
+    got = align_gale_church(src, tgt, params, first_src=2, first_tgt=2, hard_links=hard_links)
+    assert _link_bits(got) == _reference_align(src, tgt, params, hard_links, first=2)
+
+
+def test_missing_arity_prior_raises_only_where_the_arity_fits():
+    priors = {arity: p for arity, p in DEFAULT_PRIORS.items() if arity != (2, 2)}
+    params = GCParams(arity_priors=priors)
+    src, tgt = ["x" * 40], ["y" * 20, "y" * 25]
+    assert _link_bits(align_gale_church(src, tgt, params)) == _reference_align(src, tgt, params)
+    with pytest.raises(UnsupportedArityError):
+        align_gale_church(src * 2, tgt, params)
+    with pytest.raises(UnsupportedArityError):
+        _reference_align(src * 2, tgt, params)

@@ -1,7 +1,7 @@
 import datetime
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, bank_lines
@@ -93,7 +93,16 @@ def test_plain_text_lines():
     assert html_to_paragraphs("one\ntwo\n\nthree") == ["one", "two", "three"]
 
 
+def test_tag_cut_off_by_end_of_input_dropped():
+    assert html_to_paragraphs("<P") == []
+    assert html_to_paragraphs("<p>a</p><P") == ["a"]
+    assert html_to_paragraphs("a</") == ["a"]
+    assert html_to_paragraphs("a < b") == ["a < b"]
+    assert html_to_paragraphs("a <3 b") == ["a <3 b"]
+
+
 @given(st.text(max_size=400))
+@example("<P")
 def test_paragraphs_trimmed_and_tag_free(content):
     paragraphs = html_to_paragraphs(content)
     for p in paragraphs:

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import BANK_LANGS, held_out_chunks, training_text
-from parcelex.errors import EmptyTextError, InsufficientTrainingDataError
+from parcelex.errors import EmptyTextError, InsufficientTrainingDataError, MalformedProfileError
 from parcelex.langid import (
     guess_language,
     load_profile,
@@ -87,3 +87,16 @@ def test_profile_persistence_round_trip(tmp_path, language_profiles):
     assert loaded.ngram_ranks == p.ngram_ranks
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [int(l.split("\t")[1]) for l in lines] == list(range(1, len(lines) + 1))
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [("_a\t1\nb\n", ":2:"), ("_a\t1\nb\tx\n", ":2:"), ("_a\t1\nb\t1\tc\n", ":2:"),
+     ("_a\t1\nb\t3\n", "1..")],
+)
+def test_malformed_profile_rejected(tmp_path, text, where):
+    path = tmp_path / "xx.profile"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedProfileError, match=where) as info:
+        load_profile(path)
+    assert str(path) in str(info.value)
