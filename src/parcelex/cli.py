@@ -137,6 +137,16 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _read_text(path: Path) -> str:
+    """Read a UTF-8 input file; a missing, unreadable or undecodable file is an input error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -182,19 +192,28 @@ def cmd_fetch(config: PipelineConfig) -> None:
 
 
 def _load_manifest(config: PipelineConfig) -> list[dict]:
+    """The manifest's document entries, each with ``retrieved`` parsed to a date."""
     path = config.output_root / "raw" / "manifest.json"
     if not path.is_file():
         raise InputError(f"{path} missing; run fetch first")
     try:
-        documents = json.loads(path.read_text(encoding="utf-8"))["documents"]
+        documents = json.loads(_read_text(path))["documents"]
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
     except (KeyError, TypeError):
         raise InputError(f'{path}: no "documents" list') from None
     if not isinstance(documents, list) or not all(
-        isinstance(entry, dict) and _MANIFEST_KEYS <= entry.keys() for entry in documents
+        isinstance(entry, dict) and all(isinstance(entry.get(key), str) for key in _MANIFEST_KEYS)
+        for entry in documents
     ):
-        raise InputError(f"{path}: every document needs the keys {sorted(_MANIFEST_KEYS)}")
+        raise InputError(f"{path}: every document needs the string keys {sorted(_MANIFEST_KEYS)}")
+    for entry in documents:
+        try:
+            entry["retrieved"] = datetime.date.fromisoformat(entry["retrieved"])
+        except ValueError:
+            raise InputError(
+                f"{path}: {entry['file']}: bad retrieved date {entry['retrieved']!r}"
+            ) from None
     return documents
 
 
@@ -212,7 +231,17 @@ def _load_profiles(config: PipelineConfig):
 def _load_eurovoc_map(config: PipelineConfig) -> dict[str, list[int]]:
     if config.eurovoc_map is None:
         return {}
-    return json.loads(Path(config.eurovoc_map).read_text(encoding="utf-8"))
+    path = Path(config.eurovoc_map)
+    try:
+        eurovoc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+    if not isinstance(eurovoc, dict) or not all(
+        isinstance(codes, list) and all(type(code) is int for code in codes)
+        for codes in eurovoc.values()
+    ):
+        raise InputError(f"{path}: expected an object mapping CELEX codes to lists of integers")
+    return eurovoc
 
 
 def cmd_normalize(config: PipelineConfig) -> None:
@@ -220,27 +249,32 @@ def cmd_normalize(config: PipelineConfig) -> None:
     profiles = _load_profiles(config)
     eurovoc = _load_eurovoc_map(config)
 
+    # Each raw document is reduced to paragraphs once, before its language check.
     accepted = []
     for entry in manifest:
         celex = parse_celex(entry["celex"])
         lang = entry["lang"]
-        content = (config.output_root / "raw" / entry["file"]).read_text(encoding="utf-8")
+        content = _read_text(config.output_root / "raw" / entry["file"])
+        paragraphs = html_to_paragraphs(content)
+        if not paragraphs:
+            _log(f"skipping empty document {entry['celex']}-{lang}")
+            continue
         if profiles is not None:
             raw_doc = RawDocument(
                 celex=celex,
                 lang=lang,
                 content=content,
                 source_url=entry["source_url"],
-                retrieved=datetime.date.fromisoformat(entry["retrieved"]),
+                retrieved=entry["retrieved"],
             )
-            verdict = verify_language(raw_doc, profiles)
+            verdict = verify_language(raw_doc, profiles, paragraphs)
             if not verdict.accepted:
                 _log(
                     f"rejected {entry['celex']}-{lang}: guessed {verdict.guessed_lang} "
                     f"(confidence {verdict.confidence:.3f})"
                 )
                 continue
-        accepted.append((celex, lang, content, entry))
+        accepted.append((celex, lang, paragraphs, entry))
 
     inventory: dict[CelexId, set[str]] = {}
     for celex, lang, _, _ in accepted:
@@ -248,12 +282,8 @@ def cmd_normalize(config: PipelineConfig) -> None:
     kept = select_corpus(inventory) if config.selection else set(inventory)
 
     n = 0
-    for celex, lang, content, entry in accepted:
+    for celex, lang, paragraphs, entry in accepted:
         if celex not in kept:
-            continue
-        paragraphs = html_to_paragraphs(content)
-        if not paragraphs:
-            _log(f"skipping empty document {entry['celex']}-{lang}")
             continue
         title, body = paragraphs[0], paragraphs[1:]
         boundaries = classify_sections(body) if body else None
@@ -265,7 +295,7 @@ def cmd_normalize(config: PipelineConfig) -> None:
             boundaries=boundaries,
             eurovoc_codes=eurovoc.get(entry["celex"], ()),
             source_url=entry["source_url"],
-            download_date=datetime.date.fromisoformat(entry["retrieved"]),
+            download_date=entry["retrieved"],
         )
         _write(
             config.output_root / "tei" / lang / f"{jrc_document_id(celex, lang)}.xml",

@@ -155,25 +155,29 @@ class LanguageVerdict:
     low_confidence: bool = False
 
 
-def verify_language(doc: RawDocument, profiles) -> LanguageVerdict:
+def verify_language(doc: RawDocument, profiles, paragraphs=None) -> LanguageVerdict:
     """Accept iff the guessed language matches the declared one.
 
     Documents below SHORT_TEXT_CHARS are accepted with low_confidence=True
-    rather than rejected.
+    rather than rejected.  ``paragraphs`` are the document's
+    ``html_to_paragraphs``, when the caller already has them.
     """
     profiles = list(profiles)
     if doc.lang not in {p.lang for p in profiles}:
         raise UnknownLanguageError(f"no profile for declared language {doc.lang!r}")
-    text = " ".join(html_to_paragraphs(doc.content))
+    if paragraphs is None:
+        paragraphs = html_to_paragraphs(doc.content)
+    text = " ".join(paragraphs)
     if not text:
         raise EmptyTextError(f"document {format_celex(doc.celex)}-{doc.lang} has no text")
-    if len(text) < SHORT_TEXT_CHARS:
-        guessed, confidence = guess_language(text, profiles)
-        return LanguageVerdict(
-            accepted=True, guessed_lang=guessed, confidence=confidence, low_confidence=True
-        )
     guessed, confidence = guess_language(text, profiles)
-    return LanguageVerdict(accepted=guessed == doc.lang, guessed_lang=guessed, confidence=confidence)
+    short = len(text) < SHORT_TEXT_CHARS
+    return LanguageVerdict(
+        accepted=short or guessed == doc.lang,
+        guessed_lang=guessed,
+        confidence=confidence,
+        low_confidence=short,
+    )
 
 
 def select_corpus(inventory: dict) -> set:

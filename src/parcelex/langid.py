@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .errors import EmptyTextError, InsufficientTrainingDataError, MalformedProfileError
@@ -22,25 +23,27 @@ DEFAULT_MIN_TRAINING_CHARS = 10_000
 _WS_RE = re.compile(r"\s+")
 
 
+def _word_grams(word: str, orders) -> tuple[str, ...]:
+    padded = f"_{word}_"
+    size = len(padded)
+    return tuple(padded[i : i + n] for n in orders if n <= size for i in range(size - n + 1))
+
+
 def _ngram_counts(text: str, orders=DEFAULT_NGRAM_ORDERS) -> Counter:
-    counts: Counter = Counter()
-    for word in _WS_RE.split(text.lower().strip()):
-        if not word:
-            continue
-        padded = f"_{word}_"
-        size = len(padded)
-        for n in orders:
-            if n > size:
-                continue
-            for i in range(size - n + 1):
-                counts[padded[i : i + n]] += 1
-    return counts
+    # Each distinct word is cut once; Counter then counts in C.
+    words = Counter(_WS_RE.split(text.lower().strip()))
+    del words[""]
+    return Counter(
+        chain.from_iterable(_word_grams(word, orders) * count for word, count in words.items())
+    )
 
 
 def _rank(counts: Counter, k: int) -> dict[str, int]:
-    # Deterministic ranking: frequency descending, then n-gram ascending.
-    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return {gram: rank for rank, (gram, _) in enumerate(top, start=1)}
+    # Deterministic ranking: frequency descending, then n-gram ascending
+    # (the second sort is stable, so it keeps the first one's order on ties).
+    grams = sorted(counts)
+    grams.sort(key=counts.__getitem__, reverse=True)
+    return dict(zip(grams[:k], range(1, k + 1)))
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,11 @@ def train_language_profile(
 
 def profile_distance(text_ranks: dict[str, int], profile: LanguageProfile) -> int:
     """Out-of-place distance between a text's rank profile and a language profile."""
-    ranks = profile.ngram_ranks
-    d = 0
-    for gram, rank in text_ranks.items():
-        ref = ranks.get(gram)
-        d += abs(rank - ref) if ref is not None else profile.k
-    return d
+    get, k = profile.ngram_ranks.get, profile.k
+    return sum([
+        abs(rank - ref) if (ref := get(gram)) is not None else k
+        for gram, rank in text_ranks.items()
+    ])
 
 
 def guess_language(text: str, profiles) -> tuple[str, float]:
@@ -119,11 +121,16 @@ def save_profile(profile: LanguageProfile, path: str | Path) -> None:
 def load_profile(path: str | Path, lang: str | None = None, k: int | None = None) -> LanguageProfile:
     """Load a persisted profile; lang defaults to the file stem.
 
-    A malformed line, or ranks other than 1..K, raise ``MalformedProfileError``.
+    Invalid UTF-8, a malformed line, or ranks other than 1..K raise
+    ``MalformedProfileError``.
     """
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedProfileError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     ranks: dict[str, int] = {}
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         try:

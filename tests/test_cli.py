@@ -338,8 +338,66 @@ def _manifest_without_documents(root):
     return path
 
 
+def _delete_raw_file(root):
+    path = root / "out" / "raw" / "31984D0001-en.html"
+    path.unlink()
+    return path
+
+
+def _bad_utf8_byte(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:40] + b"\xff" + data[40:])
+    return path
+
+
+def _raw_file_bad_utf8(root):
+    return _bad_utf8_byte(root / "out" / "raw" / "31985R0002-fr.html")
+
+
+def _edit_manifest_entry(root, index, key, value):
+    path = root / "out" / "raw" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["documents"][index][key] = value
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path
+
+
+def _manifest_bad_date(root):
+    return _edit_manifest_entry(root, 3, "retrieved", "yesterday")
+
+
+def _manifest_file_not_a_string(root):
+    return _edit_manifest_entry(root, 0, "file", 3)
+
+
+def _profile_bad_utf8(root):
+    return _bad_utf8_byte(root / "profiles" / "fr.profile")
+
+
+def _write_eurovoc(root, text):
+    path = root / "eurovoc.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _eurovoc_not_json(root):
+    return _write_eurovoc(root, '{"31984D0001": [4180,')
+
+
+def _eurovoc_list(root):
+    return _write_eurovoc(root, json.dumps([["31984D0001", 4180]]))
+
+
+def _eurovoc_codes_as_string(root):
+    # Read as characters, "4180" would give the codes 0, 1, 4 and 8.
+    return _write_eurovoc(root, json.dumps({"31984D0001": "4180"}))
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_untab_profile_line, _truncate_manifest, _manifest_without_documents]
+    "corrupt",
+    [_untab_profile_line, _truncate_manifest, _manifest_without_documents, _delete_raw_file,
+     _raw_file_bad_utf8, _manifest_bad_date, _manifest_file_not_a_string, _profile_bad_utf8,
+     _eurovoc_not_json, _eurovoc_list, _eurovoc_codes_as_string],
 )
 def test_corrupted_profile_or_manifest_exits_1(tmp_path, profiles_dir, corrupt, capsys):
     shutil.copytree(profiles_dir, tmp_path / "profiles")
@@ -372,3 +430,40 @@ def test_align_parses_only_the_languages_of_its_pairs(tmp_path, monkeypatch):
     assert len(calls) == 7
     assert _cli(config_path, "align", "--aligner", "gale_church") == 0
     assert len(calls) == 17
+
+
+def test_normalize_parses_each_raw_document_once(tmp_path, profiles_dir, monkeypatch):
+    import parcelex.cli
+    import parcelex.ingest
+
+    config_path = make_config(tmp_path, profiles_dir)
+    assert _cli(config_path, "fetch") == 0
+    raw = sorted((tmp_path / "out" / "raw").glob("*.html"))
+    assert len(raw) == 10
+    calls = []
+    original = parcelex.ingest.html_to_paragraphs
+
+    def counting_html_to_paragraphs(content):
+        calls.append(content)
+        return original(content)
+
+    monkeypatch.setattr(parcelex.cli, "html_to_paragraphs", counting_html_to_paragraphs)
+    monkeypatch.setattr(parcelex.ingest, "html_to_paragraphs", counting_html_to_paragraphs)
+    assert _cli(config_path, "normalize") == 0
+    assert sorted(calls) == sorted(p.read_text(encoding="utf-8") for p in raw)
+
+
+@pytest.mark.parametrize("with_profiles", [True, False])
+def test_empty_document_skipped_with_or_without_profiles(tmp_path, profiles_dir, with_profiles, capsys):
+    config_path = make_config(tmp_path, profiles_dir if with_profiles else None)
+    assert _cli(config_path, "fetch") == 0
+    (tmp_path / "out" / "raw" / "31986L0003-de.html").write_text(
+        "<html><body><p> </p><br></body></html>", encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert _cli(config_path, "normalize") == 0
+    assert "skipping empty document 31986L0003-de" in capsys.readouterr().err
+    tei = {p.name for p in (tmp_path / "out" / "tei").rglob("*.xml")}
+    assert "jrc31986L0003-de.xml" not in tei
+    # The cross-labeled fr document is rejected only with profiles.
+    assert len(tei) == (8 if with_profiles else 9)

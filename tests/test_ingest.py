@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, bank_lines
 from parcelex.celex import parse_celex
-from parcelex.errors import DecodeError, DocumentNotFoundError, UnknownLanguageError
+from parcelex.errors import DecodeError, DocumentNotFoundError, EmptyTextError, UnknownLanguageError
 from parcelex.ingest import (
     ALL_LANGUAGES,
     FetchSource,
@@ -140,6 +140,19 @@ def test_verify_short_text_low_confidence(language_profiles):
     )
     verdict = verify_language(doc, language_profiles)
     assert verdict.accepted and verdict.low_confidence
+
+
+def test_verify_uses_given_paragraphs(language_profiles):
+    for doc in (_raw("fr", "fr"), _raw("fr", "en")):
+        paragraphs = html_to_paragraphs(doc.content)
+        assert verify_language(doc, language_profiles, paragraphs) == verify_language(
+            doc, language_profiles
+        )
+    # The given paragraphs are what gets verified, not the content.
+    en_paragraphs = html_to_paragraphs(_raw("fr", "en").content)
+    assert not verify_language(_raw("fr", "fr"), language_profiles, en_paragraphs).accepted
+    with pytest.raises(EmptyTextError):
+        verify_language(_raw("fr", "fr"), language_profiles, [])
 
 
 def test_verify_unknown_declared_language(language_profiles):
