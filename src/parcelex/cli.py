@@ -9,7 +9,6 @@ relative to the config file.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import hashlib
 import itertools
@@ -24,15 +23,7 @@ from .beads import BitextAlignment
 from .celex import CelexId, format_celex, jrc_document_id, parse_celex
 from .errors import ParcelexError
 from .galechurch import GCParams, align_gale_church
-from .hunalign import (
-    HunParams,
-    align_hunalign,
-    build_lexicon,
-    lexicon_header,
-    load_lexicon,
-    save_lexicon,
-    similarity_align,
-)
+from .hunalign import HunParams, align_hunalign, lexicon_header, load_lexicon, save_lexicon
 from .ingest import (
     FetchSource,
     LOCAL_DIRECTORY,
@@ -316,7 +307,7 @@ def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[Celex
     corpus: dict[str, dict[CelexId, object]] = {}
     for path in paths:
         if langs is None or path.parent.name in langs:
-            doc = parse_tei(path.read_text(encoding="utf-8"))
+            doc = parse_tei(_read_text(path))
             corpus.setdefault(doc.lang, {})[doc.celex] = doc
     return corpus
 
@@ -369,30 +360,24 @@ def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, al
     tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}
     cache = config.output_root / "alignments" / "hunalign" / f"{src_lang}-{tgt_lang}.lexicon.txt"
     key = _lexicon_cache_key(config.hun, common, src_texts, tgt_texts)
-    if cache.is_file() and lexicon_header(cache) == key:
-        lexicon = load_lexicon(cache)
-        _log(f"{src_lang}-{tgt_lang}: cached lexicon ({len(lexicon)} entries), skipping phases 1-2")
-    else:
-        if cache.is_file():
+    cached = None
+    if cache.is_file():
+        if lexicon_header(cache) == key:
+            cached = load_lexicon(cache)
+            _log(f"{src_lang}-{tgt_lang}: cached lexicon ({len(cached)} entries), skipping phases 1-2")
+        else:
             _log(f"{src_lang}-{tgt_lang}: lexicon cache miss (parameters or texts changed)")
-        phase1 = [
-            similarity_align(
-                src_texts[c], tgt_texts[c], None, config.hun,
-                celex=c, src_lang=src_lang, tgt_lang=tgt_lang, first_src=2, first_tgt=2,
-            )
-            for c in common
-        ]
-        lexicon = build_lexicon(phase1, src_texts, tgt_texts, config.hun, first_n=2)
+    alignments, lexicon = align_hunalign(
+        src_texts, tgt_texts, config.hun,
+        src_lang=src_lang, tgt_lang=tgt_lang, first_n=2, lexicon=cached,
+    )
+    if cached is None:
         cache.parent.mkdir(parents=True, exist_ok=True)
         save_lexicon(lexicon, cache, header=key)
-    alignments = align_hunalign(
-        src_texts, tgt_texts, config.hun,
-        src_lang=src_lang, tgt_lang=tgt_lang, first_n=2, lexicon=lexicon,
-    )
     return alignments, config.hun.digest()
 
 
-def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None, jobs: int = 1) -> None:
+def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) -> None:
     pairs = _resolve_pairs(config, pairs)
     corpus = _load_tei_corpus(config, {lang for pair in pairs for lang in pair})
     aligners = (aligner,) if aligner else config.aligners
@@ -400,16 +385,7 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None, jo
         if name not in ALIGNERS:
             raise InputError(f"unknown aligner {name!r}")
     tasks = [(src, tgt, name) for src, tgt in pairs for name in aligners]
-
-    def work(task):
-        src, tgt, name = task
-        return task, _align_pair(config, corpus, src, tgt, name)
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
+    results = [(task, _align_pair(config, corpus, *task)) for task in tasks]
 
     provenance: dict[str, dict] = {name: {} for name in aligners}
     for (src, tgt, name), result in results:
@@ -439,7 +415,7 @@ def _load_standoff(config: PipelineConfig, aligner: str, src: str, tgt: str) -> 
     path = _standoff_path(config, aligner, src, tgt)
     if not path.is_file():
         raise InputError(f"{path} missing; run align first")
-    return so.import_standoff_xml(path.read_text(encoding="utf-8"))
+    return so.import_standoff_xml(_read_text(path))
 
 
 def cmd_export(config: PipelineConfig, pairs=None, aligner: str | None = None) -> None:
@@ -474,7 +450,7 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
             path = config.output_root / "tei" / lang / f"{jrc_document_id(celex, lang)}.xml"
             if not path.is_file():
                 raise InputError(f"missing TEI document for {format_celex(celex)} ({lang}): {path}")
-            docs[(lang, celex)] = parse_tei(path.read_text(encoding="utf-8"))
+            docs[(lang, celex)] = parse_tei(_read_text(path))
         return docs[(lang, celex)]
 
     n = 0
@@ -552,7 +528,6 @@ def run(
     pairs=None,
     celex_ids=None,
     aligner: str | None = None,
-    jobs: int = 1,
 ) -> int:
     """Programmatic entry point; returns the process exit status."""
     if subcommand == "fetch":
@@ -560,7 +535,7 @@ def run(
     elif subcommand == "normalize":
         cmd_normalize(config)
     elif subcommand == "align":
-        cmd_align(config, pairs, aligner, jobs)
+        cmd_align(config, pairs, aligner)
     elif subcommand == "export":
         cmd_export(config, pairs, aligner)
     elif subcommand == "bitext":
@@ -595,7 +570,6 @@ def main(argv=None) -> int:
     parser.add_argument("--celex", help="comma-separated CELEX ids")
     parser.add_argument("--aligner", choices=ALIGNERS, help="restrict to one aligner")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for align")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -608,7 +582,7 @@ def main(argv=None) -> int:
         celex_ids = (
             [parse_celex(c) for c in args.celex.split(",")] if args.celex else None
         )
-        return run(args.subcommand, config, pairs, celex_ids, args.aligner, args.jobs)
+        return run(args.subcommand, config, pairs, celex_ids, args.aligner)
     except ParcelexError as exc:
         _log(f"error: {exc}")
         return 1

@@ -115,8 +115,6 @@ class Lexicon:
     """
 
     entries: dict[tuple[str, str], float]
-    src_counts: Counter
-    tgt_counts: Counter
 
     def __post_init__(self):
         by_src: dict[str, dict[str, float]] = {}
@@ -401,7 +399,7 @@ def build_lexicon(
         for (s, t), c in cooc.items()
         if c >= params.min_cooc
     }
-    return Lexicon(entries=entries, src_counts=src_counts, tgt_counts=tgt_counts)
+    return Lexicon(entries=entries)
 
 
 def align_hunalign(
@@ -412,33 +410,30 @@ def align_hunalign(
     tgt_lang: str = "",
     first_n: int = 1,
     lexicon: Lexicon | None = None,
-) -> list[BitextAlignment]:
-    """Run the three phases over documents paired by celex.
+) -> tuple[list[BitextAlignment], Lexicon]:
+    """Run the three phases over documents paired by celex; return (alignments, lexicon).
 
     ``src_docs`` and ``tgt_docs`` map celex to paragraph-text sequences;
     only celexes present on both sides are aligned.  Passing a prebuilt
-    ``lexicon`` (e.g. loaded from cache) skips phases 1 and 2.
+    ``lexicon`` (e.g. loaded from cache) skips phases 1 and 2, and that
+    lexicon is the one returned.
     """
     params = params or HunParams()
     celexes = sorted(set(src_docs) & set(tgt_docs))
-    if lexicon is None:
-        phase1 = [
+
+    def align_all(lex):
+        return [
             similarity_align(
-                src_docs[c], tgt_docs[c], None, params,
+                src_docs[c], tgt_docs[c], lex, params,
                 celex=c, src_lang=src_lang, tgt_lang=tgt_lang,
                 first_src=first_n, first_tgt=first_n,
             )
             for c in celexes
         ]
-        lexicon = build_lexicon(phase1, src_docs, tgt_docs, params, first_n)
-    return [
-        similarity_align(
-            src_docs[c], tgt_docs[c], lexicon, params,
-            celex=c, src_lang=src_lang, tgt_lang=tgt_lang,
-            first_src=first_n, first_tgt=first_n,
-        )
-        for c in celexes
-    ]
+
+    if lexicon is None:
+        lexicon = build_lexicon(align_all(None), src_docs, tgt_docs, params, first_n)
+    return align_all(lexicon), lexicon
 
 
 def number_token_fraction(texts) -> float:
@@ -463,17 +458,24 @@ def save_lexicon(lexicon: Lexicon, path, header: str | None = None) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def _decode(data: bytes, path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLexiconError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
 def lexicon_header(path) -> str | None:
     """The header ``save_lexicon`` wrote into the file, or None when it has none."""
-    with open(path, encoding="utf-8") as f:
-        first = f.readline().rstrip("\n")
+    with open(path, "rb") as f:
+        first = _decode(f.readline(), path).rstrip("\r\n")
     return first[2:] if first.startswith("# ") else None
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read a ``save_lexicon`` file; a malformed line raises ``MalformedLexiconError``."""
+    """Read a ``save_lexicon`` file; a malformed line or byte raises ``MalformedLexiconError``."""
     entries = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _decode(Path(path).read_bytes(), path).splitlines()
     for number, line in enumerate(lines, 1):
         if not line or (number == 1 and line.startswith("#")):
             continue
@@ -488,6 +490,6 @@ def load_lexicon(path) -> Lexicon:
         except ValueError:
             raise MalformedLexiconError(f"{path}:{number}: weight {w!r} is not a number") from None
     try:
-        return Lexicon(entries=entries, src_counts=Counter(), tgt_counts=Counter())
+        return Lexicon(entries=entries)
     except MalformedLexiconError as exc:
         raise MalformedLexiconError(f"{path}: {exc}") from None

@@ -162,23 +162,9 @@ def test_main_exit_codes(tmp_path, profiles_dir):
     assert main(["stats", "--config", str(tmp_path / "nope.json")]) == 1
     # argparse usage error -> 1
     assert main(["no-such-command", "--config", str(config_path)]) == 1
+    assert main(["align", "--config", str(config_path), "--jobs", "2"]) == 1
     # malformed pair string -> 1
     assert main(["align", "--config", str(config_path), "--pairs", "enfr"]) == 1
-
-
-def test_jobs_flag_produces_identical_output(tmp_path, profiles_dir):
-    config_path = make_config(tmp_path, profiles_dir)
-    config = load_config(config_path)
-    run("fetch", config)
-    run("normalize", config)
-    run("align", config, jobs=1)
-    serial = _tree(tmp_path / "out" / "alignments")
-    # wipe and redo with a thread pool
-    import shutil
-
-    shutil.rmtree(tmp_path / "out" / "alignments")
-    run("align", config, jobs=4)
-    assert _tree(tmp_path / "out" / "alignments") == serial
 
 
 def test_pairs_canonicalized(tmp_path, profiles_dir):
@@ -406,6 +392,42 @@ def test_corrupted_profile_or_manifest_exits_1(tmp_path, profiles_dir, corrupt, 
     path = corrupt(tmp_path)
     capsys.readouterr()
     assert _cli(config_path, "normalize") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and str(path) in err
+
+
+@pytest.fixture(scope="module")
+def aligned_tree(tmp_path_factory, profiles_dir):
+    """Config directory of a fixture tree run through align with both aligners."""
+    root = tmp_path_factory.mktemp("aligned")
+    config_path = make_config(root, profiles_dir)
+    for stage in ("fetch", "normalize", "align"):
+        assert _cli(config_path, stage) == 0
+    return root
+
+
+_TEI = ("tei", "en", "jrc31984D0001-en.xml")
+_STANDOFF = ("alignments", "gale_church", "en-fr.standoff.xml")
+_LEXICON = ("alignments", "hunalign", "en-fr.lexicon.txt")
+
+
+@pytest.mark.parametrize(
+    "file, command",
+    [
+        (_TEI, ("align",)),
+        (_TEI, ("stats",)),
+        (_TEI, ("bitext", "--aligner", "gale_church", "--pairs", "en-fr", "--celex", "31984D0001")),
+        (_STANDOFF, ("export",)),
+        (_STANDOFF, ("agree",)),
+        (_LEXICON, ("align", "--aligner", "hunalign", "--pairs", "en-fr")),
+    ],
+    ids=["align-tei", "stats-tei", "bitext-tei", "export-standoff", "agree-standoff", "align-lexicon"],
+)
+def test_bad_utf8_byte_in_an_output_file_exits_1(aligned_tree, tmp_path, file, command, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    path = _bad_utf8_byte(tmp_path.joinpath("out", *file))
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", *command) == 1
     err = capsys.readouterr().err
     assert "internal error" not in err and str(path) in err
 

@@ -121,7 +121,6 @@ def test_similarity_symmetric_without_lexicon():
 def test_planted_pair_scores_higher_with_lexicon():
     lexicon = Lexicon(
         entries={("kavu", "zain"): 1.0, ("mira", "gorpul"): 0.9},
-        src_counts=None, tgt_counts=None,
     )
     s = tokenize("kavu mira")
     t = tokenize("zain gorpul")
@@ -241,23 +240,45 @@ def test_build_lexicon_deterministic():
 
 def test_lexicon_weights_in_unit_interval():
     bt = planted_bitext(n_pairs=120, dict_size=20, seed=6)
-    alignments = align_hunalign(bt.src_docs, bt.tgt_docs, P)
-    celexes = sorted(bt.src_docs)
-    phase1 = [
-        similarity_align(bt.src_docs[c], bt.tgt_docs[c], None, P, celex=c) for c in celexes
-    ]
-    lexicon = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, P)
+    alignments, lexicon = align_hunalign(bt.src_docs, bt.tgt_docs, P)
     assert all(0.0 <= w <= 1.0 for w in lexicon.entries.values())
     assert alignments  # three phases ran
 
 
-def test_planted_recovery_small():
-    bt = planted_bitext(n_pairs=300, dict_size=30, seed=9)
+def test_driver_equals_phases_run_by_hand():
+    bt = planted_bitext(n_pairs=150, dict_size=20, seed=17)
     celexes = sorted(bt.src_docs)
     phase1 = [
-        similarity_align(bt.src_docs[c], bt.tgt_docs[c], None, P, celex=c) for c in celexes
+        similarity_align(bt.src_docs[c], bt.tgt_docs[c], None, P, celex=c, src_lang="xx",
+                         tgt_lang="yy", first_src=2, first_tgt=2)
+        for c in celexes
     ]
-    lexicon = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, P)
+    lexicon = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, P, first_n=2)
+    phase3 = [
+        similarity_align(bt.src_docs[c], bt.tgt_docs[c], lexicon, P, celex=c, src_lang="xx",
+                         tgt_lang="yy", first_src=2, first_tgt=2)
+        for c in celexes
+    ]
+    got, got_lexicon = align_hunalign(bt.src_docs, bt.tgt_docs, P, "xx", "yy", first_n=2)
+
+    def links(alignments):
+        return [
+            (a.celex, a.src_lang, a.tgt_lang, a.params_digest,
+             [(l.arity, l.src_pars, l.tgt_pars, l.score.hex()) for l in a.links])
+            for a in alignments
+        ]
+
+    assert lexicon.entries  # the lexicon pass had evidence to add
+    assert links(got) == links(phase3)
+    assert got_lexicon.entries == lexicon.entries
+    # A prebuilt lexicon skips phases 1-2 and comes back as given.
+    again, same = align_hunalign(bt.src_docs, bt.tgt_docs, P, "xx", "yy", 2, lexicon)
+    assert same is lexicon and links(again) == links(phase3)
+
+
+def test_planted_recovery_small():
+    bt = planted_bitext(n_pairs=300, dict_size=30, seed=9)
+    _, lexicon = align_hunalign(bt.src_docs, bt.tgt_docs, P)
     recovered = sum(
         1 for s, t in bt.dictionary.items() if lexicon.entries.get((s, t), 0.0) >= 0.5
     )
@@ -270,7 +291,7 @@ def test_phase3_not_worse_than_phase1():
     phase1 = [
         similarity_align(bt.src_docs[c], bt.tgt_docs[c], None, P, celex=c) for c in celexes
     ]
-    phase3 = align_hunalign(bt.src_docs, bt.tgt_docs, P)
+    phase3, _ = align_hunalign(bt.src_docs, bt.tgt_docs, P)
     gold = [(c, bt.gold[c]) for c in celexes]
     assert link_f1(phase3, gold) >= link_f1(phase1, gold)
 
@@ -280,7 +301,7 @@ def test_identical_pair_phase3_equals_phase1():
     doc = ["alpha beta gamma", "delta epsilon", "zeta eta"]
     docs = {celex: doc}
     phase1 = similarity_align(doc, doc, None, P, celex=celex)
-    phase3 = align_hunalign(docs, docs, P)[0]
+    phase3 = align_hunalign(docs, docs, P)[0][0]
     assert phase3.links == phase1.links
     assert all(l.arity == (1, 1) for l in phase3.links)
 
@@ -292,22 +313,16 @@ def test_empty_collection_surfaces_lexicon_error():
 
 def test_cached_lexicon_reproduces_output(tmp_path):
     bt = planted_bitext(n_pairs=150, dict_size=20, seed=21)
-    first = align_hunalign(bt.src_docs, bt.tgt_docs, P)
-    celexes = sorted(bt.src_docs)
-    phase1 = [
-        similarity_align(bt.src_docs[c], bt.tgt_docs[c], None, P, celex=c) for c in celexes
-    ]
-    lexicon = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, P)
+    first, lexicon = align_hunalign(bt.src_docs, bt.tgt_docs, P)
     path = tmp_path / "pair.lexicon.txt"
     save_lexicon(lexicon, path)
-    rerun = align_hunalign(bt.src_docs, bt.tgt_docs, P, lexicon=load_lexicon(path))
+    rerun, _ = align_hunalign(bt.src_docs, bt.tgt_docs, P, lexicon=load_lexicon(path))
     assert [a.links for a in rerun] == [a.links for a in first]
 
 
 def test_lexicon_persistence_round_trip(tmp_path):
     lexicon = Lexicon(
         entries={("a", "x"): 0.123456789, ("b", "y"): 1.0, ("c", "z"): 0.5},
-        src_counts=None, tgt_counts=None,
     )
     path = tmp_path / "lex.txt"
     save_lexicon(lexicon, path)
@@ -388,9 +403,8 @@ def reference_lexicons():
     # "orphan" has translations, but none of them ever occurs on the target side.
     orphan = Lexicon(
         entries={**boot.entries, ("orphan", "nowhere"): 0.7, ("orphan", "absent"): 0.2},
-        src_counts=None, tgt_counts=None,
     )
-    empty = Lexicon(entries={}, src_counts=None, tgt_counts=None)
+    empty = Lexicon(entries={})
     src_words = sorted({w for d in bt.src_docs.values() for p in d for w in p.split()})
     tgt_words = sorted({w for d in bt.tgt_docs.values() for p in d for w in p.split()})
     return (None, empty, boot, orphan), src_words + ["orphan"], tgt_words
@@ -431,11 +445,27 @@ def test_load_lexicon_rejects_malformed_lines(tmp_path, line):
 
 def test_lexicon_rejects_weights_outside_unit_interval():
     with pytest.raises(MalformedLexiconError):
-        Lexicon(entries={("a", "x"): -0.1}, src_counts=None, tgt_counts=None)
+        Lexicon(entries={("a", "x"): -0.1})
+
+
+@pytest.mark.parametrize("offset", [5, 30])  # in the header line, in the first entry
+def test_lexicon_file_with_bad_utf8_byte_is_malformed(tmp_path, offset):
+    path = tmp_path / "lex.txt"
+    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, header="hun_params=abc inputs=def")
+    data = path.read_bytes()
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    message = f"lex.txt: not valid UTF-8 at byte {offset}"
+    if offset < len("# hun_params=abc inputs=def"):
+        with pytest.raises(MalformedLexiconError, match=message):
+            lexicon_header(path)
+    else:
+        assert lexicon_header(path) == "hun_params=abc inputs=def"
+    with pytest.raises(MalformedLexiconError, match=message):
+        load_lexicon(path)
 
 
 def test_lexicon_header_round_trip(tmp_path):
-    lexicon = Lexicon(entries={("a", "x"): 0.5}, src_counts=None, tgt_counts=None)
+    lexicon = Lexicon(entries={("a", "x"): 0.5})
     path = tmp_path / "lex.txt"
     save_lexicon(lexicon, path, header="hun_params=abc inputs=def")
     assert path.read_text(encoding="utf-8").splitlines()[0] == "# hun_params=abc inputs=def"
