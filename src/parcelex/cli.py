@@ -82,10 +82,10 @@ def _gc_from_dict(d: dict) -> GCParams:
 
 def load_config(path: str | Path, seed_override: int | None = None) -> PipelineConfig:
     path = Path(path)
+    if not path.exists():
+        raise InputError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {path}") from None
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"config is not valid JSON: {exc}") from None
     base = path.parent

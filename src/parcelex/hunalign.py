@@ -8,23 +8,29 @@ similarity.  Unlike the length-based aligner this one never produces 2-2
 beads but can split one paragraph into up to ``max_split`` counterparts.
 
 Every bead scores exactly what ``segment_similarity`` returns for its
-merged segments, but the dynamic program does not build merged segments:
-each merged run's token-type and number sets are made once per document,
-and the lexicon share of a whole source row of beads is summed at once
-from per-token columns of best translation weights (see ``_LexiconRows``).
-The lexicon pass therefore costs about as much as the first pass.
+merged segments, but the dynamic program builds no merged segments.  Each
+document is tokenized once per pair into a ``PreparedDocument``: for every
+run of up to ``max_split`` paragraphs it holds the text length, the token
+types and number tokens as integer bitsets, and their counts.  The two
+sides of a document share one token-to-bit vocabulary, so a shared type is
+a shared bit and ``(a & b).bit_count()`` is the size of the intersection.
+Phase 1, the lexicon bootstrap and phase 3 all read the same prepared
+documents.  The lexicon share of a whole source row of beads is summed at
+once from per-token columns of best translation weights (see
+``_LexiconRows``), so the lexicon pass costs a few times the first pass.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add
+from itertools import product
+from operator import add, or_
 from pathlib import Path
 
 from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
@@ -172,24 +178,6 @@ def _lexicon_score(s: TokenizedSegment, t: TokenizedSegment, lexicon: Lexicon) -
     return total / len(s.tokens)
 
 
-def _features(s: TokenizedSegment):
-    """(length, token types, number tokens, token count): what a bead score reads."""
-    return s.length, frozenset(s.tokens), s.number_tokens, len(s.tokens)
-
-
-def _similarity(s, t, lexicon_score: float | None, params: HunParams) -> float:
-    """Score two segments given as ``_features`` tuples; the lexicon share is precomputed."""
-    base = (
-        params.w_length * _length_score(s[0], t[0])
-        + params.w_identical * _dice(s[1], t[1])
-        + params.w_number * _jaccard(s[2], t[2])
-    )
-    if lexicon_score is None:
-        scale = params.w_length + params.w_identical + params.w_number
-        return base / scale if scale > 0 else 0.0
-    return base + params.w_lexicon * lexicon_score
-
-
 def segment_similarity(
     s: TokenizedSegment,
     t: TokenizedSegment,
@@ -202,8 +190,15 @@ def segment_similarity(
     to 1, so a pair of identical segments still scores 1.0.
     """
     params = params or HunParams()
-    lexicon_score = None if lexicon is None else _lexicon_score(s, t, lexicon)
-    return _similarity(_features(s), _features(t), lexicon_score, params)
+    base = (
+        params.w_length * _length_score(s.length, t.length)
+        + params.w_identical * identical_word_ratio(s, t)
+        + params.w_number * _jaccard(s.number_tokens, t.number_tokens)
+    )
+    if lexicon is None:
+        scale = params.w_length + params.w_identical + params.w_number
+        return base / scale if scale > 0 else 0.0
+    return base + params.w_lexicon * _lexicon_score(s, t, lexicon)
 
 
 def _moves(max_split: int):
@@ -214,27 +209,66 @@ def _moves(max_split: int):
     return tuple(moves)
 
 
-def _merged_features(segs, max_split: int) -> dict[int, list]:
-    """``feats[k][i]``: the ``_features`` of ``merge_segments(segs[i:i+k])``.
+def _bitsets(seg: TokenizedSegment, vocabulary: dict[str, int]) -> tuple[int, int]:
+    """(type bitset, number bitset) of a segment; unseen tokens get the next free bit."""
+    types = numbers = 0
+    for token in seg.tokens:
+        bit = vocabulary.get(token)
+        if bit is None:
+            bit = vocabulary[token] = 1 << len(vocabulary)
+        types |= bit
+        if token in seg.number_tokens:
+            numbers |= bit
+    return types, numbers
 
-    Built once per document: each merged run extends the run one shorter by
-    one paragraph, so its type and number sets are unions made once rather
-    than once per bead.
+
+class PreparedDocument:
+    """A document's paragraphs tokenized once, in the form the bead scores read.
+
+    ``tokens[i]`` and ``types[i]`` are paragraph i's tokens and token types.
+    ``runs[k]`` holds five columns over the runs of k consecutive paragraphs,
+    indexed by the run's first paragraph: text length (paragraphs joined by
+    single spaces), type bitset, type count, number bitset and number
+    count; ``token_counts[k]`` is a sixth.  Each k-run extends the run one
+    shorter by one paragraph, with ``|`` on bitsets and ``+`` on lengths and
+    token counts, so these are exactly the features of
+    ``merge_segments(segs[i:i+k])``.  Bits come from ``vocabulary``, which
+    both sides of a document must share.
     """
-    one = [_features(s) for s in segs]
-    feats = {1: one}
-    for k in range(2, max_split + 1):
-        prev = feats[k - 1]
-        feats[k] = [
-            (
-                prev[i][0] + 1 + one[i + k - 1][0],
-                prev[i][1] | one[i + k - 1][1],
-                prev[i][2] | one[i + k - 1][2],
-                prev[i][3] + one[i + k - 1][3],
-            )
-            for i in range(len(segs) - k + 1)
-        ]
-    return feats
+
+    def __init__(self, texts, vocabulary: dict[str, int], max_split: int):
+        segs = [tokenize(text) for text in texts]
+        self.tokens = [s.tokens for s in segs]
+        self.types = [frozenset(s.tokens) for s in segs]
+        bits = [_bitsets(s, vocabulary) for s in segs]
+        one = ([s.length for s in segs], [b for b, _ in bits], [b for _, b in bits],
+               [len(t) for t in self.tokens])
+        lengths, types, numbers, counts = one
+        self.runs: dict[int, tuple[list[int], ...]] = {}
+        self.token_counts: dict[int, list[int]] = {}
+        for k in range(1, max_split + 1):
+            if k > 1:  # the (k-1)-runs, each extended by the paragraph after it
+                lengths = [a + 1 + b for a, b in zip(lengths, one[0][k - 1 :])]
+                types = list(map(or_, types, one[1][k - 1 :]))
+                numbers = list(map(or_, numbers, one[2][k - 1 :]))
+                counts = list(map(add, counts, one[3][k - 1 :]))
+            type_counts = [b.bit_count() for b in types]
+            self.runs[k] = (lengths, types, type_counts, numbers, [b.bit_count() for b in numbers])
+            self.token_counts[k] = counts
+
+    def __len__(self):
+        return len(self.tokens)
+
+
+def prepare_pair(src_pars, tgt_pars, max_split: int) -> tuple[PreparedDocument, PreparedDocument]:
+    """Both sides of one document over one fresh vocabulary; prepared sides are returned as given."""
+    if isinstance(src_pars, PreparedDocument):
+        return src_pars, tgt_pars
+    vocabulary: dict[str, int] = {}
+    return (
+        PreparedDocument(src_pars, vocabulary, max_split),
+        PreparedDocument(tgt_pars, vocabulary, max_split),
+    )
 
 
 def _add_columns(totals: list[float], tokens, column) -> list[float]:
@@ -257,11 +291,12 @@ class _LexiconRows:
     the merged segments, which gives the same bits.
     """
 
-    def __init__(self, src_segs, src_feats, tgt_feats, lexicon: Lexicon, max_split: int):
+    def __init__(self, src: PreparedDocument, tgt: PreparedDocument, lexicon: Lexicon,
+                 max_split: int):
         self._translations = lexicon.translations
-        self._tokens = [[t for t in s.tokens if self._translations(t)] for s in src_segs]
-        self._counts = {k: [f[3] for f in feats] for k, feats in src_feats.items()}
-        self._tgt_types = [f[1] for f in tgt_feats[1]]
+        self._tokens = [[t for t in tokens if self._translations(t)] for tokens in src.tokens]
+        self._counts = src.token_counts
+        self._tgt_types = tgt.types
         self._columns: dict[str, list[float]] = {}
         self._max_split = max_split
 
@@ -309,23 +344,26 @@ def similarity_align(
 ) -> BitextAlignment:
     """Maximal total-similarity monotone alignment over 1-1, 1-0, 0-1, k-1, 1-k.
 
-    Every bead scores exactly what ``segment_similarity`` gives its merged
+    ``src_pars`` and ``tgt_pars`` are paragraph texts, or the two
+    ``PreparedDocument`` sides that ``prepare_pair`` made of them.  Every
+    bead scores exactly what ``segment_similarity`` gives its merged
     segments; a whole source row of bead scores is computed at once.
     """
     params = params or HunParams()
-    src_segs = [tokenize(t, first_src + i) for i, t in enumerate(src_pars)]
-    tgt_segs = [tokenize(t, first_tgt + j) for j, t in enumerate(tgt_pars)]
-    n, m = len(src_segs), len(tgt_segs)
+    src, tgt = prepare_pair(src_pars, tgt_pars, params.max_split)
+    n, m = len(src), len(tgt)
     moves = _moves(params.max_split)
-    src_feats = _merged_features(src_segs, params.max_split)
-    tgt_feats = _merged_features(tgt_segs, params.max_split)
-    lexicon_rows = (
-        None if lexicon is None
-        else _LexiconRows(src_segs, src_feats, tgt_feats, lexicon, params.max_split)
+    lexicon_rows = None if lexicon is None else _LexiconRows(src, tgt, lexicon, params.max_split)
+    w_length, w_identical, w_number, w_lexicon = (
+        params.w_length, params.w_identical, params.w_number, params.w_lexicon
     )
+    scale = w_length + w_identical + w_number
 
     # monotone_dp minimizes negated similarities (a skip scores -skip_penalty);
     # negation is exact, so the path, its ties and the scores are unchanged.
+    # A bead's base is segment_similarity's three terms summed in the same
+    # order from the same ints: min/max of the lengths, Dice of the types
+    # and Jaccard of the numbers, with popcounts for set sizes.
     def row_beads(i):
         beads = {(0, 1): [params.skip_penalty] * m}
         if i == n:
@@ -335,11 +373,21 @@ def similarity_align(
         for a, b in moves:
             if a == 0 or b == 0 or i + a > n:
                 continue
-            s_feat = src_feats[a][i]
-            lex_ab = repeat(None) if lex is None else lex[(a, b)]
-            beads[(a, b)] = [
-                -_similarity(s_feat, t_feat, x, params) for t_feat, x in zip(tgt_feats[b], lex_ab)
+            sl, st, stc, sn, snc = (col[i] for col in src.runs[a])
+            base = [
+                w_length * (sl / tl if sl < tl else tl / sl if tl < sl else 1.0)
+                + w_identical * (2 * (st & tt).bit_count() / (stc + ttc) if stc + ttc else 0.0)
+                + w_number * (
+                    (shared := (sn & tn).bit_count()) / (snc + tnc - shared) if snc + tnc else 1.0
+                )
+                for tl, tt, ttc, tn, tnc in zip(*tgt.runs[b])
             ]
+            if lex is not None:
+                beads[(a, b)] = [-(x + w_lexicon * y) for x, y in zip(base, lex[(a, b)])]
+            elif scale > 0:
+                beads[(a, b)] = [-(x / scale) for x in base]
+            else:
+                beads[(a, b)] = [-0.0] * len(base)
         return beads
 
     steps = monotone_dp(n, m, moves, row_beads)
@@ -368,6 +416,8 @@ def build_lexicon(
     Token pairs are scored with a squared-co-occurrence ratio,
     cooc(s,t)^2 / (count(s) * count(t)), counting each token once per
     sampled pair; pairs seen fewer than ``min_cooc`` times are dropped.
+    ``src_docs`` and ``tgt_docs`` map celex to paragraph texts, or to the
+    ``PreparedDocument`` sides ``prepare_pair`` made of them.
     """
     params = params or HunParams()
     one_to_one = []
@@ -382,17 +432,20 @@ def build_lexicon(
     k = min(params.sample_size, len(one_to_one))
     sampled = rng.sample(one_to_one, k)
 
+    prepared = {
+        celex: prepare_pair(src_docs[celex], tgt_docs[celex], params.max_split)
+        for celex in dict.fromkeys(celex for celex, _, _ in sampled)
+    }
     src_counts: Counter = Counter()
     tgt_counts: Counter = Counter()
     cooc: Counter = Counter()
     for celex, src_n, tgt_n in sampled:
-        src_types = set(tokenize(src_docs[celex][src_n - first_n]).tokens)
-        tgt_types = set(tokenize(tgt_docs[celex][tgt_n - first_n]).tokens)
+        src, tgt = prepared[celex]
+        src_types = src.types[src_n - first_n]
+        tgt_types = tgt.types[tgt_n - first_n]
         src_counts.update(src_types)
         tgt_counts.update(tgt_types)
-        for s in src_types:
-            for t in tgt_types:
-                cooc[(s, t)] += 1
+        cooc.update(product(src_types, tgt_types))
 
     entries = {
         (s, t): min(1.0, c * c / (src_counts[s] * tgt_counts[t]))
@@ -414,17 +467,19 @@ def align_hunalign(
     """Run the three phases over documents paired by celex; return (alignments, lexicon).
 
     ``src_docs`` and ``tgt_docs`` map celex to paragraph-text sequences;
-    only celexes present on both sides are aligned.  Passing a prebuilt
+    only celexes present on both sides are aligned.  Each document pair is
+    prepared once and read by all three phases.  Passing a prebuilt
     ``lexicon`` (e.g. loaded from cache) skips phases 1 and 2, and that
     lexicon is the one returned.
     """
     params = params or HunParams()
     celexes = sorted(set(src_docs) & set(tgt_docs))
+    prepared = {c: prepare_pair(src_docs[c], tgt_docs[c], params.max_split) for c in celexes}
 
     def align_all(lex):
         return [
             similarity_align(
-                src_docs[c], tgt_docs[c], lex, params,
+                *prepared[c], lex, params,
                 celex=c, src_lang=src_lang, tgt_lang=tgt_lang,
                 first_src=first_n, first_tgt=first_n,
             )
@@ -432,7 +487,9 @@ def align_hunalign(
         ]
 
     if lexicon is None:
-        lexicon = build_lexicon(align_all(None), src_docs, tgt_docs, params, first_n)
+        src_prepared = {c: src for c, (src, _) in prepared.items()}
+        tgt_prepared = {c: tgt for c, (_, tgt) in prepared.items()}
+        lexicon = build_lexicon(align_all(None), src_prepared, tgt_prepared, params, first_n)
     return align_all(lexicon), lexicon
 
 
@@ -455,7 +512,16 @@ def save_lexicon(lexicon: Lexicon, path, header: str | None = None) -> None:
         f"{s}\t{t}\t{w!r}"
         for (s, t), w in sorted(lexicon.entries.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    # Written beside the target and renamed over it, so an interrupted save
+    # never leaves a truncated file where a later run would trust it.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _decode(data: bytes, path) -> str:

@@ -240,6 +240,44 @@ def test_lexicon_cache_keyed_to_params_and_texts(tmp_path, profiles_dir, capsys)
     assert cache.read_bytes() == rebuilt
 
 
+def _interrupt_lexicon_writes(monkeypatch):
+    """Make every write of a lexicon file stop at 40% of its text with a disk-full error."""
+    write_text = Path.write_text
+
+    def interrupted(self, data, *args, **kwargs):
+        if "lexicon" in self.name:
+            write_text(self, data[: len(data) * 2 // 5], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+
+
+def test_interrupted_lexicon_cache_write_is_never_trusted(tmp_path, profiles_dir, monkeypatch, capsys):
+    config_path = make_config(tmp_path, profiles_dir)
+    for stage in ("fetch", "normalize"):
+        assert _cli(config_path, stage) == 0
+    align = ("align", "--aligner", "hunalign", "--pairs", "en-fr")
+    hun_dir = tmp_path / "out" / "alignments" / "hunalign"
+    cache = hun_dir / "en-fr.lexicon.txt"
+
+    _interrupt_lexicon_writes(monkeypatch)
+    assert _cli(config_path, *align) != 0
+    monkeypatch.undo()
+    assert list(hun_dir.iterdir()) == []  # neither the cache nor a temp file
+
+    capsys.readouterr()
+    assert _cli(config_path, *align) == 0
+    err = capsys.readouterr().err
+    assert "cached lexicon" not in err and "cache miss" not in err  # rebuilt from scratch
+    assert sorted(p.name for p in hun_dir.iterdir()) == [
+        "en-fr.lexicon.txt", "en-fr.standoff.xml", "provenance.json",
+    ]
+    assert _cli(config_path, *align) == 0
+    entries = len(cache.read_text(encoding="utf-8").splitlines()) - 1
+    assert f"cached lexicon ({entries} entries)" in capsys.readouterr().err
+
+
 def test_lexicon_cache_key_covers_params_and_every_text():
     c = parse_celex("31984D0001")
     src, tgt = {c: ["un", "deux"]}, {c: ["one", "two"]}
@@ -394,6 +432,34 @@ def test_corrupted_profile_or_manifest_exits_1(tmp_path, profiles_dir, corrupt, 
     assert _cli(config_path, "normalize") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err and str(path) in err
+
+
+def _config_not_utf8(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"languages": ["en"], "output_root": "out"\xff}')
+    return path
+
+
+def _config_is_a_directory(tmp_path):
+    path = tmp_path / "config.d"
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_config_not_utf8, "not valid UTF-8 at byte 42"),
+        (_config_is_a_directory, "cannot read"),
+        (lambda tmp_path: tmp_path / "nope.json", "config file not found"),
+    ],
+    ids=["not-utf8", "directory", "missing"],
+)
+def test_unreadable_config_exits_1(tmp_path, make, message, capsys):
+    path = make(tmp_path)
+    assert main(["stats", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and message in err and str(path) in err
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from parcelex.hunalign import (
     merge_segments,
     number_similarity,
     number_token_fraction,
+    prepare_pair,
     save_lexicon,
     segment_similarity,
     similarity_align,
@@ -238,6 +241,47 @@ def test_build_lexicon_deterministic():
     assert a.entries == b.entries
 
 
+def _reference_lexicon(phase1, src_docs, tgt_docs, params, first_n=1):
+    """build_lexicon's sample counted naively: tokenize each sampled pair, loop over type pairs."""
+    one_to_one = [
+        (a.celex, l.src_pars[0], l.tgt_pars[0]) for a in phase1 for l in a.links if l.arity == (1, 1)
+    ]
+    sampled = random.Random(params.rng_seed).sample(one_to_one, min(params.sample_size, len(one_to_one)))
+    src_counts, tgt_counts, cooc = Counter(), Counter(), Counter()
+    for celex, src_n, tgt_n in sampled:
+        src_types = set(tokenize(src_docs[celex][src_n - first_n]).tokens)
+        tgt_types = set(tokenize(tgt_docs[celex][tgt_n - first_n]).tokens)
+        src_counts.update(src_types)
+        tgt_counts.update(tgt_types)
+        for s in src_types:
+            for t in tgt_types:
+                cooc[(s, t)] += 1
+    return {
+        (s, t): min(1.0, c * c / (src_counts[s] * tgt_counts[t]))
+        for (s, t), c in cooc.items()
+        if c >= params.min_cooc
+    }
+
+
+def test_build_lexicon_same_from_prepared_documents_and_texts():
+    bt = planted_bitext(n_pairs=120, dict_size=20, seed=8)
+    celexes = sorted(bt.src_docs)
+    params = HunParams(min_cooc=1, sample_size=70)
+    phase1 = [
+        similarity_align(bt.src_docs[c], bt.tgt_docs[c], None, params, celex=c, first_src=2,
+                         first_tgt=2)
+        for c in celexes
+    ]
+    prepared = {c: prepare_pair(bt.src_docs[c], bt.tgt_docs[c], params.max_split) for c in celexes}
+    from_prepared = build_lexicon(
+        phase1, {c: s for c, (s, _) in prepared.items()}, {c: t for c, (_, t) in prepared.items()},
+        params, first_n=2,
+    )
+    from_texts = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, params, first_n=2)
+    assert from_prepared.entries == from_texts.entries
+    assert from_texts.entries == _reference_lexicon(phase1, bt.src_docs, bt.tgt_docs, params, 2)
+
+
 def test_lexicon_weights_in_unit_interval():
     bt = planted_bitext(n_pairs=120, dict_size=20, seed=6)
     alignments, lexicon = align_hunalign(bt.src_docs, bt.tgt_docs, P)
@@ -410,13 +454,20 @@ def reference_lexicons():
     return (None, empty, boot, orphan), src_words + ["orphan"], tgt_words
 
 
-@pytest.mark.parametrize("case", range(50))
+@pytest.mark.parametrize("case", range(86))
 def test_similarity_align_matches_reference_bit_for_bit(case, reference_lexicons):
+    """From case 50 on both sides share their words as well as their numbers.
+
+    Then an identical word on both sides must be one bit of the shared
+    vocabulary, or its Dice share of the bead score changes.
+    """
     lexicons, src_words, tgt_words = reference_lexicons
     rng = random.Random(case)
     params = HunParams(max_split=(2, 3, 4)[case % 3])
     lexicon = lexicons[case % 4]
     numbers = ["7", "1984", "12.5", "2003"]
+    if case >= 50:
+        src_words = tgt_words = rng.sample(src_words, 6) + rng.sample(tgt_words, 6)
 
     def paragraph(words):
         if rng.random() < 0.15:
@@ -462,6 +513,27 @@ def test_lexicon_file_with_bad_utf8_byte_is_malformed(tmp_path, offset):
         assert lexicon_header(path) == "hun_params=abc inputs=def"
     with pytest.raises(MalformedLexiconError, match=message):
         load_lexicon(path)
+
+
+def test_interrupted_save_leaves_the_old_lexicon_file(tmp_path, monkeypatch):
+    path = tmp_path / "lex.txt"
+    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, header="old")
+    old = path.read_bytes()
+    write_text = Path.write_text
+
+    def interrupted(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) * 2 // 5], *args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    new = Lexicon(entries={("b", "y"): 1 / 3, ("c", "z"): 0.25})
+    with pytest.raises(KeyboardInterrupt):
+        save_lexicon(new, path, header="new")
+    with pytest.raises(KeyboardInterrupt):
+        save_lexicon(new, tmp_path / "fresh.txt")
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["lex.txt"]  # nothing half-written beside it
 
 
 def test_lexicon_header_round_trip(tmp_path):
