@@ -45,8 +45,6 @@ class BitextAlignment:
     src_lang: str
     tgt_lang: str
     links: tuple[AlignmentLink, ...]
-    aligner: str
-    params_digest: str = ""
 
 
 def links_cover(links, n_src: int, n_tgt: int, first_src: int = 1, first_tgt: int = 1) -> bool:

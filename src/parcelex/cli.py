@@ -71,11 +71,18 @@ class PipelineConfig:
                 raise InputError(f"unknown aligner {aligner!r}; expected one of {ALIGNERS}")
 
 
+def _object(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise InputError(f"{key!r} must be a JSON object")
+    return value
+
+
 def _gc_from_dict(d: dict) -> GCParams:
     d = dict(d)
     if "arity_priors" in d:
         d["arity_priors"] = {
-            tuple(int(x) for x in k.split("-")): v for k, v in d["arity_priors"].items()
+            tuple(int(x) for x in k.split("-")): v for k, v in _object(d, "arity_priors").items()
         }
     return GCParams(**d)
 
@@ -84,20 +91,24 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
-    try:
-        raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config is not valid JSON: {exc}") from None
-    base = path.parent
+    return _read(path, lambda text: _config_from_json(json.loads(text), path.parent, seed_override))
+
+
+def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineConfig:
+    if not isinstance(raw, dict):
+        raise InputError("config must be a JSON object")
+    languages = raw.get("languages")
+    if not isinstance(languages, list) or not all(isinstance(lang, str) for lang in languages):
+        raise InputError('"languages" must be a list of language codes')
 
     def respath(key):
         return (base / raw[key]).resolve() if key in raw and raw[key] else None
 
-    seed = seed_override if seed_override is not None else int(raw.get("seed", 1960))
-    hun_raw = dict(raw.get("hun_params", {}))
-    hun_raw.setdefault("rng_seed", seed)
     try:
-        source_raw = raw.get("source", {})
+        seed = seed_override if seed_override is not None else int(raw.get("seed", 1960))
+        hun_raw = dict(_object(raw, "hun_params"))
+        hun_raw.setdefault("rng_seed", seed)
+        source_raw = _object(raw, "source")
         source = FetchSource(
             mode=source_raw.get("mode", LOCAL_DIRECTORY),
             root=str((base / source_raw["root"]).resolve())
@@ -106,7 +117,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
             endpoint=source_raw.get("endpoint", "lexuriserv"),
         )
         return PipelineConfig(
-            languages=tuple(sorted(raw["languages"])),
+            languages=tuple(sorted(languages)),
             source=source,
             output_root=(base / raw["output_root"]).resolve(),
             aligners=tuple(raw.get("aligners", ALIGNERS)),
@@ -115,7 +126,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
             profiles_dir=respath("profiles_dir"),
             eurovoc_map=respath("eurovoc_map"),
             top_descriptors=int(raw.get("top_descriptors", 20)),
-            gc=_gc_from_dict(raw.get("gc_params", {})),
+            gc=_gc_from_dict(_object(raw, "gc_params")),
             hun=HunParams(**hun_raw),
         )
     except KeyError as exc:
@@ -128,14 +139,18 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _read_text(path: Path) -> str:
-    """Read a UTF-8 input file; a missing, unreadable or undecodable file is an input error."""
+def _read(path: Path, parse=str):
+    """``parse`` of a UTF-8 input file's text; any read, decode or parse failure names the file."""
     try:
-        return path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        return parse(text)
+    except (ParcelexError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _write(path: Path, text: str) -> None:
@@ -188,9 +203,7 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
     if not path.is_file():
         raise InputError(f"{path} missing; run fetch first")
     try:
-        documents = json.loads(_read_text(path))["documents"]
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+        documents = _read(path, json.loads)["documents"]
     except (KeyError, TypeError):
         raise InputError(f'{path}: no "documents" list') from None
     if not isinstance(documents, list) or not all(
@@ -223,10 +236,7 @@ def _load_eurovoc_map(config: PipelineConfig) -> dict[str, list[int]]:
     if config.eurovoc_map is None:
         return {}
     path = Path(config.eurovoc_map)
-    try:
-        eurovoc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from None
+    eurovoc = _read(path, json.loads)
     if not isinstance(eurovoc, dict) or not all(
         isinstance(codes, list) and all(type(code) is int for code in codes)
         for codes in eurovoc.values()
@@ -245,7 +255,7 @@ def cmd_normalize(config: PipelineConfig) -> None:
     for entry in manifest:
         celex = parse_celex(entry["celex"])
         lang = entry["lang"]
-        content = _read_text(config.output_root / "raw" / entry["file"])
+        content = _read(config.output_root / "raw" / entry["file"])
         paragraphs = html_to_paragraphs(content)
         if not paragraphs:
             _log(f"skipping empty document {entry['celex']}-{lang}")
@@ -307,7 +317,7 @@ def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[Celex
     corpus: dict[str, dict[CelexId, object]] = {}
     for path in paths:
         if langs is None or path.parent.name in langs:
-            doc = parse_tei(_read_text(path))
+            doc = _read(path, parse_tei)
             corpus.setdefault(doc.lang, {})[doc.celex] = doc
     return corpus
 
@@ -384,27 +394,25 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
     for name in aligners:
         if name not in ALIGNERS:
             raise InputError(f"unknown aligner {name!r}")
-    tasks = [(src, tgt, name) for src, tgt in pairs for name in aligners]
-    results = [(task, _align_pair(config, corpus, *task)) for task in tasks]
-
     provenance: dict[str, dict] = {name: {} for name in aligners}
-    for (src, tgt, name), result in results:
-        if result is None:
-            _log(f"{name} {src}-{tgt}: no common documents, skipped")
-            continue
-        alignments, digest = result
-        file = so.standoff_from_alignments(alignments)
-        _write(
-            config.output_root / "alignments" / name / f"{src}-{tgt}.standoff.xml",
-            so.export_standoff_xml(file),
-        )
-        provenance[name][f"{src}-{tgt}"] = digest
+    for src, tgt in pairs:
+        for name in aligners:
+            result = _align_pair(config, corpus, src, tgt, name)
+            if result is None:
+                _log(f"{name} {src}-{tgt}: no common documents, skipped")
+                continue
+            alignments, digest = result
+            _write(
+                _standoff_path(config, name, src, tgt),
+                so.export_standoff_xml(so.standoff_from_alignments(alignments)),
+            )
+            provenance[name][f"{src}-{tgt}"] = digest
     for name in aligners:
         _write(
             config.output_root / "alignments" / name / "provenance.json",
             _json_dump({"aligner": name, "params_digest": provenance[name]}),
         )
-    _log(f"aligned {len(results)} pair/aligner combinations")
+    _log(f"aligned {len(pairs) * len(aligners)} pair/aligner combinations")
 
 
 def _standoff_path(config: PipelineConfig, aligner: str, src: str, tgt: str) -> Path:
@@ -415,7 +423,7 @@ def _load_standoff(config: PipelineConfig, aligner: str, src: str, tgt: str) -> 
     path = _standoff_path(config, aligner, src, tgt)
     if not path.is_file():
         raise InputError(f"{path} missing; run align first")
-    return so.import_standoff_xml(_read_text(path))
+    return _read(path, so.import_standoff_xml)
 
 
 def cmd_export(config: PipelineConfig, pairs=None, aligner: str | None = None) -> None:
@@ -450,7 +458,7 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
             path = config.output_root / "tei" / lang / f"{jrc_document_id(celex, lang)}.xml"
             if not path.is_file():
                 raise InputError(f"missing TEI document for {format_celex(celex)} ({lang}): {path}")
-            docs[(lang, celex)] = parse_tei(_read_text(path))
+            docs[(lang, celex)] = _read(path, parse_tei)
         return docs[(lang, celex)]
 
     n = 0
@@ -480,15 +488,9 @@ def cmd_stats(config: PipelineConfig) -> None:
     _log(f"wrote statistics for {len(table)} languages")
 
 
-def _standoff_to_alignments(file: so.StandoffFile, aligner: str) -> list[BitextAlignment]:
+def _standoff_to_alignments(file: so.StandoffFile) -> list[BitextAlignment]:
     return [
-        BitextAlignment(
-            celex=celex,
-            src_lang=file.src_lang,
-            tgt_lang=file.tgt_lang,
-            links=links,
-            aligner=aligner,
-        )
+        BitextAlignment(celex=celex, src_lang=file.src_lang, tgt_lang=file.tgt_lang, links=links)
         for celex, links in file.entries
     ]
 
@@ -505,8 +507,8 @@ def cmd_agree(config: PipelineConfig, pairs=None) -> None:
         path_b = _standoff_path(config, name_b, src, tgt)
         if not (path_a.is_file() and path_b.is_file()):
             continue
-        a = _standoff_to_alignments(_load_standoff(config, name_a, src, tgt), name_a)
-        b = _standoff_to_alignments(_load_standoff(config, name_b, src, tgt), name_b)
+        a = _standoff_to_alignments(_load_standoff(config, name_a, src, tgt))
+        b = _standoff_to_alignments(_load_standoff(config, name_b, src, tgt))
         report = so.aligner_agreement(a, b)
         summary.append(
             f"{src},{tgt},{report.n_links_a},{report.n_links_b},"

@@ -75,3 +75,11 @@ class DanglingPointerError(ParcelexError, LookupError):
 
 class MismatchedDocumentsError(ParcelexError, ValueError):
     """The two alignment collections do not cover the same documents."""
+
+
+def decode_utf8(data: bytes, where, error: type[ParcelexError]) -> str:
+    """``data`` as UTF-8 text; an invalid byte raises ``error`` naming ``where`` and the offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not valid UTF-8 at byte {exc.start}") from None

@@ -197,8 +197,6 @@ def align_gale_church(
         src_lang=src_lang,
         tgt_lang=tgt_lang,
         links=tuple(links),
-        aligner="gale_church",
-        params_digest=params.digest(),
     )
 
 
@@ -260,6 +258,4 @@ def exhaustive_align(
         src_lang=src_lang,
         tgt_lang=tgt_lang,
         links=tuple(links),
-        aligner="gale_church_exhaustive",
-        params_digest=params.digest(),
     )

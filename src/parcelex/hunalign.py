@@ -35,10 +35,12 @@ from pathlib import Path
 
 from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
 from .celex import CelexId
-from .errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError
+from .errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError, decode_utf8
 
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+")
 _NUMERIC_RE = re.compile(r"^\d")
+# The first line of a lexicon cache: the key it was built for, and its number of entry lines.
+_HEADER_RE = re.compile(r"# (.*) entries=(\d+)")
 
 DEFAULT_SAMPLE_SIZE = 10_000
 DEFAULT_RNG_SEED = 1960
@@ -340,7 +342,6 @@ def similarity_align(
     tgt_lang: str = "",
     first_src: int = 1,
     first_tgt: int = 1,
-    aligner: str = "hunalign",
 ) -> BitextAlignment:
     """Maximal total-similarity monotone alignment over 1-1, 1-0, 0-1, k-1, 1-k.
 
@@ -399,8 +400,6 @@ def similarity_align(
         src_lang=src_lang,
         tgt_lang=tgt_lang,
         links=tuple(links),
-        aligner=aligner,
-        params_digest=params.digest(),
     )
 
 
@@ -506,8 +505,11 @@ def number_token_fraction(texts) -> float:
 
 
 def save_lexicon(lexicon: Lexicon, path, header: str | None = None) -> None:
-    """Write ``src\\ttgt\\tweight`` lines, heaviest first, after an optional ``# header`` line."""
-    lines = [] if header is None else [f"# {header}"]
+    """Write ``src\\ttgt\\tweight`` lines, heaviest first, after an optional header line.
+
+    The header line is ``# <header> entries=<number of entry lines>``.
+    """
+    lines = [] if header is None else [f"# {header} entries={len(lexicon.entries)}"]
     lines += [
         f"{s}\t{t}\t{w!r}"
         for (s, t), w in sorted(lexicon.entries.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -524,24 +526,24 @@ def save_lexicon(lexicon: Lexicon, path, header: str | None = None) -> None:
         raise
 
 
-def _decode(data: bytes, path) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedLexiconError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-
-
 def lexicon_header(path) -> str | None:
     """The header ``save_lexicon`` wrote into the file, or None when it has none."""
     with open(path, "rb") as f:
-        first = _decode(f.readline(), path).rstrip("\r\n")
-    return first[2:] if first.startswith("# ") else None
+        first = decode_utf8(f.readline(), path, MalformedLexiconError)
+    m = _HEADER_RE.fullmatch(first.rstrip("\r\n"))
+    return m[1] if m else None
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read a ``save_lexicon`` file; a malformed line or byte raises ``MalformedLexiconError``."""
+    """Read a ``save_lexicon`` file; a bad line, byte or count raises ``MalformedLexiconError``."""
     entries = {}
-    lines = _decode(Path(path).read_bytes(), path).splitlines()
+    text = decode_utf8(Path(path).read_bytes(), path, MalformedLexiconError)
+    lines = text.splitlines()
+    header = _HEADER_RE.fullmatch(lines[0]) if lines else None
+    # Every line ends in a newline, so a file cut even inside its last line falls short.
+    complete = text.count("\n") - 1
+    if header and complete != int(header[2]):
+        raise MalformedLexiconError(f"{path}: header says {header[2]} entries, file has {complete}")
     for number, line in enumerate(lines, 1):
         if not line or (number == 1 and line.startswith("#")):
             continue

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .celex import CelexId, LEXURISERV, document_url, format_celex
-from .errors import DecodeError, DocumentNotFoundError, EmptyTextError, UnknownLanguageError
+from .errors import (
+    DecodeError, DocumentNotFoundError, EmptyTextError, UnknownLanguageError, decode_utf8,
+)
 from .langid import guess_language
 
 OFFICIAL_LANGUAGES = frozenset(
@@ -60,13 +62,6 @@ class RawDocument:
     retrieved: datetime.date
 
 
-def _decode(data: bytes, where: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"{where}: {exc}") from None
-
-
 def fetch_document(
     source: FetchSource,
     celex: CelexId,
@@ -88,7 +83,7 @@ def fetch_document(
                 return RawDocument(
                     celex=celex,
                     lang=lang,
-                    content=_decode(path.read_bytes(), str(path)),
+                    content=decode_utf8(path.read_bytes(), path, DecodeError),
                     source_url=path.as_uri(),
                     retrieved=mtime,
                 )
@@ -106,7 +101,7 @@ def fetch_document(
     return RawDocument(
         celex=celex,
         lang=lang,
-        content=_decode(data, url),
+        content=decode_utf8(data, url, DecodeError),
         source_url=url,
         retrieved=datetime.date.today(),
     )

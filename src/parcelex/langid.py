@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-from .errors import EmptyTextError, InsufficientTrainingDataError, MalformedProfileError
+from .errors import EmptyTextError, InsufficientTrainingDataError, MalformedProfileError, decode_utf8
 
 DEFAULT_PROFILE_SIZE = 400
 DEFAULT_NGRAM_ORDERS = (1, 2, 3, 4, 5)
@@ -125,10 +125,7 @@ def load_profile(path: str | Path, lang: str | None = None, k: int | None = None
     ``MalformedProfileError``.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedProfileError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    text = decode_utf8(path.read_bytes(), path, MalformedProfileError)
     ranks: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), 1):
         if not line:

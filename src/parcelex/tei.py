@@ -336,15 +336,14 @@ def parse_tei(xml_text: str) -> TeiDocument:
     except ValueError:
         raise SchemaViolationError(f"unparseable date {date_el.text!r}") from None
 
-    codes = frozenset(
-        int(el.text or 0)
-        for el in header.findall("profileDesc/textClass/classCode")
-        if el.get("scheme") == "eurovoc"
-    )
-
     body_el = _require(root, "text/body")
     head_el = _require(body_el, "head")
     try:
+        codes = frozenset(
+            int(el.text or 0)
+            for el in header.findall("profileDesc/textClass/classCode")
+            if el.get("scheme") == "eurovoc"
+        )
         paragraphs = [
             Paragraph(n=int(head_el.get("n", 0)), text=(head_el.text or "").strip(), section=HEAD)
         ]

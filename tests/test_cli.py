@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -193,7 +194,7 @@ def _cli(config_path, *args) -> int:
     return main([args[0], "--config", str(config_path), *args[1:]])
 
 
-def test_corrupted_lexicon_cache_exits_1(tmp_path, profiles_dir):
+def test_corrupted_lexicon_cache_exits_1(tmp_path, profiles_dir, capsys):
     config_path = make_config(tmp_path, profiles_dir)
     assert _cli(config_path, "fetch") == 0
     assert _cli(config_path, "normalize") == 0
@@ -205,6 +206,32 @@ def test_corrupted_lexicon_cache_exits_1(tmp_path, profiles_dir):
     for bad in (f"{s}\t{t}", f"{s}\t{t}\tnan", f"{s}\t{t}\t-0.5"):
         cache.write_text("\n".join([header, bad, *rest]) + "\n", encoding="utf-8")
         assert _cli(config_path, *align) == 1
+    # Cut short at 40% of its bytes, or at a line boundary halfway, its header line survives.
+    lines = [header, first, *rest]
+    whole = ("\n".join(lines) + "\n").encode("utf-8")
+    halfway = ("\n".join(lines[: len(lines) // 2]) + "\n").encode("utf-8")
+    for cut in (whole[: len(whole) * 2 // 5], halfway):
+        cache.write_bytes(cut)
+        capsys.readouterr()
+        assert _cli(config_path, *align) == 1
+        err = capsys.readouterr().err
+        assert str(cache) in err and "header says" in err
+
+
+def test_lexicon_cache_without_entry_count_is_rebuilt(tmp_path, profiles_dir, capsys):
+    config_path = make_config(tmp_path, profiles_dir)
+    for stage in ("fetch", "normalize"):
+        assert _cli(config_path, stage) == 0
+    align = ("align", "--aligner", "hunalign", "--pairs", "en-fr")
+    assert _cli(config_path, *align) == 0
+    cache = tmp_path / "out" / "alignments" / "hunalign" / "en-fr.lexicon.txt"
+    built = cache.read_bytes()
+    header, entries = built.split(b"\n", 1)
+    cache.write_bytes(re.sub(rb" entries=\d+$", b"", header) + b"\n" + entries)
+    capsys.readouterr()
+    assert _cli(config_path, *align) == 0
+    assert "lexicon cache miss" in capsys.readouterr().err
+    assert cache.read_bytes() == built
 
 
 def test_lexicon_cache_keyed_to_params_and_texts(tmp_path, profiles_dir, capsys):
@@ -446,14 +473,38 @@ def _config_is_a_directory(tmp_path):
     return path
 
 
+_VALID_CONFIG = {"languages": ["en"], "source": {"root": "html"}, "output_root": "out"}
+
+
+def _config_json(value):
+    def make(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        return path
+
+    return make
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
         (_config_not_utf8, "not valid UTF-8 at byte 42"),
         (_config_is_a_directory, "cannot read"),
         (lambda tmp_path: tmp_path / "nope.json", "config file not found"),
+        (_config_json([_VALID_CONFIG]), "config must be a JSON object"),
+        (_config_json({**_VALID_CONFIG, "source": "x"}), "'source' must be a JSON object"),
+        (_config_json({**_VALID_CONFIG, "gc_params": "x"}), "'gc_params' must be a JSON object"),
+        (_config_json({**_VALID_CONFIG, "hun_params": "x"}), "'hun_params' must be a JSON object"),
+        (
+            _config_json({**_VALID_CONFIG, "gc_params": {"arity_priors": 5}}),
+            "'arity_priors' must be a JSON object",
+        ),
+        (_config_json({**_VALID_CONFIG, "languages": "en"}), '"languages" must be a list'),
     ],
-    ids=["not-utf8", "directory", "missing"],
+    ids=[
+        "not-utf8", "directory", "missing", "list", "source", "gc-params", "hun-params",
+        "arity-priors", "languages",
+    ],
 )
 def test_unreadable_config_exits_1(tmp_path, make, message, capsys):
     path = make(tmp_path)
@@ -462,13 +513,18 @@ def test_unreadable_config_exits_1(tmp_path, make, message, capsys):
     assert "internal error" not in err and message in err and str(path) in err
 
 
+_BITEXT = ("bitext", "--aligner", "gale_church", "--pairs", "en-fr", "--celex", "31984D0001")
+_CHAIN = [("fetch",), ("normalize",), ("align",), ("export",), _BITEXT, ("stats",), ("agree",)]
+
+
 @pytest.fixture(scope="module")
 def aligned_tree(tmp_path_factory, profiles_dir):
-    """Config directory of a fixture tree run through align with both aligners."""
+    """Config directory holding its profiles and a fixture tree run from fetch to agree."""
     root = tmp_path_factory.mktemp("aligned")
-    config_path = make_config(root, profiles_dir)
-    for stage in ("fetch", "normalize", "align"):
-        assert _cli(config_path, stage) == 0
+    shutil.copytree(profiles_dir, root / "profiles")
+    config_path = make_config(root, "profiles")
+    for stage in _CHAIN:
+        assert _cli(config_path, *stage) == 0
     return root
 
 
@@ -482,7 +538,7 @@ _LEXICON = ("alignments", "hunalign", "en-fr.lexicon.txt")
     [
         (_TEI, ("align",)),
         (_TEI, ("stats",)),
-        (_TEI, ("bitext", "--aligner", "gale_church", "--pairs", "en-fr", "--celex", "31984D0001")),
+        (_TEI, _BITEXT),
         (_STANDOFF, ("export",)),
         (_STANDOFF, ("agree",)),
         (_LEXICON, ("align", "--aligner", "hunalign", "--pairs", "en-fr")),
@@ -496,6 +552,92 @@ def test_bad_utf8_byte_in_an_output_file_exits_1(aligned_tree, tmp_path, file, c
     assert _cli(tmp_path / "config.json", *command) == 1
     err = capsys.readouterr().err
     assert "internal error" not in err and str(path) in err
+
+
+# Each kind of file that a stage reads: one such file, and every stage that reads it.
+_READ_BY = {
+    "raw": (("out", "raw", "31984D0001-en.html"), [("normalize",)]),
+    "manifest": (("out", "raw", "manifest.json"), [("normalize",)]),
+    "config": (("config.json",), _CHAIN),
+    "profile": (("profiles", "fr.profile"), [("normalize",)]),
+    "eurovoc": (("eurovoc.json",), [("normalize",)]),
+    # align last: it rewrites the stand-off file that bitext reads.
+    "tei": (("out", *_TEI), [_BITEXT, ("stats",), ("align", "--pairs", "en-fr")]),
+    "standoff": (("out", *_STANDOFF), [("export",), _BITEXT, ("agree",)]),
+    "lexicon": (("out", *_LEXICON), [("align", "--aligner", "hunalign", "--pairs", "en-fr")]),
+}
+
+
+def _cut(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) * 2 // 5])
+
+
+def _bad_byte_mid_file(path):
+    data = path.read_bytes()
+    mid = len(data) // 2
+    path.write_bytes(data[:mid] + b"\xff" + data[mid:])
+
+
+def _drop_first_quote(path):
+    path.write_bytes(path.read_bytes().replace(b'"', b"", 1))
+
+
+# Any file may be cut short, deleted, hold a bad byte, lose a quote or be emptied.
+_DAMAGES = {
+    "cut": _cut,
+    "deleted": Path.unlink,
+    "bad-byte": _bad_byte_mid_file,
+    "no-quote": _drop_first_quote,
+    "empty": lambda path: path.write_bytes(b""),
+}
+
+
+def _edit_json(change):
+    def damage(path):
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(change(config)), encoding="utf-8")
+
+    return damage
+
+
+def _non_integer_eurovoc_code(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r'(scheme="eurovoc">)\d+', r"\1abc", text, count=1), encoding="utf-8")
+
+
+# Well-formed files with a bad field, which every stage that reads them must reject.
+_FIELD_DAMAGES = {
+    ("tei", "classcode-abc"): _non_integer_eurovoc_code,
+    ("config", "list"): _edit_json(lambda config: [config]),
+    ("config", "source-string"): _edit_json(lambda config: {**config, "source": "x"}),
+    ("config", "hun-params-string"): _edit_json(lambda config: {**config, "hun_params": "x"}),
+    ("config", "languages-string"): _edit_json(lambda config: {**config, "languages": "en"}),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, damage, must_fail",
+    [(kind, damage, False) for kind in _READ_BY for damage in _DAMAGES.values()]
+    + [(kind, damage, True) for (kind, _), damage in _FIELD_DAMAGES.items()],
+    ids=[f"{kind}-{name}" for kind in _READ_BY for name in _DAMAGES]
+    + [f"{kind}-{name}" for kind, name in _FIELD_DAMAGES],
+)
+def test_damaged_input_file_exits_1_naming_it(aligned_tree, tmp_path, kind, damage, must_fail, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    parts, stages = _READ_BY[kind]
+    path = tmp_path.joinpath(*parts)
+    damage(path)
+    # A deleted profile leaves no file to name, so the message names its language.
+    named = "'fr'" if kind == "profile" and not path.exists() else str(path)
+    for stage in stages:
+        capsys.readouterr()
+        status = _cli(tmp_path / "config.json", *stage)
+        err = capsys.readouterr().err
+        assert status == 1 if must_fail else status in (0, 1), (stage, status, err)
+        assert "internal error" not in err, (stage, err)
+        if status == 1:
+            assert named in err, (stage, err)
 
 
 def test_align_parses_only_the_languages_of_its_pairs(tmp_path, monkeypatch):

@@ -307,7 +307,7 @@ def test_driver_equals_phases_run_by_hand():
 
     def links(alignments):
         return [
-            (a.celex, a.src_lang, a.tgt_lang, a.params_digest,
+            (a.celex, a.src_lang, a.tgt_lang,
              [(l.arity, l.src_pars, l.tgt_pars, l.score.hex()) for l in a.links])
             for a in alignments
         ]
@@ -502,15 +502,15 @@ def test_lexicon_rejects_weights_outside_unit_interval():
 @pytest.mark.parametrize("offset", [5, 30])  # in the header line, in the first entry
 def test_lexicon_file_with_bad_utf8_byte_is_malformed(tmp_path, offset):
     path = tmp_path / "lex.txt"
-    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, header="hun_params=abc inputs=def")
+    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, header="hun_params=abc")
     data = path.read_bytes()
     path.write_bytes(data[:offset] + b"\xff" + data[offset:])
     message = f"lex.txt: not valid UTF-8 at byte {offset}"
-    if offset < len("# hun_params=abc inputs=def"):
+    if offset < data.index(b"\n"):
         with pytest.raises(MalformedLexiconError, match=message):
             lexicon_header(path)
     else:
-        assert lexicon_header(path) == "hun_params=abc inputs=def"
+        assert lexicon_header(path) == "hun_params=abc"
     with pytest.raises(MalformedLexiconError, match=message):
         load_lexicon(path)
 
@@ -540,7 +540,7 @@ def test_lexicon_header_round_trip(tmp_path):
     lexicon = Lexicon(entries={("a", "x"): 0.5})
     path = tmp_path / "lex.txt"
     save_lexicon(lexicon, path, header="hun_params=abc inputs=def")
-    assert path.read_text(encoding="utf-8").splitlines()[0] == "# hun_params=abc inputs=def"
+    assert path.read_text(encoding="utf-8").splitlines()[0] == "# hun_params=abc inputs=def entries=1"
     assert lexicon_header(path) == "hun_params=abc inputs=def"
     assert load_lexicon(path).entries == lexicon.entries
     save_lexicon(lexicon, path)

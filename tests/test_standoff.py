@@ -138,7 +138,7 @@ def test_canonical_pair():
 def test_standoff_from_alignments_sorts():
     mk = lambda code: BitextAlignment(
         celex=parse_celex(code), src_lang="et", tgt_lang="mt",
-        links=(AlignmentLink((1, 1), (2,), (2,)),), aligner="gale_church",
+        links=(AlignmentLink((1, 1), (2,), (2,)),),
     )
     f = standoff_from_alignments([mk("31970D0001"), mk("31960D0511")])
     assert [format(c) for c, _ in f.entries] == ["31960D0511", "31970D0001"]
@@ -223,10 +223,8 @@ def test_generate_inplace_requires_full_coverage(figure2_documents):
         generate_inplace(et, mt, links[:-1])
 
 
-def _alignment(links, aligner="gale_church", celex=CELEX):
-    return BitextAlignment(
-        celex=celex, src_lang="et", tgt_lang="mt", links=tuple(links), aligner=aligner
-    )
+def _alignment(links, celex=CELEX):
+    return BitextAlignment(celex=celex, src_lang="et", tgt_lang="mt", links=tuple(links))
 
 
 def test_arity_distribution_all_one_one():
@@ -267,7 +265,7 @@ def test_arity_distribution_empty():
 
 def test_agreement_identical():
     links = [AlignmentLink((1, 1), (n,), (n,)) for n in (1, 2, 3)]
-    report = aligner_agreement([_alignment(links)], [_alignment(links, "hunalign")])
+    report = aligner_agreement([_alignment(links)], [_alignment(links)])
     assert report.exact_match_fraction == 1.0
     assert report.n_links_a == report.n_links_b == 3
 
@@ -284,7 +282,7 @@ def test_agreement_jaccard_arithmetic():
     only_a = [AlignmentLink((2, 1), (3, 4), (3,)), AlignmentLink((1, 1), (5,), (4,))]
     only_b = [AlignmentLink((1, 1), (3,), (3,)), AlignmentLink((2, 1), (4, 5), (4,))]
     report = aligner_agreement(
-        [_alignment(shared + only_a)], [_alignment(shared + only_b, "hunalign")]
+        [_alignment(shared + only_a)], [_alignment(shared + only_b)]
     )
     assert report.n_links_a == 4 and report.n_links_b == 4
     assert report.exact_match_fraction == pytest.approx(2 / 6)
@@ -293,7 +291,7 @@ def test_agreement_jaccard_arithmetic():
 def test_agreement_symmetric():
     rnd = random.Random(17)
     a = [_alignment(_arity_walk(rnd, 7, 7))]
-    b = [_alignment(_arity_walk(rnd, 7, 7), "hunalign")]
+    b = [_alignment(_arity_walk(rnd, 7, 7))]
     assert (
         aligner_agreement(a, b).exact_match_fraction
         == aligner_agreement(b, a).exact_match_fraction

@@ -171,6 +171,14 @@ def test_parse_extent_mismatch(figure1_document):
         parse_tei(broken)
 
 
+def test_parse_non_integer_eurovoc_code(figure1_document):
+    xml = serialize_tei(figure1_document)
+    broken = xml.replace('<classCode scheme="eurovoc">4180<', '<classCode scheme="eurovoc">abc<')
+    assert broken != xml
+    with pytest.raises(SchemaViolationError, match="abc"):
+        parse_tei(broken)
+
+
 _text = st.text(
     alphabet=st.characters(
         whitelist_categories=("L", "N", "P", "S", "Zs"), max_codepoint=0x2FF0
