@@ -12,7 +12,7 @@ from .celex import CelexId, document_url, format_celex, jrc_document_id, parse_c
 from .galechurch import GCParams, align_gale_church, exhaustive_align
 from .hunalign import HunParams, Lexicon, align_hunalign, build_lexicon, similarity_align
 from .ingest import FetchSource, RawDocument, fetch_document, html_to_paragraphs, select_corpus
-from .langid import LanguageProfile, guess_language, train_language_profile
+from .langid import LanguageProfile, ProfileIndex, guess_language, train_language_profile
 from .standoff import (
     StandoffFile,
     aligner_agreement,
@@ -46,6 +46,7 @@ __all__ = [
     "LanguageProfile",
     "Lexicon",
     "Paragraph",
+    "ProfileIndex",
     "RawDocument",
     "SectionBoundaries",
     "StandoffFile",

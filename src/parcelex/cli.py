@@ -21,7 +21,7 @@ from pathlib import Path
 from . import standoff as so
 from .beads import BitextAlignment
 from .celex import CelexId, format_celex, jrc_document_id, parse_celex
-from .errors import ParcelexError
+from .errors import ParcelexError, UnknownLanguageError
 from .galechurch import GCParams, align_gale_church
 from .hunalign import HunParams, align_hunalign, lexicon_header, load_lexicon, save_lexicon
 from .ingest import (
@@ -33,7 +33,7 @@ from .ingest import (
     select_corpus,
     verify_language,
 )
-from .langid import load_profile
+from .langid import ProfileIndex, parse_profile
 from .stats import corpus_stats_table, eurovoc_frequency, eurovoc_to_csv, stats_to_csv, stats_to_text
 from .tei import build_document, classify_sections, parse_tei, serialize_tei
 
@@ -221,15 +221,13 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
     return documents
 
 
-def _load_profiles(config: PipelineConfig):
+def _load_profiles(config: PipelineConfig) -> ProfileIndex | None:
     if config.profiles_dir is None:
         return None
-    profiles = [
-        load_profile(p) for p in sorted(Path(config.profiles_dir).glob("*.profile"))
-    ]
-    if not profiles:
+    paths = sorted(Path(config.profiles_dir).glob("*.profile"))
+    if not paths:
         raise InputError(f"no *.profile files under {config.profiles_dir}")
-    return profiles
+    return ProfileIndex(parse_profile(_read(path), path) for path in paths)
 
 
 def _load_eurovoc_map(config: PipelineConfig) -> dict[str, list[int]]:
@@ -245,65 +243,83 @@ def _load_eurovoc_map(config: PipelineConfig) -> dict[str, list[int]]:
     return eurovoc
 
 
+def _select(documents):
+    """The (document, paragraphs) pairs whose celex the rule keeps on the languages among them."""
+    inventory: dict[CelexId, set[str]] = {}
+    for raw, _ in documents:
+        inventory.setdefault(raw.celex, set()).add(raw.lang)
+    kept = select_corpus(inventory)
+    return [(raw, paragraphs) for raw, paragraphs in documents if raw.celex in kept]
+
+
+def _language_checked(documents, profiles: ProfileIndex):
+    """The (document, paragraphs) pairs whose text passes the language check; logs the rest."""
+    accepted = []
+    for raw, paragraphs in documents:
+        verdict = verify_language(raw, profiles, paragraphs)
+        if verdict.accepted:
+            accepted.append((raw, paragraphs))
+        else:
+            _log(
+                f"rejected {format_celex(raw.celex)}-{raw.lang}: guessed {verdict.guessed_lang} "
+                f"(confidence {verdict.confidence:.3f})"
+            )
+    return accepted
+
+
 def cmd_normalize(config: PipelineConfig) -> None:
     manifest = _load_manifest(config)
     profiles = _load_profiles(config)
     eurovoc = _load_eurovoc_map(config)
 
-    # Each raw document is reduced to paragraphs once, before its language check.
-    accepted = []
+    # Each raw document is reduced to paragraphs once; only the paragraphs
+    # are kept, so its content is not held for the whole corpus.
+    documents = []
     for entry in manifest:
         celex = parse_celex(entry["celex"])
-        lang = entry["lang"]
-        content = _read(config.output_root / "raw" / entry["file"])
-        paragraphs = html_to_paragraphs(content)
+        paragraphs = html_to_paragraphs(_read(config.output_root / "raw" / entry["file"]))
         if not paragraphs:
-            _log(f"skipping empty document {entry['celex']}-{lang}")
+            _log(f"skipping empty document {entry['celex']}-{entry['lang']}")
             continue
-        if profiles is not None:
-            raw_doc = RawDocument(
-                celex=celex,
-                lang=lang,
-                content=content,
-                source_url=entry["source_url"],
-                retrieved=entry["retrieved"],
-            )
-            verdict = verify_language(raw_doc, profiles, paragraphs)
-            if not verdict.accepted:
-                _log(
-                    f"rejected {entry['celex']}-{lang}: guessed {verdict.guessed_lang} "
-                    f"(confidence {verdict.confidence:.3f})"
-                )
-                continue
-        accepted.append((celex, lang, paragraphs, entry))
+        raw = RawDocument(
+            celex=celex,
+            lang=entry["lang"],
+            content="",
+            source_url=entry["source_url"],
+            retrieved=entry["retrieved"],
+        )
+        if profiles is not None and raw.lang not in profiles.langs:
+            raise UnknownLanguageError(f"no profile for declared language {raw.lang!r}")
+        documents.append((raw, paragraphs))
 
-    inventory: dict[CelexId, set[str]] = {}
-    for celex, lang, _, _ in accepted:
-        inventory.setdefault(celex, set()).add(lang)
-    kept = select_corpus(inventory) if config.selection else set(inventory)
+    # A language check only removes languages, and the selection rule is
+    # monotone in them: a celex it drops on the declared languages stays
+    # dropped whatever the check says, so only the rest are checked.
+    if config.selection:
+        documents = _select(documents)
+    if profiles is not None:
+        documents = _language_checked(documents, profiles)
+        if config.selection:
+            documents = _select(documents)
 
-    n = 0
-    for celex, lang, paragraphs, entry in accepted:
-        if celex not in kept:
-            continue
+    for raw, paragraphs in documents:
         title, body = paragraphs[0], paragraphs[1:]
         boundaries = classify_sections(body) if body else None
         doc = build_document(
-            celex=celex,
-            lang=lang,
+            celex=raw.celex,
+            lang=raw.lang,
             title=title,
             body_paragraphs=body,
             boundaries=boundaries,
-            eurovoc_codes=eurovoc.get(entry["celex"], ()),
-            source_url=entry["source_url"],
-            download_date=entry["retrieved"],
+            eurovoc_codes=eurovoc.get(format_celex(raw.celex), ()),
+            source_url=raw.source_url,
+            download_date=raw.retrieved,
         )
         _write(
-            config.output_root / "tei" / lang / f"{jrc_document_id(celex, lang)}.xml",
+            config.output_root / "tei" / raw.lang / f"{jrc_document_id(raw.celex, raw.lang)}.xml",
             serialize_tei(doc),
         )
-        n += 1
-    _log(f"normalized {n} documents into {config.output_root / 'tei'}")
+    _log(f"normalized {len(documents)} documents into {config.output_root / 'tei'}")
 
 
 def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[CelexId, object]]:
@@ -468,7 +484,12 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
         for celex in celex_ids:
             if celex not in links_by_celex:
                 raise InputError(f"no links for {format_celex(celex)} in {src}-{tgt}")
-            xml = so.generate_inplace(tei(src, celex), tei(tgt, celex), links_by_celex[celex])
+            src_doc, tgt_doc = tei(src, celex), tei(tgt, celex)
+            try:
+                xml = so.generate_inplace(src_doc, tgt_doc, links_by_celex[celex])
+            except ParcelexError as exc:
+                path = _standoff_path(config, name, src, tgt)
+                raise InputError(f"{path}: {format_celex(celex)}: {exc}") from None
             _write(
                 config.output_root / "bitext" / f"jrc{format_celex(celex)}-{src}-{tgt}.xml",
                 xml,

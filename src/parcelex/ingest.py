@@ -19,7 +19,7 @@ from .celex import CelexId, LEXURISERV, document_url, format_celex
 from .errors import (
     DecodeError, DocumentNotFoundError, EmptyTextError, UnknownLanguageError, decode_utf8,
 )
-from .langid import guess_language
+from .langid import guess_language, index_profiles
 
 OFFICIAL_LANGUAGES = frozenset(
     "cs da de el en es et fi fr hu it lt lv mt nl pl pt sk sl sv".split()
@@ -38,6 +38,8 @@ SHORT_TEXT_CHARS = 200
 
 LOCAL_DIRECTORY = "local_directory"
 HTTP_ENDPOINT = "http_endpoint"
+# Seconds an HTTP fetch may wait on the server before the document counts as not found.
+HTTP_TIMEOUT_S = 60
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ def fetch_document(
     url = document_url(celex, lang, source.endpoint)
     if http_get is None:
         def http_get(u):
-            with urllib.request.urlopen(u) as resp:
+            with urllib.request.urlopen(u, timeout=HTTP_TIMEOUT_S) as resp:
                 return resp.read()
     try:
         data = http_get(url)
@@ -154,11 +156,12 @@ def verify_language(doc: RawDocument, profiles, paragraphs=None) -> LanguageVerd
     """Accept iff the guessed language matches the declared one.
 
     Documents below SHORT_TEXT_CHARS are accepted with low_confidence=True
-    rather than rejected.  ``paragraphs`` are the document's
+    rather than rejected.  ``profiles`` is a list of profiles or a
+    ``ProfileIndex``; ``paragraphs`` are the document's
     ``html_to_paragraphs``, when the caller already has them.
     """
-    profiles = list(profiles)
-    if doc.lang not in {p.lang for p in profiles}:
+    profiles = index_profiles(profiles)
+    if doc.lang not in profiles.langs:
         raise UnknownLanguageError(f"no profile for declared language {doc.lang!r}")
     if paragraphs is None:
         paragraphs = html_to_paragraphs(doc.content)

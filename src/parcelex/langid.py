@@ -84,23 +84,59 @@ def profile_distance(text_ranks: dict[str, int], profile: LanguageProfile) -> in
     ])
 
 
+class ProfileIndex:
+    """Language profiles inverted once: each n-gram maps to its ``(position, rank)`` pairs.
+
+    ``distances`` then gives every profile's out-of-place distance from one
+    pass over a text's ranked n-grams: for a text of |T| ranked n-grams, a
+    profile of size K is at K·|T| − Σ (K − |rank − ref|), the sum running
+    over the n-grams the two share.  The sums are integers, so every
+    distance equals ``profile_distance``'s.
+    """
+
+    def __init__(self, profiles):
+        profiles = list(profiles)
+        self.langs = tuple(p.lang for p in profiles)
+        self.sizes = tuple(p.k for p in profiles)
+        self.k = max(self.sizes, default=0)
+        postings: dict[str, list[tuple[int, int]]] = {}
+        for position, profile in enumerate(profiles):
+            for gram, ref in profile.ngram_ranks.items():
+                postings.setdefault(gram, []).append((position, ref))
+        self.postings = {gram: tuple(pairs) for gram, pairs in postings.items()}
+
+    def distances(self, text_ranks: dict[str, int]) -> list[int]:
+        """``profile_distance(text_ranks, p)`` for each profile p, in order."""
+        sizes = self.sizes
+        shared = [0] * len(sizes)
+        get = self.postings.get
+        for gram, rank in text_ranks.items():
+            for position, ref in get(gram, ()):
+                shared[position] += sizes[position] - abs(rank - ref)
+        n = len(text_ranks)
+        return [n * size - s for size, s in zip(sizes, shared)]
+
+
+def index_profiles(profiles) -> ProfileIndex:
+    """``profiles`` as a ``ProfileIndex``; an index is returned as given."""
+    return profiles if isinstance(profiles, ProfileIndex) else ProfileIndex(profiles)
+
+
 def guess_language(text: str, profiles) -> tuple[str, float]:
     """Return (language, confidence) for the closest profile.
 
+    ``profiles`` is a list of profiles or a ``ProfileIndex`` of them.
     Confidence is the margin between best and second-best distance,
     normalized by the second-best (1.0 when only one profile is given).
     Ties break toward the lexicographically smaller language code.
     """
     if not text or not text.strip():
         raise EmptyTextError("cannot guess the language of empty text")
-    profiles = list(profiles)
-    if not profiles:
+    index = index_profiles(profiles)
+    if not index.langs:
         raise ValueError("at least one language profile is required")
-    k = max(p.k for p in profiles)
-    text_ranks = _rank(_ngram_counts(text), k)
-    scored = sorted(
-        (profile_distance(text_ranks, p), p.lang) for p in profiles
-    )
+    text_ranks = _rank(_ngram_counts(text), index.k)
+    scored = sorted(zip(index.distances(text_ranks), index.langs))
     best_d, best_lang = scored[0]
     if len(scored) == 1:
         return best_lang, 1.0
@@ -121,11 +157,23 @@ def save_profile(profile: LanguageProfile, path: str | Path) -> None:
 def load_profile(path: str | Path, lang: str | None = None, k: int | None = None) -> LanguageProfile:
     """Load a persisted profile; lang defaults to the file stem.
 
-    Invalid UTF-8, a malformed line, or ranks other than 1..K raise
+    Invalid UTF-8 or anything ``parse_profile`` rejects raises
     ``MalformedProfileError``.
     """
     path = Path(path)
     text = decode_utf8(path.read_bytes(), path, MalformedProfileError)
+    return parse_profile(text, path, lang, k)
+
+
+def parse_profile(
+    text: str, where: str | Path, lang: str | None = None, k: int | None = None
+) -> LanguageProfile:
+    """The profile persisted as ``text``.
+
+    ``where`` names the text in error messages, and its stem is the default
+    lang.  A malformed line, or ranks other than 1..K, raise
+    ``MalformedProfileError``.
+    """
     ranks: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), 1):
         if not line:
@@ -135,13 +183,13 @@ def load_profile(path: str | Path, lang: str | None = None, k: int | None = None
             ranks[gram] = int(rank)
         except ValueError:
             raise MalformedProfileError(
-                f"{path}:{number}: expected <ngram><TAB><rank>, got {line!r}"
+                f"{where}:{number}: expected <ngram><TAB><rank>, got {line!r}"
             ) from None
     try:
         return LanguageProfile(
-            lang=lang or path.stem,
+            lang=lang or Path(where).stem,
             ngram_ranks=ranks,
             k=k if k is not None else max(len(ranks), DEFAULT_PROFILE_SIZE),
         )
     except ValueError as exc:
-        raise MalformedProfileError(f"{path}: {exc}") from None
+        raise MalformedProfileError(f"{where}: {exc}") from None

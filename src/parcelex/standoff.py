@@ -186,7 +186,7 @@ def generate_inplace(src_doc: TeiDocument, tgt_doc: TeiDocument, links) -> str:
     cover both documents' paragraphs after the head.
     """
     if src_doc.celex != tgt_doc.celex:
-        raise ValueError(
+        raise MismatchedDocumentsError(
             f"documents disagree on celex: {src_doc.celex} vs {tgt_doc.celex}"
         )
     links = list(links)
@@ -202,7 +202,7 @@ def generate_inplace(src_doc: TeiDocument, tgt_doc: TeiDocument, links) -> str:
                     f"target paragraph {n} not in {tgt_doc.id} (extent {tgt_doc.extent})"
                 )
     if not links_cover(links, src_doc.extent - 1, tgt_doc.extent - 1, 2, 2):
-        raise ValueError("links must cover every paragraph after the head exactly once")
+        raise SchemaViolationError("links must cover every paragraph after the head exactly once")
 
     code = format_celex(src_doc.celex)
     src, tgt = src_doc.lang, tgt_doc.lang

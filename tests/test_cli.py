@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import shutil
 from pathlib import Path
@@ -9,6 +10,7 @@ from conftest import FIXTURES
 from parcelex.celex import parse_celex
 from parcelex.cli import InputError, _lexicon_cache_key, load_config, main, run
 from parcelex.hunalign import HunParams
+from parcelex.langid import save_profile, train_language_profile
 from parcelex.standoff import import_csv, import_standoff_xml
 from parcelex.tei import parse_tei
 
@@ -425,6 +427,12 @@ def _profile_bad_utf8(root):
     return _bad_utf8_byte(root / "profiles" / "fr.profile")
 
 
+def _profile_is_a_directory(root):
+    path = root / "profiles" / "xx.profile"
+    path.mkdir()
+    return path
+
+
 def _write_eurovoc(root, text):
     path = root / "eurovoc.json"
     path.write_text(text, encoding="utf-8")
@@ -448,7 +456,7 @@ def _eurovoc_codes_as_string(root):
     "corrupt",
     [_untab_profile_line, _truncate_manifest, _manifest_without_documents, _delete_raw_file,
      _raw_file_bad_utf8, _manifest_bad_date, _manifest_file_not_a_string, _profile_bad_utf8,
-     _eurovoc_not_json, _eurovoc_list, _eurovoc_codes_as_string],
+     _eurovoc_not_json, _eurovoc_list, _eurovoc_codes_as_string, _profile_is_a_directory],
 )
 def test_corrupted_profile_or_manifest_exits_1(tmp_path, profiles_dir, corrupt, capsys):
     shutil.copytree(profiles_dir, tmp_path / "profiles")
@@ -552,6 +560,18 @@ def test_bad_utf8_byte_in_an_output_file_exits_1(aligned_tree, tmp_path, file, c
     assert _cli(tmp_path / "config.json", *command) == 1
     err = capsys.readouterr().err
     assert "internal error" not in err and str(path) in err
+
+
+def test_standoff_not_covering_the_documents_exits_1_naming_it(aligned_tree, tmp_path, capsys):
+    # Well-formed links that skip paragraph 3 of the source and cover paragraph 2 twice.
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    path = tmp_path.joinpath("out", *_STANDOFF)
+    path.write_text(path.read_text(encoding="utf-8").replace('source="3"', 'source="2"', 1),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", *_BITEXT) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and str(path) in err and "cover" in err
 
 
 # Each kind of file that a stage reads: one such file, and every stage that reads it.
@@ -697,3 +717,89 @@ def test_empty_document_skipped_with_or_without_profiles(tmp_path, profiles_dir,
     assert "jrc31986L0003-de.xml" not in tei
     # The cross-labeled fr document is rejected only with profiles.
     assert len(tei) == (8 if with_profiles else 9)
+
+
+# A corpus for the selection rule: eleven languages, each written in its own
+# twelve CJK characters, so that the profiles tell them apart at once.
+_SELECTION_LANGS = ("cs", "de", "en", "es", "fr", "hu", "it", "nl", "pl", "pt", "ro")
+_KEPT = "31990D0001"  # all eleven languages; its fr text is written in de
+_DROPPED = "31990D0002"  # eight languages, below the rule's ten; its en text is written in de
+_CHECKED_OUT = "31990D0003"  # ten languages, but its pt text is written in de
+
+
+def _words(lang, rng, n):
+    base = 0x4E00 + 50 * _SELECTION_LANGS.index(lang)
+    return " ".join(
+        "".join(chr(base + rng.randrange(12)) for _ in range(rng.randint(2, 5))) for _ in range(n)
+    )
+
+
+def _selection_tree(tmp_path, extra_langs=()):
+    """Config over the three celexes, with a profile per language; returns (config, texts).
+
+    ``texts`` maps (celex, lang) to the text a language check sees.  Each
+    of ``extra_langs`` adds a document to _DROPPED, and has no profile.
+    """
+    rng = random.Random(5)
+    html, profiles = tmp_path / "html", tmp_path / "profiles"
+    html.mkdir()
+    profiles.mkdir()
+    for lang in _SELECTION_LANGS:
+        profile = train_language_profile(_words(lang, rng, 3000), lang)
+        save_profile(profile, profiles / f"{lang}.profile")
+    documents = {(_KEPT, lang): lang for lang in _SELECTION_LANGS}
+    documents.update(
+        {(_DROPPED, lang): lang for lang in _SELECTION_LANGS if lang not in ("nl", "pt", "ro")}
+    )
+    documents.update({(_CHECKED_OUT, lang): lang for lang in _SELECTION_LANGS if lang != "nl"})
+    documents[(_KEPT, "fr")] = documents[(_DROPPED, "en")] = documents[(_CHECKED_OUT, "pt")] = "de"
+    documents.update({(_DROPPED, lang): "de" for lang in extra_langs})
+    texts = {}
+    for (celex, lang), text_lang in documents.items():
+        paragraphs = [_words(text_lang, rng, n) for n in (5, 30, 30)]
+        (html / f"{celex}-{lang}.html").write_text(
+            "<html><body>" + "".join(f"<p>{p}</p>" for p in paragraphs) + "</body></html>",
+            encoding="utf-8",
+        )
+        texts[(celex, lang)] = " ".join(paragraphs)
+    config_path = make_config(
+        tmp_path, profiles, languages=[*_SELECTION_LANGS, *extra_langs], selection=True,
+        source={"mode": "local_directory", "root": str(html)},
+    )
+    return config_path, texts
+
+
+def test_language_check_only_for_celexes_the_selection_rule_can_keep(tmp_path, monkeypatch, capsys):
+    import parcelex.ingest
+
+    config_path, texts = _selection_tree(tmp_path)
+    assert _cli(config_path, "fetch") == 0
+    checked = []
+    original = parcelex.ingest.guess_language
+
+    def counting_guess_language(text, profiles):
+        checked.append(text)
+        return original(text, profiles)
+
+    monkeypatch.setattr(parcelex.ingest, "guess_language", counting_guess_language)
+    capsys.readouterr()
+    assert _cli(config_path, "normalize") == 0
+    err = capsys.readouterr().err
+    # Every text of a celex with ten declared languages is checked, none of the dropped one.
+    assert sorted(checked) == sorted(text for (celex, _), text in texts.items() if celex != _DROPPED)
+    rejected = re.findall(r"^rejected (\S+): guessed (\w+)", err, re.MULTILINE)
+    assert rejected == [(f"{_KEPT}-fr", "de"), (f"{_CHECKED_OUT}-pt", "de")]
+    # The check leaves _CHECKED_OUT nine languages, too few to keep.
+    written = sorted(p.name for p in (tmp_path / "out" / "tei").rglob("*.xml"))
+    assert written == sorted(
+        f"jrc{_KEPT}-{lang}.xml" for lang in _SELECTION_LANGS if lang != "fr"
+    )
+
+
+def test_declared_language_without_profile_exits_1_in_a_dropped_celex(tmp_path, capsys):
+    config_path, _ = _selection_tree(tmp_path, extra_langs=("sv",))
+    assert _cli(config_path, "fetch") == 0
+    capsys.readouterr()
+    assert _cli(config_path, "normalize") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "'sv'" in err

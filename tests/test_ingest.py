@@ -11,6 +11,7 @@ from parcelex.ingest import (
     ALL_LANGUAGES,
     FetchSource,
     HTTP_ENDPOINT,
+    HTTP_TIMEOUT_S,
     LOCAL_DIRECTORY,
     NEW_MEMBER_LANGUAGES,
     RawDocument,
@@ -65,6 +66,44 @@ def test_http_error_maps_to_not_found():
     source = FetchSource(mode=HTTP_ENDPOINT, root="http://europa.eu.int/")
     with pytest.raises(DocumentNotFoundError):
         fetch_document(source, parse_celex("42004D0097"), "fr", http_get=failing_get)
+
+
+class _Response:
+    def __init__(self, data):
+        self.data = data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.data
+
+
+def test_http_fetch_has_a_timeout(monkeypatch):
+    timeouts = []
+
+    def fake_urlopen(url, timeout=None):
+        timeouts.append(timeout)
+        return _Response("<p>bonjour</p>".encode("utf-8"))
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    source = FetchSource(mode=HTTP_ENDPOINT, root="http://europa.eu.int/")
+    assert fetch_document(source, parse_celex("42004D0097"), "fr").content == "<p>bonjour</p>"
+    assert timeouts == [HTTP_TIMEOUT_S]
+
+
+def test_http_timeout_maps_to_not_found(monkeypatch):
+    def timing_out_urlopen(url, timeout=None):
+        assert timeout == HTTP_TIMEOUT_S
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr("urllib.request.urlopen", timing_out_urlopen)
+    source = FetchSource(mode=HTTP_ENDPOINT, root="http://europa.eu.int/")
+    with pytest.raises(DocumentNotFoundError, match="timed out"):
+        fetch_document(source, parse_celex("42004D0097"), "fr")
 
 
 def test_paragraph_tags():

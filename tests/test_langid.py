@@ -10,6 +10,7 @@ from parcelex.errors import EmptyTextError, InsufficientTrainingDataError, Malfo
 from parcelex.langid import (
     DEFAULT_NGRAM_ORDERS,
     LanguageProfile,
+    ProfileIndex,
     _ngram_counts,
     _rank,
     guess_language,
@@ -221,3 +222,52 @@ def test_fixture_texts_match_naive_reference(language_profiles):
             naive_guessed, naive_confidence = _naive_guess(chunk, language_profiles)
             assert guessed == naive_guessed
             assert confidence.hex() == naive_confidence.hex()
+
+
+# The inverted index against the naive per-profile distance.  Profiles of a
+# few one- and two-character grams over "ab_" share most grams; the text's
+# "c" grams are in no profile.
+
+
+def _profiles(grams_and_slack):
+    return [
+        LanguageProfile(f"l{i}", dict(zip(grams, range(1, len(grams) + 1))), k=len(grams) + slack)
+        for i, (grams, slack) in enumerate(grams_and_slack)
+    ]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.text(alphabet="ab_", min_size=1, max_size=2), unique=True, max_size=12),
+            st.integers(min_value=1, max_value=6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(st.text(alphabet="abc_", min_size=1, max_size=2), unique=True, max_size=15),
+)
+@example([(["a", "b"], 1), (["b", "a", "_"], 4), (["_", "a"], 1)], [])  # empty text
+@example([(["a"], 1), (["a", "b"], 3)], ["a"])  # one gram, shared by every profile
+@example([(["a"], 1), (["b"], 5)], ["c"])  # one gram, shared by none
+@example([([], 1), (["ab", "a"], 2)], ["c", "a", "ab", "cc", "_"])  # an empty profile
+def test_profile_index_distances_match_profile_distance(grams_and_slack, text_grams):
+    profiles = _profiles(grams_and_slack)
+    text_ranks = dict(zip(text_grams, range(1, len(text_grams) + 1)))
+    index = ProfileIndex(profiles)
+    assert index.langs == tuple(p.lang for p in profiles)
+    assert index.k == max(p.k for p in profiles)
+    assert index.distances(text_ranks) == [profile_distance(text_ranks, p) for p in profiles]
+
+
+def test_guess_from_index_matches_guess_from_list(language_profiles):
+    index = ProfileIndex(language_profiles)
+    for lang in BANK_LANGS:
+        for text in held_out_chunks(lang, n_chunks=5) + [training_text(lang)]:
+            from_list = guess_language(text, language_profiles)
+            from_index = guess_language(text, index)
+            assert from_index[0] == from_list[0]
+            assert from_index[1].hex() == from_list[1].hex()
+    assert guess_language("the committee", ProfileIndex(language_profiles[:1]))[1] == 1.0
+    with pytest.raises(ValueError):
+        guess_language("the committee", ProfileIndex([]))
