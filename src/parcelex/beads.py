@@ -75,22 +75,27 @@ def monotone_dp(n: int, m: int, moves, row_beads):
     ``moves`` lists the arities ``(a, b)`` in tie-break order: of equally
     cheap choices the earlier move wins.  ``row_beads(i)`` maps each move
     that fits at source position i to its bead costs indexed by target
-    position j; every cell but (n, m) needs a move that fits.  Rows are
-    filled from the end, and only the path costs of rows i .. i + max a are
-    kept; each cell's chosen move and bead are kept for the traceback.
+    position j, for j = 0 .. m - b; every cell but (n, m) needs a move that
+    fits.  Rows are filled from the end, and only the path costs of rows
+    i .. i + max a are kept; each cell's chosen move and bead are kept for
+    the traceback.  Bead lists and path-cost rows are padded with ``inf``
+    up to j + b, so a move that runs past m simply never wins a cell and
+    the fill needs no bounds test; a cell looks up its bead again only
+    when a move beats the best so far.
     """
     inf = math.inf
     depth = max((a for a, _ in moves), default=0)
+    width = m + 1 + max((b for _, b in moves), default=0)
     cost: dict[int, list[float]] = {}
     chosen_move = [None] * (n + 1)
     chosen_bead = [None] * (n + 1)
     for i in range(n, -1, -1):
-        row = [inf] * (m + 1)
+        row = [inf] * width
         beads = row_beads(i)
-        # (move, bead costs, path costs of the row the move lands on, b)
+        # (bead costs padded to m + 1, path costs of the row the move lands on, b, move)
         options = [
-            (move, beads[move], cost[i + move[0]] if move[0] else row, move[1])
-            for move in moves if move in beads
+            (beads[(a, b)] + [inf] * b, cost[i + a] if a else row, b, (a, b))
+            for a, b in moves if (a, b) in beads
         ]
         move_row = chosen_move[i] = [None] * (m + 1)
         bead_row = chosen_bead[i] = [None] * (m + 1)
@@ -98,14 +103,10 @@ def monotone_dp(n: int, m: int, moves, row_beads):
             row[m] = 0.0
         for j in range(m - 1 if i == n else m, -1, -1):
             best, best_move = inf, None
-            for move, costs, landing, b in options:
-                jj = j + b
-                if jj > m:
-                    continue
-                bead = costs[j]
-                c = bead + landing[jj]
+            for costs, landing, b, move in options:
+                c = costs[j] + landing[j + b]
                 if c < best:
-                    best, best_move, best_bead = c, move, bead
+                    best, best_move, best_bead = c, move, costs[j]
             row[j], move_row[j], bead_row[j] = best, best_move, best_bead
         cost[i] = row
         cost.pop(i + depth, None)

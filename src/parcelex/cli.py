@@ -411,6 +411,7 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
         if name not in ALIGNERS:
             raise InputError(f"unknown aligner {name!r}")
     provenance: dict[str, dict] = {name: {} for name in aligners}
+    written = 0
     for src, tgt in pairs:
         for name in aligners:
             result = _align_pair(config, corpus, src, tgt, name)
@@ -423,12 +424,13 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
                 so.export_standoff_xml(so.standoff_from_alignments(alignments)),
             )
             provenance[name][f"{src}-{tgt}"] = digest
+            written += 1
     for name in aligners:
         _write(
             config.output_root / "alignments" / name / "provenance.json",
             _json_dump({"aligner": name, "params_digest": provenance[name]}),
         )
-    _log(f"aligned {len(pairs) * len(aligners)} pair/aligner combinations")
+    _log(f"aligned {written} pair/aligner combinations")
 
 
 def _standoff_path(config: PipelineConfig, aligner: str, src: str, tgt: str) -> Path:

@@ -6,6 +6,10 @@ sides plus the negative log prior of its arity; the aligner minimizes the
 total bead cost over all monotone segmentations.  ``exhaustive_align``
 searches the same space by enumeration and serves as an oracle for the
 dynamic program.
+
+The dynamic program prices beads from tables built once per document
+pair (see ``_dp_block``) and gives every bead exactly the bits that
+``bead_cost`` gives it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ DEFAULT_SKIP_DELTA = 4.0
 ARITY_PREFERENCE = ((1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2))
 
 EXHAUSTIVE_MAX_PARS = 20
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -85,11 +92,27 @@ def length_delta(l1: float, l2: float, params: GCParams) -> float:
 def _match_cost(delta: float) -> float:
     # -ln 2*(1 - Phi(|delta|)) == -ln erfc(|delta| / sqrt 2), with an
     # asymptotic fallback where erfc underflows.
-    z = abs(delta) / math.sqrt(2.0)
+    z = abs(delta) / _SQRT2
     p = math.erfc(z)
     if p > 0.0:
         return -math.log(p)
-    return z * z + math.log(z * math.sqrt(math.pi))
+    return z * z + math.log(z * _SQRT_PI)
+
+
+def _match_costs(l1: int, l2s, params: GCParams) -> list[float]:
+    """``_match_cost(length_delta(l1, l2, params))`` for each l2 of ``l2s``, bit for bit.
+
+    The same expressions on the same floats, batched: one list of z for
+    the whole of ``l2s``, then ``erfc`` mapped over it in C.
+    """
+    shift = l1 * params.mean_ratio
+    scale = math.sqrt(max(l1, 1) * params.variance)
+    zs = [abs((l2 - shift) / scale) / _SQRT2 for l2 in l2s]
+    log = math.log
+    return [
+        -log(p) if p > 0.0 else z * z + log(z * _SQRT_PI)
+        for z, p in zip(zs, map(math.erfc, zs))
+    ]
 
 
 def bead_cost(src_lengths, tgt_lengths, arity: tuple[int, int], params: GCParams) -> float:
@@ -110,28 +133,17 @@ def _lengths(paragraphs, params: GCParams) -> list[int]:
     return [segment_length(t, params.length_unit) for t in paragraphs]
 
 
-def _split_at_hard_links(n_src, n_tgt, first_src, first_tgt, hard_links):
-    """Yield (src range, tgt range) blocks delimited by hard anchor pairs."""
-    cuts = sorted(set(hard_links or ()))
-    blocks = []
-    lo_s, lo_t = 0, 0
-    for s_n, t_n in cuts:
-        s = s_n - first_src + 1
-        t = t_n - first_tgt + 1
-        if not (lo_s <= s <= n_src and lo_t <= t <= n_tgt):
-            raise ValueError(f"hard link {(s_n, t_n)} out of range or out of order")
-        blocks.append(((lo_s, s), (lo_t, t)))
-        lo_s, lo_t = s, t
-    blocks.append(((lo_s, n_src), (lo_t, n_tgt)))
-    return blocks
-
-
 def _dp_block(src_lengths, tgt_lengths, params: GCParams):
-    """Minimal-cost monotone segmentation of one block, as ``monotone_dp`` steps.
+    """Minimal-cost monotone segmentation of two length sequences, as ``monotone_dp`` steps.
 
-    Beads cost exactly what ``bead_cost`` gives them, but the prior logs and
-    skip costs are worked out once per block, run lengths come from prefix
-    sums, and ``_match_cost`` is memoized on the integer length sums.
+    Beads cost exactly what ``bead_cost`` gives them, priced from tables
+    that live as long as this call.  The distinct target run lengths (runs
+    of every width a match move covers) are sorted once, and each width's
+    runs are mapped to their indices among them.  For each source run
+    length l1 one batch of ``_match_costs`` prices every distinct target
+    length, and for each move one flat list holds those costs minus the
+    move's log prior.  A row's beads are then that list read at the row's
+    indices, so rows share their floats instead of making new ones.
     """
     n, m = len(src_lengths), len(tgt_lengths)
     moves = [(a, b) for a, b in ARITY_PREFERENCE if a <= n and b <= m]
@@ -142,23 +154,32 @@ def _dp_block(src_lengths, tgt_lengths, params: GCParams):
     skip = _match_cost(params.skip_delta)
     src_sums = list(accumulate(src_lengths, initial=0))
     tgt_sums = list(accumulate(tgt_lengths, initial=0))
-    tgt_runs = [[tgt_sums[j + b] - tgt_sums[j] for j in range(m - b + 1)] for b in (0, 1, 2)]
-    match_costs: dict[int, dict[int, float]] = {}  # l1 -> l2 -> _match_cost
+    # Every target run length, sorted, and for each width b the index of the b-run at each j.
+    runs = {b: [tgt_sums[j + b] - tgt_sums[j] for j in range(m - b + 1)] for a, b in moves if a and b}
+    lengths = sorted(set().union(*runs.values()))
+    index = {l2: k for k, l2 in enumerate(lengths)}
+    runs_at = {b: list(map(index.__getitem__, r)) for b, r in runs.items()}
+    match_costs: dict[int, list[float]] = {}  # l1 -> _match_cost of each of lengths
+    tables: dict[tuple, list[float]] = {}  # (move, l1) -> cost - log prior of each of lengths
 
     def row_beads(i):
         beads = {}
-        for a, b in moves:
+        for move in moves:
+            a, b = move
             if i + a > n:
                 continue
-            runs, lp = tgt_runs[b], log_prior[(a, b)]
             if a == 0 or b == 0:
-                beads[(a, b)] = [-lp + skip] * len(runs)
+                beads[move] = [-log_prior[move] + skip] * (m - b + 1)
                 continue
             l1 = src_sums[i + a] - src_sums[i]
-            known = match_costs.setdefault(l1, {})
-            for l2 in set(runs).difference(known):
-                known[l2] = _match_cost(length_delta(l1, l2, params))
-            beads[(a, b)] = [known[l2] - lp for l2 in runs]
+            costs = tables.get((move, l1))
+            if costs is None:
+                raw = match_costs.get(l1)
+                if raw is None:
+                    raw = match_costs[l1] = _match_costs(l1, lengths, params)
+                lp = log_prior[move]
+                costs = tables[(move, l1)] = [c - lp for c in raw]
+            beads[move] = list(map(costs.__getitem__, runs_at[b]))
         return beads
 
     return monotone_dp(n, m, moves, row_beads)
@@ -173,24 +194,16 @@ def align_gale_church(
     tgt_lang: str = "",
     first_src: int = 1,
     first_tgt: int = 1,
-    hard_links=None,
 ) -> BitextAlignment:
     """Align two paragraph sequences by minimal total bead cost.
 
     ``first_src``/``first_tgt`` set the document paragraph number of the
-    first element of each sequence.  ``hard_links`` optionally lists
-    (src_n, tgt_n) anchor pairs that the alignment must respect; document
-    boundaries are always implicit anchors.
+    first element of each sequence.
     """
     params = params or GCParams()
     src_lengths = _lengths(src_pars, params)
     tgt_lengths = _lengths(tgt_pars, params)
-    links = []
-    for (s_lo, s_hi), (t_lo, t_hi) in _split_at_hard_links(
-        len(src_lengths), len(tgt_lengths), first_src, first_tgt, hard_links
-    ):
-        steps = _dp_block(src_lengths[s_lo:s_hi], tgt_lengths[t_lo:t_hi], params)
-        links.extend(steps_to_links(steps, first_src + s_lo, first_tgt + t_lo))
+    links = steps_to_links(_dp_block(src_lengths, tgt_lengths, params), first_src, first_tgt)
     assert links_cover(links, len(src_lengths), len(tgt_lengths), first_src, first_tgt)
     return BitextAlignment(
         celex=celex,

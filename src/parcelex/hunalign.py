@@ -16,8 +16,10 @@ sides of a document share one token-to-bit vocabulary, so a shared type is
 a shared bit and ``(a & b).bit_count()`` is the size of the intersection.
 Phase 1, the lexicon bootstrap and phase 3 all read the same prepared
 documents.  The lexicon share of a whole source row of beads is summed at
-once from per-token columns of best translation weights (see
-``_LexiconRows``), so the lexicon pass costs a few times the first pass.
+once from per-token columns of best translation weights, built once per
+document pair from a postings map of the target types and cached with the
+token's maxima over runs of target paragraphs (see ``_LexiconRows``), so
+the lexicon pass costs a few times the first pass.
 """
 
 from __future__ import annotations
@@ -273,24 +275,29 @@ def prepare_pair(src_pars, tgt_pars, max_split: int) -> tuple[PreparedDocument, 
     )
 
 
-def _add_columns(totals: list[float], tokens, column) -> list[float]:
-    """Add ``column(token)`` into ``totals`` elementwise, one token after another."""
-    for token in tokens:
-        totals = list(map(add, totals, column(token)))
+def _add_columns(totals: list[float], columns) -> list[float]:
+    """Add each of ``columns`` into ``totals`` elementwise, one column after another."""
+    for column in columns:
+        totals = list(map(add, totals, column))
     return totals
 
 
 class _LexiconRows:
     """Lexicon scores of every bead that starts at one source paragraph.
 
-    ``column(token)`` holds, for each target paragraph j, the token's best
-    translation weight among j's types (0.0 when j is empty), computed once
-    per document.  With nonnegative weights the best over a run of target
-    paragraphs is the elementwise max of their columns, and a merged
-    source's tokens are its paragraphs' tokens in order.  So every bead's
-    sum is built by adding columns token by token: at each target position
-    this is the same sequence of ``+=`` that ``_lexicon_score`` performs on
-    the merged segments, which gives the same bits.
+    ``columns(token)[b]`` holds, for each target position j, the token's
+    best translation weight among the types of target paragraphs
+    j .. j+b-1 (0.0 where none of them holds a translation).  Each token's
+    columns are built once per document pair: the width-1 column from a
+    postings map of target types to the paragraphs holding them, and each
+    wider one as the elementwise max of the column one narrower and the
+    width-1 column shifted, which with nonnegative weights is the best over
+    the run.  A merged source's tokens are its paragraphs' tokens in order,
+    so every bead's sum is built by adding columns token by token: at each
+    target position this is the same sequence of ``+=`` that
+    ``_lexicon_score`` performs on the merged segments, which gives the
+    same bits (a 0.0 added where the reference adds -0.0 leaves the same
+    sum, since every sum starts at 0.0).
     """
 
     def __init__(self, src: PreparedDocument, tgt: PreparedDocument, lexicon: Lexicon,
@@ -298,33 +305,40 @@ class _LexiconRows:
         self._translations = lexicon.translations
         self._tokens = [[t for t in tokens if self._translations(t)] for tokens in src.tokens]
         self._counts = src.token_counts
-        self._tgt_types = tgt.types
-        self._columns: dict[str, list[float]] = {}
+        self._m = len(tgt)
+        self._postings: dict[str, list[int]] = {}  # target type -> paragraphs holding it
+        for j, types in enumerate(tgt.types):
+            for t in types:
+                self._postings.setdefault(t, []).append(j)
+        self._columns: dict[str, list[list[float] | None]] = {}
         self._max_split = max_split
 
-    def column(self, token: str) -> list[float]:
-        col = self._columns.get(token)
-        if col is None:
-            translations = self._translations(token)
-            keys, get = translations.keys(), translations.get
-            col = self._columns[token] = [
-                max(map(get, keys & types), default=0.0) for types in self._tgt_types
-            ]
-        return col
+    def columns(self, token: str) -> list[list[float] | None]:
+        cols = self._columns.get(token)
+        if cols is None:
+            translations, postings = self._translations(token), self._postings
+            single = [0.0] * self._m
+            for t in translations.keys() & postings.keys():
+                w = translations[t]
+                for j in postings[t]:
+                    if w > single[j]:
+                        single[j] = w
+            cols = self._columns[token] = [None, single]
+            for b in range(2, self._max_split + 1):
+                cols.append(list(map(max, cols[-1], single[b - 1 :])))
+        return cols
 
     def row(self, i: int) -> dict[tuple[int, int], list[float]]:
         """Per move ``(a, b)`` from source paragraph i, the lexicon score at each target j."""
-        n, m = len(self._tokens), len(self._tgt_types)
-        tokens = self._tokens[i]
-        single = {t: self.column(t) for t in tokens}
-        runs = single
+        n, m = len(self._tokens), self._m
+        token_columns = [self.columns(t) for t in self._tokens[i]]
         sums = {}
         for b in range(1, self._max_split + 1):
-            if b > 1:  # best over target paragraphs j .. j+b-1
-                runs = {t: list(map(max, runs[t], single[t][b - 1 :])) for t in runs}
-            sums[(1, b)] = _add_columns([0.0] * (m - b + 1), tokens, runs.__getitem__)
+            sums[(1, b)] = _add_columns([0.0] * (m - b + 1), (c[b] for c in token_columns))
         for a in range(2, min(self._max_split, n - i) + 1):
-            sums[(a, 1)] = _add_columns(sums[(a - 1, 1)], self._tokens[i + a - 1], self.column)
+            sums[(a, 1)] = _add_columns(
+                sums[(a - 1, 1)], (self.columns(t)[1] for t in self._tokens[i + a - 1])
+            )
         scores = {}
         for (a, b), totals in sums.items():
             count = self._counts[a][i]

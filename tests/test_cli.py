@@ -682,6 +682,20 @@ def test_align_parses_only_the_languages_of_its_pairs(tmp_path, monkeypatch):
     assert len(calls) == 17
 
 
+def test_align_counts_only_the_pairs_it_wrote(tmp_path, capsys):
+    config_path = make_config(tmp_path, None)
+    for stage in ("fetch", "normalize"):
+        assert _cli(config_path, stage) == 0
+    shutil.rmtree(tmp_path / "out" / "tei" / "de")
+    capsys.readouterr()
+    assert _cli(config_path, "align") == 0
+    err = capsys.readouterr().err
+    assert err.count("no common documents, skipped") == 4  # de-en and de-fr, both aligners
+    assert "aligned 2 pair/aligner combinations" in err
+    written = sorted(p.name for p in (tmp_path / "out" / "alignments").rglob("*.standoff.xml"))
+    assert written == ["en-fr.standoff.xml"] * 2
+
+
 def test_normalize_parses_each_raw_document_once(tmp_path, profiles_dir, monkeypatch):
     import parcelex.cli
     import parcelex.ingest

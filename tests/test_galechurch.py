@@ -11,7 +11,8 @@ from parcelex.galechurch import (
     ARITY_PREFERENCE,
     DEFAULT_PRIORS,
     GCParams,
-    _split_at_hard_links,
+    _match_cost,
+    _match_costs,
     align_gale_church,
     alignment_cost,
     bead_cost,
@@ -153,16 +154,6 @@ def test_first_n_offsets():
     assert alignment.links[1].tgt_pars == (3,)
 
 
-def test_hard_links_split_blocks():
-    src = ["x" * 100] * 4
-    tgt = ["y" * 100] * 4
-    plain = align_gale_church(src, tgt, P)
-    anchored = align_gale_church(src, tgt, P, hard_links=[(2, 2)])
-    assert anchored.links == plain.links  # both all 1-1 here
-    with pytest.raises(ValueError):
-        align_gale_church(src, tgt, P, hard_links=[(9, 1)])
-
-
 def test_word_length_unit():
     params = GCParams(length_unit="words")
     src = ["one two three", "four five"]
@@ -226,17 +217,10 @@ def _reference_block(src_lengths, tgt_lengths, params, first_src, first_tgt):
     return links
 
 
-def _reference_align(src, tgt, params, hard_links=None, first=1):
+def _reference_align(src, tgt, params, first=1):
     src_lengths = [segment_length(t, params.length_unit) for t in src]
     tgt_lengths = [segment_length(t, params.length_unit) for t in tgt]
-    links = []
-    for (s_lo, s_hi), (t_lo, t_hi) in _split_at_hard_links(
-        len(src), len(tgt), first, first, hard_links
-    ):
-        links += _reference_block(
-            src_lengths[s_lo:s_hi], tgt_lengths[t_lo:t_hi], params, first + s_lo, first + t_lo
-        )
-    return links
+    return _reference_block(src_lengths, tgt_lengths, params, first, first)
 
 
 def _link_bits(alignment):
@@ -267,14 +251,32 @@ def test_dp_matches_reference_bit_for_bit(case):
     m = 0 if rng.random() < 0.1 else rng.randint(1, 16)
     src = [rng.choice(shapes) for _ in range(n)]
     tgt = [rng.choice(shapes) for _ in range(m)]
-    hard_links = None
-    if case % 3 == 0 and n and m:
-        cuts = sorted(rng.sample(range(n + 1), min(2, n + 1)))
-        tcuts = sorted(rng.sample(range(m + 1), len(cuts)))
-        # (s_n, t_n): the last paragraph numbers before the cut
-        hard_links = [(1 + s, 1 + t) for s, t in zip(cuts, tcuts)]
-    got = align_gale_church(src, tgt, params, first_src=2, first_tgt=2, hard_links=hard_links)
-    assert _link_bits(got) == _reference_align(src, tgt, params, hard_links, first=2)
+    got = align_gale_church(src, tgt, params, first_src=2, first_tgt=2)
+    assert _link_bits(got) == _reference_align(src, tgt, params, first=2)
+
+
+@pytest.mark.parametrize("params", REFERENCE_PARAMS)
+def test_batched_length_costs_match_match_cost_bit_for_bit(params):
+    l2s = [0, 1, 2, 3, 5, 8, 40, 99, 100, 101, 250, 999, 3000, 5000]
+    underflows = 0
+    for l1 in (0, 1, 2, 7, 100, 1000, 3000):
+        got = _match_costs(l1, l2s, params)
+        want = [_match_cost(length_delta(l1, l2, params)) for l2 in l2s]
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+        underflows += sum(
+            math.erfc(abs(length_delta(l1, l2, params)) / math.sqrt(2.0)) == 0.0 for l2 in l2s
+        )
+    assert underflows  # the asymptotic branch is among the costs compared (l1 = 1, l2 = 5000)
+
+
+@pytest.mark.parametrize("params", REFERENCE_PARAMS)
+def test_dp_matches_reference_with_1_and_3000_character_paragraphs(params):
+    rng = random.Random(3000)
+    shapes = ["w", "w " * 1500, "w" * 3000, "w " * 40]
+    src = [rng.choice(shapes) for _ in range(12)]
+    tgt = [rng.choice(shapes) for _ in range(11)]
+    got = align_gale_church(src, tgt, params, first_src=2, first_tgt=2)
+    assert _link_bits(got) == _reference_align(src, tgt, params, first=2)
 
 
 def test_missing_arity_prior_raises_only_where_the_arity_fits():

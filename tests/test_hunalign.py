@@ -445,13 +445,14 @@ def reference_lexicons():
     # the order in which a bead adds them shows in the bits of its score.
     boot = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, HunParams(min_cooc=1))
     # "orphan" has translations, but none of them ever occurs on the target side.
-    orphan = Lexicon(
-        entries={**boot.entries, ("orphan", "nowhere"): 0.7, ("orphan", "absent"): 0.2},
-    )
+    # Of the other entries every third weighs 0.0 and every third -0.0, which
+    # Lexicon accepts, so a bead's best translation can weigh a zero of either sign.
+    zeroed = {k: (w, 0.0, -0.0)[n % 3] for n, (k, w) in enumerate(sorted(boot.entries.items()))}
+    edge = Lexicon(entries={**zeroed, ("orphan", "nowhere"): 0.7, ("orphan", "absent"): 0.2})
     empty = Lexicon(entries={})
     src_words = sorted({w for d in bt.src_docs.values() for p in d for w in p.split()})
     tgt_words = sorted({w for d in bt.tgt_docs.values() for p in d for w in p.split()})
-    return (None, empty, boot, orphan), src_words + ["orphan"], tgt_words
+    return (None, empty, boot, edge), src_words + ["orphan"], tgt_words
 
 
 @pytest.mark.parametrize("case", range(86))
@@ -477,6 +478,22 @@ def test_similarity_align_matches_reference_bit_for_bit(case, reference_lexicons
 
     src = [paragraph(src_words) for _ in range(rng.randint(0, 9))]
     tgt = [paragraph(tgt_words) for _ in range(rng.randint(0, 9))]
+    got = similarity_align(src, tgt, lexicon, params)
+    assert [
+        (l.arity, l.src_pars, l.tgt_pars, l.score.hex()) for l in got.links
+    ] == _reference_align(src, tgt, lexicon, params)
+
+
+@pytest.mark.parametrize("max_split", [2, 3])
+def test_similarity_align_matches_reference_with_several_translations_in_one_paragraph(max_split):
+    lexicon = Lexicon(entries={
+        ("kavu", "zain"): 0.0, ("kavu", "zorp"): -0.0, ("kavu", "gorp"): 0.4, ("kavu", "blam"): 0.9,
+        ("mira", "zain"): -0.0, ("mira", "zorp"): -0.0, ("mira", "gorp"): 0.0,
+        ("tel", "gorp"): 0.3, ("tel", "blam"): 0.3, ("tel", "zain"): 0.1,
+    })
+    src = ["kavu mira tel", "mira mira", "kavu tel 7", "", "tel kavu mira kavu", "mira"]
+    tgt = ["zain zorp gorp blam", "zain zorp", "gorp blam 7", "zorp gorp", "", "blam gorp zain"]
+    params = HunParams(max_split=max_split)
     got = similarity_align(src, tgt, lexicon, params)
     assert [
         (l.arity, l.src_pars, l.tgt_pars, l.score.hex()) for l in got.links
