@@ -99,8 +99,8 @@ def _match_cost(delta: float) -> float:
     return z * z + math.log(z * _SQRT_PI)
 
 
-def _match_costs(l1: int, l2s, params: GCParams) -> list[float]:
-    """``_match_cost(length_delta(l1, l2, params))`` for each l2 of ``l2s``, bit for bit.
+def _match_costs(l1: int, l2s, log_prior: float, params: GCParams) -> list[float]:
+    """``_match_cost(length_delta(l1, l2, params)) - log_prior`` for each l2, bit for bit.
 
     The same expressions on the same floats, batched: one list of z for
     the whole of ``l2s``, then ``erfc`` mapped over it in C.
@@ -110,7 +110,7 @@ def _match_costs(l1: int, l2s, params: GCParams) -> list[float]:
     zs = [abs((l2 - shift) / scale) / _SQRT2 for l2 in l2s]
     log = math.log
     return [
-        -log(p) if p > 0.0 else z * z + log(z * _SQRT_PI)
+        -log(p) - log_prior if p > 0.0 else z * z + log(z * _SQRT_PI) - log_prior
         for z, p in zip(zs, map(math.erfc, zs))
     ]
 
@@ -137,13 +137,13 @@ def _dp_block(src_lengths, tgt_lengths, params: GCParams):
     """Minimal-cost monotone segmentation of two length sequences, as ``monotone_dp`` steps.
 
     Beads cost exactly what ``bead_cost`` gives them, priced from tables
-    that live as long as this call.  The distinct target run lengths (runs
-    of every width a match move covers) are sorted once, and each width's
-    runs are mapped to their indices among them.  For each source run
-    length l1 one batch of ``_match_costs`` prices every distinct target
-    length, and for each move one flat list holds those costs minus the
-    move's log prior.  A row's beads are then that list read at the row's
-    indices, so rows share their floats instead of making new ones.
+    that live as long as this call.  For each target run width b, the
+    distinct run lengths are sorted once and every b-run is mapped to its
+    index among them.  For each match move and source run length l1, one
+    flat list holds ``cost - log prior`` for every distinct b-run length,
+    priced in one batch by ``_match_costs``.  A row's beads are then that
+    list read at the row's indices, so rows share their floats instead of
+    making new ones.
     """
     n, m = len(src_lengths), len(tgt_lengths)
     moves = [(a, b) for a, b in ARITY_PREFERENCE if a <= n and b <= m]
@@ -154,13 +154,14 @@ def _dp_block(src_lengths, tgt_lengths, params: GCParams):
     skip = _match_cost(params.skip_delta)
     src_sums = list(accumulate(src_lengths, initial=0))
     tgt_sums = list(accumulate(tgt_lengths, initial=0))
-    # Every target run length, sorted, and for each width b the index of the b-run at each j.
-    runs = {b: [tgt_sums[j + b] - tgt_sums[j] for j in range(m - b + 1)] for a, b in moves if a and b}
-    lengths = sorted(set().union(*runs.values()))
-    index = {l2: k for k, l2 in enumerate(lengths)}
-    runs_at = {b: list(map(index.__getitem__, r)) for b, r in runs.items()}
-    match_costs: dict[int, list[float]] = {}  # l1 -> _match_cost of each of lengths
-    tables: dict[tuple, list[float]] = {}  # (move, l1) -> cost - log prior of each of lengths
+    distinct: dict[int, list[int]] = {}  # b -> sorted distinct lengths of the b-runs
+    runs_at: dict[int, list[int]] = {}  # b -> index into distinct[b] of the b-run at each j
+    for b in {b for a, b in moves if a and b}:
+        runs = [tgt_sums[j + b] - tgt_sums[j] for j in range(m - b + 1)]
+        distinct[b] = sorted(set(runs))
+        index = {l2: k for k, l2 in enumerate(distinct[b])}
+        runs_at[b] = list(map(index.__getitem__, runs))
+    tables: dict[tuple, list[float]] = {}  # (move, l1) -> cost of each of distinct[b]
 
     def row_beads(i):
         beads = {}
@@ -174,11 +175,7 @@ def _dp_block(src_lengths, tgt_lengths, params: GCParams):
             l1 = src_sums[i + a] - src_sums[i]
             costs = tables.get((move, l1))
             if costs is None:
-                raw = match_costs.get(l1)
-                if raw is None:
-                    raw = match_costs[l1] = _match_costs(l1, lengths, params)
-                lp = log_prior[move]
-                costs = tables[(move, l1)] = [c - lp for c in raw]
+                costs = tables[(move, l1)] = _match_costs(l1, distinct[b], log_prior[move], params)
             beads[move] = list(map(costs.__getitem__, runs_at[b]))
         return beads
 

@@ -260,9 +260,10 @@ def test_batched_length_costs_match_match_cost_bit_for_bit(params):
     l2s = [0, 1, 2, 3, 5, 8, 40, 99, 100, 101, 250, 999, 3000, 5000]
     underflows = 0
     for l1 in (0, 1, 2, 7, 100, 1000, 3000):
-        got = _match_costs(l1, l2s, params)
-        want = [_match_cost(length_delta(l1, l2, params)) for l2 in l2s]
-        assert [c.hex() for c in got] == [c.hex() for c in want]
+        for log_prior in (0.0, math.log(0.89), math.log(0.0445)):
+            got = _match_costs(l1, l2s, log_prior, params)
+            want = [_match_cost(length_delta(l1, l2, params)) - log_prior for l2 in l2s]
+            assert [c.hex() for c in got] == [c.hex() for c in want]
         underflows += sum(
             math.erfc(abs(length_delta(l1, l2, params)) / math.sqrt(2.0)) == 0.0 for l2 in l2s
         )
