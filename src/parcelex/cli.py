@@ -78,6 +78,13 @@ def _object(raw: dict, key: str) -> dict:
     return value
 
 
+def _count(raw: dict, key: str, default: int) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key!r} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _gc_from_dict(d: dict) -> GCParams:
     d = dict(d)
     if "arity_priors" in d:
@@ -125,7 +132,7 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
             seed=seed,
             profiles_dir=respath("profiles_dir"),
             eurovoc_map=respath("eurovoc_map"),
-            top_descriptors=int(raw.get("top_descriptors", 20)),
+            top_descriptors=_count(raw, "top_descriptors", 20),
             gc=_gc_from_dict(_object(raw, "gc_params")),
             hun=HunParams(**hun_raw),
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import datetime
 import html
 import re
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,8 +93,16 @@ def fetch_document(
     url = document_url(celex, lang, source.endpoint)
     if http_get is None:
         def http_get(u):
-            with urllib.request.urlopen(u, timeout=HTTP_TIMEOUT_S) as resp:
-                return resp.read()
+            # The HTTP stack is imported on the first HTTP fetch, not at start-up.
+            import http.client
+            import urllib.request
+
+            try:
+                with urllib.request.urlopen(u, timeout=HTTP_TIMEOUT_S) as resp:
+                    return resp.read()
+            except http.client.HTTPException as exc:
+                # A body cut short (IncompleteRead) or a garbled status line.
+                raise DocumentNotFoundError(f"{u}: {exc!r}") from None
     try:
         data = http_get(url)
     except OSError as exc:
@@ -117,7 +124,9 @@ _BREAK_RE = re.compile(r"<\s*(?:br|p|/p)\b[^>]*>", re.IGNORECASE)
 _TAG_RE = re.compile(r"<[^>]*>")
 # A tag cut off by the end of input: "<" and a letter or "/", with no ">" after.
 _UNTERMINATED_TAG_RE = re.compile(r"<[A-Za-z/][^>]*\Z")
-_WS_COLLAPSE = re.compile(r"\s+")
+# XML 1.0 forbids these characters, so they count as whitespace here; \s
+# already covers U+000B, U+000C and U+001C-U+001F.
+_WS_COLLAPSE = re.compile(r"[\s\x00-\x08\x0e-\x1b\ufffe\uffff]+")
 
 
 def html_to_paragraphs(content: str) -> list[str]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 from .beads import AlignmentLink, links_cover, parse_arity
 from .celex import CelexId, format_celex, jrc_alignment_id, parse_celex
@@ -23,7 +22,7 @@ from .errors import (
     SchemaViolationError,
     UnsupportedArityError,
 )
-from .tei import TeiDocument
+from .tei import TeiDocument, escape, quoteattr
 
 CSV_VERSION_LINE = "# standoff-csv v1"
 CSV_HEADER = "celex,arity,src_pars,tgt_pars,score"

@@ -10,12 +10,12 @@ expression families kept in ``data/section_patterns.json``.
 from __future__ import annotations
 
 import datetime
+import html
 import json
+import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from importlib import resources
-from xml.sax.saxutils import escape, quoteattr
 
 from .celex import CelexId, format_celex, jrc_document_id, parse_celex
 from .errors import InconsistentBoundariesError, MalformedXmlError, SchemaViolationError
@@ -131,8 +131,10 @@ class _SectionPatterns:
 
 
 def _load_patterns() -> _SectionPatterns:
-    data = resources.files("parcelex.data").joinpath("section_patterns.json")
-    return _SectionPatterns(json.loads(data.read_text(encoding="utf-8")))
+    # Read through this module's loader, as pkgutil.get_data does, so a zip
+    # install works without importing importlib.resources at start-up.
+    path = os.path.join(os.path.dirname(__file__), "data", "section_patterns.json")
+    return _SectionPatterns(json.loads(__spec__.loader.get_data(path).decode("utf-8")))
 
 
 _PATTERNS = _load_patterns()
@@ -237,6 +239,27 @@ def build_document(
     )
     doc.validate()
     return doc
+
+
+def escape(text: str) -> str:
+    """Character data with ``&``, ``<`` and ``>`` as entities (``xml.sax.saxutils.escape``)."""
+    return html.escape(text, quote=False)
+
+
+def quoteattr(value: str) -> str:
+    """A quoted attribute value, by the rules of ``xml.sax.saxutils.quoteattr``.
+
+    Tab, newline and carriage return become character references, which an
+    XML parser keeps where it would normalize the literal characters to
+    spaces.  The value is wrapped in double quotes unless it holds one and
+    no single quote; holding both, its double quotes become ``&quot;``.
+    """
+    value = escape(value).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
 
 
 def _language_name(lang: str) -> str:

@@ -2,11 +2,14 @@ import json
 import random
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
+import parcelex
 from parcelex.celex import parse_celex
 from parcelex.cli import InputError, _lexicon_cache_key, load_config, main, run
 from parcelex.hunalign import HunParams
@@ -508,10 +511,14 @@ def _config_json(value):
             "'arity_priors' must be a JSON object",
         ),
         (_config_json({**_VALID_CONFIG, "languages": "en"}), '"languages" must be a list'),
+        (_config_json({**_VALID_CONFIG, "top_descriptors": -1}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "top_descriptors": 2.5}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "top_descriptors": True}), "bad config value"),
     ],
     ids=[
         "not-utf8", "directory", "missing", "list", "source", "gc-params", "hun-params",
-        "arity-priors", "languages",
+        "arity-priors", "languages", "top-descriptors-negative", "top-descriptors-float",
+        "top-descriptors-bool",
     ],
 )
 def test_unreadable_config_exits_1(tmp_path, make, message, capsys):
@@ -519,6 +526,47 @@ def test_unreadable_config_exits_1(tmp_path, make, message, capsys):
     assert main(["stats", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "internal error" not in err and message in err and str(path) in err
+
+
+# Characters XML 1.0 forbids, which a raw document may still hold literally.
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0e", "\x1b", "\ufffe", "\uffff"])
+def test_control_characters_in_a_raw_document_give_well_formed_tei(tmp_path, char):
+    html = tmp_path / "html"
+    html.mkdir()
+    for lang in ("en", "fr"):
+        shutil.copy(FIXTURES / "html" / f"31984D0001-{lang}.html", html)
+    raw = html / "31984D0001-en.html"
+    text = raw.read_text(encoding="utf-8")
+    raw.write_text(text.replace("The committee shall", f"The committee{char}shall", 1),
+                   encoding="utf-8")
+    config_path = make_config(
+        tmp_path, None, languages=["en", "fr"], aligners=["gale_church"],
+        source={"mode": "local_directory", "root": str(html)},
+    )
+    for stage in ("fetch", "normalize", "align", "stats"):
+        assert _cli(config_path, stage) == 0, stage
+    tei = tmp_path / "out" / "tei" / "en" / "jrc31984D0001-en.xml"
+    texts = [p.text for p in parse_tei(tei.read_text(encoding="utf-8")).paragraphs]
+    assert any(t.startswith("The committee shall examine") for t in texts)
+
+
+# No subcommand uses these; they cost start-up time and memory in every run.
+_UNUSED_AT_START_UP = (
+    "urllib.request", "http.client", "email", "ssl", "socket", "xml.sax",
+    "importlib.resources", "pkgutil",
+)
+
+
+def test_start_up_loads_no_network_or_sax_module():
+    src = str(Path(parcelex.__file__).parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import parcelex, parcelex.cli; "
+        f"print(sorted(m for m in {_UNUSED_AT_START_UP!r} if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-E", "-c", code, src],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 _BITEXT = ("bitext", "--aligner", "gale_church", "--pairs", "en-fr", "--celex", "31984D0001")

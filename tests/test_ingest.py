@@ -106,6 +106,24 @@ def test_http_timeout_maps_to_not_found(monkeypatch):
         fetch_document(source, parse_celex("42004D0097"), "fr")
 
 
+def test_http_body_cut_short_maps_to_not_found(monkeypatch):
+    import http.client
+
+    class _CutShort(_Response):
+        def read(self):
+            raise http.client.IncompleteRead(b"<p>bon", 8)
+
+    monkeypatch.setattr("urllib.request.urlopen", lambda url, timeout=None: _CutShort(b""))
+    source = FetchSource(mode=HTTP_ENDPOINT, root="http://europa.eu.int/")
+    with pytest.raises(DocumentNotFoundError, match=r"42004D0097.*IncompleteRead\(6 bytes read"):
+        fetch_document(source, parse_celex("42004D0097"), "fr")
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0e", "\x1b", "\ufffe", "\uffff"])
+def test_characters_xml_forbids_are_whitespace(char):
+    assert html_to_paragraphs(f"<p>a{char}b {char}</p><p>{char}</p>c") == ["a b", "c"]
+
+
 def test_paragraph_tags():
     assert html_to_paragraphs("<p>A</p><p>B</p>") == ["A", "B"]
 

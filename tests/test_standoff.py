@@ -54,6 +54,13 @@ def test_xml_round_trip():
     assert import_standoff_xml(export_standoff_xml(f)) == f
 
 
+def test_xml_round_trip_with_quotes_and_whitespace_in_attributes():
+    f = StandoffFile(src_lang="e\"t'&<\t", tgt_lang="m\nt", entries=((CELEX, (FIG2_LINK,)),))
+    xml = export_standoff_xml(f)
+    assert "<standoff src=\"e&quot;t'&amp;&lt;&#9;\" tgt=\"m&#10;t\">" in xml
+    assert import_standoff_xml(xml) == f
+
+
 def test_xml_round_trip_preserves_scores():
     f = _file(score=0.1234567890123)
     loaded = import_standoff_xml(export_standoff_xml(f))

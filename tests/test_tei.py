@@ -20,7 +20,9 @@ from parcelex.tei import (
     SectionBoundaries,
     build_document,
     classify_sections,
+    escape,
     parse_tei,
+    quoteattr,
     serialize_tei,
 )
 
@@ -219,3 +221,20 @@ def test_round_trip_generated(doc):
 def test_serialize_stable_after_round_trip(doc):
     xml = serialize_tei(doc)
     assert serialize_tei(parse_tei(xml)) == xml
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="&<>\"'\n\r\tabcXYZé ", max_size=30))
+def test_escape_and_quoteattr_match_saxutils(text):
+    from xml.sax import saxutils
+
+    assert escape(text) == saxutils.escape(text)
+    assert quoteattr(text) == saxutils.quoteattr(text)
+
+
+def test_attribute_with_both_quotes_and_whitespace_round_trips():
+    url = "http://example.org/?a=1&b=<2>\t\"x\" 'y'\nz\r"
+    doc = _doc(["Body & <text> \"quoted\" 'too'."], source_url=url)
+    xml = serialize_tei(doc)
+    assert "&quot;" in xml and "&#9;" in xml and "&#10;" in xml and "&#13;" in xml
+    assert parse_tei(xml) == doc
