@@ -7,76 +7,55 @@ and serializes stand-off, CSV and in-place bilingual alignment files plus
 corpus statistics.
 """
 
-from .beads import AlignmentLink, BitextAlignment
-from .celex import CelexId, document_url, format_celex, jrc_document_id, parse_celex
-from .galechurch import GCParams, align_gale_church, exhaustive_align
-from .hunalign import HunParams, Lexicon, align_hunalign, build_lexicon, similarity_align
-from .ingest import FetchSource, RawDocument, fetch_document, html_to_paragraphs, select_corpus
-from .langid import LanguageProfile, ProfileIndex, guess_language, train_language_profile
-from .standoff import (
-    StandoffFile,
-    aligner_agreement,
-    arity_distribution,
-    export_csv,
-    export_standoff_xml,
-    generate_inplace,
-    import_csv,
-    import_standoff_xml,
-)
-from .stats import corpus_stats_table, eurovoc_frequency, word_count
-from .tei import (
-    Paragraph,
-    SectionBoundaries,
-    TeiDocument,
-    build_document,
-    classify_sections,
-    parse_tei,
-    serialize_tei,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentLink",
-    "BitextAlignment",
-    "CelexId",
-    "FetchSource",
-    "GCParams",
-    "HunParams",
-    "LanguageProfile",
-    "Lexicon",
-    "Paragraph",
-    "ProfileIndex",
-    "RawDocument",
-    "SectionBoundaries",
-    "StandoffFile",
-    "TeiDocument",
-    "align_gale_church",
-    "align_hunalign",
-    "aligner_agreement",
-    "arity_distribution",
-    "build_document",
-    "build_lexicon",
-    "classify_sections",
-    "corpus_stats_table",
-    "document_url",
-    "eurovoc_frequency",
-    "exhaustive_align",
-    "export_csv",
-    "export_standoff_xml",
-    "fetch_document",
-    "format_celex",
-    "generate_inplace",
-    "guess_language",
-    "html_to_paragraphs",
-    "import_csv",
-    "import_standoff_xml",
-    "jrc_document_id",
-    "parse_celex",
-    "parse_tei",
-    "select_corpus",
-    "serialize_tei",
-    "similarity_align",
-    "train_language_profile",
-    "word_count",
-]
+# Each public name and the submodule that defines it. A name is imported on
+# first access, so ``import parcelex`` loads only the submodules a caller uses.
+_EXPORTS = {
+    "beads": ("AlignmentLink", "BitextAlignment"),
+    "celex": ("CelexId", "document_url", "format_celex", "jrc_document_id", "parse_celex"),
+    "galechurch": ("GCParams", "align_gale_church", "exhaustive_align"),
+    "hunalign": ("HunParams", "Lexicon", "align_hunalign", "build_lexicon", "similarity_align"),
+    "ingest": (
+        "FetchSource", "RawDocument", "fetch_document", "html_to_paragraphs", "select_corpus",
+    ),
+    "langid": ("LanguageProfile", "ProfileIndex", "guess_language", "train_language_profile"),
+    "standoff": (
+        "StandoffFile",
+        "aligner_agreement",
+        "arity_distribution",
+        "export_csv",
+        "export_standoff_xml",
+        "generate_inplace",
+        "import_csv",
+        "import_standoff_xml",
+    ),
+    "stats": ("corpus_stats_table", "eurovoc_frequency", "word_count"),
+    "tei": (
+        "Paragraph",
+        "SectionBoundaries",
+        "TeiDocument",
+        "build_document",
+        "classify_sections",
+        "parse_tei",
+        "serialize_tei",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

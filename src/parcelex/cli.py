@@ -8,9 +8,7 @@ relative to the config file.
 
 from __future__ import annotations
 
-import argparse
 import datetime
-import hashlib
 import itertools
 import json
 import re
@@ -18,7 +16,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import standoff as so
 from .beads import BitextAlignment
 from .celex import CelexId, format_celex, jrc_document_id, parse_celex
 from .errors import ParcelexError, UnknownLanguageError
@@ -34,10 +31,10 @@ from .ingest import (
     verify_language,
 )
 from .langid import ProfileIndex, parse_profile
-from .stats import corpus_stats_table, eurovoc_frequency, eurovoc_to_csv, stats_to_csv, stats_to_text
-from .tei import build_document, classify_sections, parse_tei, serialize_tei
 
-SUBCOMMANDS = ("fetch", "normalize", "align", "export", "bitext", "stats", "agree")
+# The stage modules (tei, standoff, stats), argparse and hashlib are imported
+# where they are used, so that set-up and each stage load only what they need.
+
 ALIGNERS = ("gale_church", "hunalign")
 
 # What normalize reads of each manifest entry.
@@ -275,6 +272,8 @@ def _language_checked(documents, profiles: ProfileIndex):
 
 
 def cmd_normalize(config: PipelineConfig) -> None:
+    from .tei import build_document, classify_sections, serialize_tei
+
     manifest = _load_manifest(config)
     profiles = _load_profiles(config)
     eurovoc = _load_eurovoc_map(config)
@@ -331,6 +330,8 @@ def cmd_normalize(config: PipelineConfig) -> None:
 
 def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[CelexId, object]]:
     """Parse the TEI documents of ``langs`` (default: every language directory)."""
+    from .tei import parse_tei
+
     tei_root = config.output_root / "tei"
     if not tei_root.is_dir():
         raise InputError(f"{tei_root} missing; run normalize first")
@@ -346,12 +347,21 @@ def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[Celex
 
 
 def _resolve_pairs(config: PipelineConfig, pairs) -> list[tuple[str, str]]:
-    if pairs:
-        return [so.canonical_pair(*p) for p in pairs]
-    return [
-        so.canonical_pair(a, b)
-        for a, b in itertools.combinations(sorted(config.languages), 2)
-    ]
+    """The pairs asked for, each in canonical order (default: every pair of the languages)."""
+    from .standoff import canonical_pair
+
+    if not pairs:
+        return list(itertools.combinations(sorted(config.languages), 2))
+    for a, b in pairs:
+        if a == b:
+            raise InputError(f"bad pair {a}-{b}: a language cannot be aligned with itself")
+        for lang in (a, b):
+            if lang not in config.languages:
+                raise InputError(
+                    f"bad pair {a}-{b}: {lang!r} is not one of the configured languages "
+                    f"{list(config.languages)}"
+                )
+    return [canonical_pair(a, b) for a, b in pairs]
 
 
 def _doc_texts(doc) -> list[str]:
@@ -361,6 +371,8 @@ def _doc_texts(doc) -> list[str]:
 
 def _lexicon_cache_key(params: HunParams, celexes, src_texts, tgt_texts) -> str:
     """What a cached lexicon was built from: the parameters and phase 1's input texts."""
+    import hashlib
+
     h = hashlib.sha256()
     for c in celexes:
         doc = json.dumps([format_celex(c), src_texts[c], tgt_texts[c]], ensure_ascii=False)
@@ -410,14 +422,39 @@ def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, al
     return alignments, config.hun.digest()
 
 
+def _provenance_path(config: PipelineConfig, aligner: str) -> Path:
+    return config.output_root / "alignments" / aligner / "provenance.json"
+
+
+def _load_provenance(config: PipelineConfig, aligner: str) -> dict[str, str]:
+    """The parameter digest of each pair that earlier ``align`` runs recorded for ``aligner``."""
+    path = _provenance_path(config, aligner)
+    if not path.is_file():
+        return {}
+    record = _read(path, json.loads)
+    if not (
+        isinstance(record, dict)
+        and record.get("aligner") == aligner
+        and isinstance(record.get("params_digest"), dict)
+        and all(isinstance(digest, str) for digest in record["params_digest"].values())
+    ):
+        raise InputError(
+            f'{path}: expected {{"aligner": "{aligner}", "params_digest": {{pair: digest, ...}}}}'
+        )
+    return record["params_digest"]
+
+
 def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) -> None:
+    from .standoff import export_standoff_xml, standoff_from_alignments
+
     pairs = _resolve_pairs(config, pairs)
-    corpus = _load_tei_corpus(config, {lang for pair in pairs for lang in pair})
     aligners = (aligner,) if aligner else config.aligners
     for name in aligners:
         if name not in ALIGNERS:
             raise InputError(f"unknown aligner {name!r}")
-    provenance: dict[str, dict] = {name: {} for name in aligners}
+    # A run that aligns some pairs keeps what earlier runs recorded for the others.
+    provenance = {name: _load_provenance(config, name) for name in aligners}
+    corpus = _load_tei_corpus(config, {lang for pair in pairs for lang in pair})
     written = 0
     for src, tgt in pairs:
         for name in aligners:
@@ -428,13 +465,13 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
             alignments, digest = result
             _write(
                 _standoff_path(config, name, src, tgt),
-                so.export_standoff_xml(so.standoff_from_alignments(alignments)),
+                export_standoff_xml(standoff_from_alignments(alignments)),
             )
             provenance[name][f"{src}-{tgt}"] = digest
             written += 1
     for name in aligners:
         _write(
-            config.output_root / "alignments" / name / "provenance.json",
+            _provenance_path(config, name),
             _json_dump({"aligner": name, "params_digest": provenance[name]}),
         )
     _log(f"aligned {written} pair/aligner combinations")
@@ -444,14 +481,18 @@ def _standoff_path(config: PipelineConfig, aligner: str, src: str, tgt: str) -> 
     return config.output_root / "alignments" / aligner / f"{src}-{tgt}.standoff.xml"
 
 
-def _load_standoff(config: PipelineConfig, aligner: str, src: str, tgt: str) -> so.StandoffFile:
+def _load_standoff(config: PipelineConfig, aligner: str, src: str, tgt: str):
+    from .standoff import import_standoff_xml
+
     path = _standoff_path(config, aligner, src, tgt)
     if not path.is_file():
         raise InputError(f"{path} missing; run align first")
-    return _read(path, so.import_standoff_xml)
+    return _read(path, import_standoff_xml)
 
 
 def cmd_export(config: PipelineConfig, pairs=None, aligner: str | None = None) -> None:
+    from .standoff import export_csv
+
     aligners = (aligner,) if aligner else config.aligners
     n = 0
     for src, tgt in _resolve_pairs(config, pairs):
@@ -461,7 +502,7 @@ def cmd_export(config: PipelineConfig, pairs=None, aligner: str | None = None) -
             file = _load_standoff(config, name, src, tgt)
             _write(
                 config.output_root / "alignments" / name / f"{src}-{tgt}.csv",
-                so.export_csv(file),
+                export_csv(file),
             )
             n += 1
     if n == 0:
@@ -470,6 +511,9 @@ def cmd_export(config: PipelineConfig, pairs=None, aligner: str | None = None) -
 
 
 def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str | None = None) -> None:
+    from .standoff import generate_inplace
+    from .tei import parse_tei
+
     if not pairs:
         raise InputError("bitext requires --pairs")
     if not celex_ids:
@@ -487,7 +531,7 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
         return docs[(lang, celex)]
 
     n = 0
-    for src, tgt in [so.canonical_pair(*p) for p in pairs]:
+    for src, tgt in _resolve_pairs(config, pairs):
         file = _load_standoff(config, name, src, tgt)
         links_by_celex = dict(file.entries)
         for celex in celex_ids:
@@ -495,7 +539,7 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
                 raise InputError(f"no links for {format_celex(celex)} in {src}-{tgt}")
             src_doc, tgt_doc = tei(src, celex), tei(tgt, celex)
             try:
-                xml = so.generate_inplace(src_doc, tgt_doc, links_by_celex[celex])
+                xml = generate_inplace(src_doc, tgt_doc, links_by_celex[celex])
             except ParcelexError as exc:
                 path = _standoff_path(config, name, src, tgt)
                 raise InputError(f"{path}: {format_celex(celex)}: {exc}") from None
@@ -508,6 +552,14 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
 
 
 def cmd_stats(config: PipelineConfig) -> None:
+    from .stats import (
+        corpus_stats_table,
+        eurovoc_frequency,
+        eurovoc_to_csv,
+        stats_to_csv,
+        stats_to_text,
+    )
+
     corpus = _load_tei_corpus(config)
     docs = [doc for per_lang in corpus.values() for _, doc in sorted(per_lang.items())]
     table = corpus_stats_table(docs)
@@ -518,7 +570,7 @@ def cmd_stats(config: PipelineConfig) -> None:
     _log(f"wrote statistics for {len(table)} languages")
 
 
-def _standoff_to_alignments(file: so.StandoffFile) -> list[BitextAlignment]:
+def _standoff_to_alignments(file) -> list[BitextAlignment]:
     return [
         BitextAlignment(celex=celex, src_lang=file.src_lang, tgt_lang=file.tgt_lang, links=links)
         for celex, links in file.entries
@@ -526,6 +578,8 @@ def _standoff_to_alignments(file: so.StandoffFile) -> list[BitextAlignment]:
 
 
 def cmd_agree(config: PipelineConfig, pairs=None) -> None:
+    from .standoff import aligner_agreement
+
     if len(config.aligners) < 2:
         raise InputError("agree needs two aligners configured")
     name_a, name_b = config.aligners[0], config.aligners[1]
@@ -539,7 +593,7 @@ def cmd_agree(config: PipelineConfig, pairs=None) -> None:
             continue
         a = _standoff_to_alignments(_load_standoff(config, name_a, src, tgt))
         b = _standoff_to_alignments(_load_standoff(config, name_b, src, tgt))
-        report = so.aligner_agreement(a, b)
+        report = aligner_agreement(a, b)
         summary.append(
             f"{src},{tgt},{report.n_links_a},{report.n_links_b},"
             f"{report.exact_match_fraction:.6f}"
@@ -554,6 +608,19 @@ def cmd_agree(config: PipelineConfig, pairs=None) -> None:
     _log(f"compared aligners on {n} language pairs")
 
 
+# Each stage's handler, and the options of ``run`` that it takes, in pipeline order.
+_STAGES = {
+    "fetch": (cmd_fetch, ()),
+    "normalize": (cmd_normalize, ()),
+    "align": (cmd_align, ("pairs", "aligner")),
+    "export": (cmd_export, ("pairs", "aligner")),
+    "bitext": (cmd_bitext, ("pairs", "celex_ids", "aligner")),
+    "stats": (cmd_stats, ()),
+    "agree": (cmd_agree, ("pairs",)),
+}
+SUBCOMMANDS = tuple(_STAGES)
+
+
 def run(
     subcommand: str,
     config: PipelineConfig,
@@ -562,22 +629,11 @@ def run(
     aligner: str | None = None,
 ) -> int:
     """Programmatic entry point; returns the process exit status."""
-    if subcommand == "fetch":
-        cmd_fetch(config)
-    elif subcommand == "normalize":
-        cmd_normalize(config)
-    elif subcommand == "align":
-        cmd_align(config, pairs, aligner)
-    elif subcommand == "export":
-        cmd_export(config, pairs, aligner)
-    elif subcommand == "bitext":
-        cmd_bitext(config, pairs, celex_ids, aligner)
-    elif subcommand == "stats":
-        cmd_stats(config)
-    elif subcommand == "agree":
-        cmd_agree(config, pairs)
-    else:
+    if subcommand not in _STAGES:
         raise InputError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
+    handler, options = _STAGES[subcommand]
+    given = {"pairs": pairs, "celex_ids": celex_ids, "aligner": aligner}
+    handler(config, **{option: given[option] for option in options})
     return 0
 
 
@@ -592,6 +648,8 @@ def _parse_pairs(text: str) -> list[tuple[str, str]]:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="parcelex",
         description="Build, align and serialize a multilingual parallel corpus.",

@@ -14,7 +14,6 @@ pair (see ``_dp_block``) and gives every bead exactly the bits that
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -67,6 +66,8 @@ class GCParams:
             raise ValueError(f"unknown length unit {self.length_unit!r}")
 
     def digest(self) -> str:
+        import hashlib  # only here, so that start-up does not load it
+
         blob = json.dumps(
             {
                 "mean_ratio": self.mean_ratio,

@@ -24,7 +24,6 @@ the lexicon pass costs a few times the first pass.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -102,6 +101,8 @@ class HunParams:
             raise ValueError("max_split must be at least 2")
 
     def digest(self) -> str:
+        import hashlib  # only here, so that start-up does not load it
+
         blob = json.dumps(
             {
                 "weights": [self.w_length, self.w_identical, self.w_number, self.w_lexicon],

@@ -356,7 +356,7 @@ def test_bitext_parses_only_the_documents_it_emits(tmp_path, profiles_dir, monke
     assert len(list((tmp_path / "out" / "tei").rglob("*.xml"))) == 18
     assert _cli(config_path, "align", "--aligner", "gale_church", "--pairs", "en-fr") == 0
 
-    import parcelex.cli
+    import parcelex.tei
 
     calls = []
 
@@ -364,7 +364,7 @@ def test_bitext_parses_only_the_documents_it_emits(tmp_path, profiles_dir, monke
         calls.append(1)
         return parse_tei(text)
 
-    monkeypatch.setattr(parcelex.cli, "parse_tei", counting_parse_tei)
+    monkeypatch.setattr(parcelex.tei, "parse_tei", counting_parse_tei)
     bitext = ("bitext", "--aligner", "gale_church", "--pairs", "en-fr", "--celex")
     assert _cli(config_path, *bitext, "31984D0001") == 0
     assert len(calls) == 2
@@ -550,10 +550,13 @@ def test_control_characters_in_a_raw_document_give_well_formed_tei(tmp_path, cha
     assert any(t.startswith("The committee shall examine") for t in texts)
 
 
-# No subcommand uses these; they cost start-up time and memory in every run.
+# Set-up (import, config, profiles) uses none of these; they cost start-up
+# time and memory in every run. The stages that use some import them.
 _UNUSED_AT_START_UP = (
     "urllib.request", "http.client", "email", "ssl", "socket", "xml.sax",
     "importlib.resources", "pkgutil",
+    "parcelex.tei", "parcelex.standoff", "parcelex.stats", "xml.etree.ElementTree",
+    "argparse", "hashlib",
 )
 
 
@@ -567,6 +570,20 @@ def test_start_up_loads_no_network_or_sax_module():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_package_names_resolve_on_first_access():
+    namespace = {}
+    exec("from parcelex import *", namespace)
+    assert sorted(parcelex.__all__) == sorted(set(namespace) - {"__builtins__"})
+    for name in parcelex.__all__:
+        value = getattr(parcelex, name)
+        assert namespace[name] is value
+        assert value.__module__.startswith("parcelex.")
+        assert getattr(sys.modules[value.__module__], name) is value  # the defining module's own
+    assert set(parcelex.__all__) <= set(dir(parcelex))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        parcelex.no_such_name
 
 
 _BITEXT = ("bitext", "--aligner", "gale_church", "--pairs", "en-fr", "--celex", "31984D0001")
@@ -587,6 +604,7 @@ def aligned_tree(tmp_path_factory, profiles_dir):
 _TEI = ("tei", "en", "jrc31984D0001-en.xml")
 _STANDOFF = ("alignments", "gale_church", "en-fr.standoff.xml")
 _LEXICON = ("alignments", "hunalign", "en-fr.lexicon.txt")
+_PROVENANCE = ("alignments", "gale_church", "provenance.json")
 
 
 @pytest.mark.parametrize(
@@ -633,6 +651,9 @@ _READ_BY = {
     "tei": (("out", *_TEI), [_BITEXT, ("stats",), ("align", "--pairs", "en-fr")]),
     "standoff": (("out", *_STANDOFF), [("export",), _BITEXT, ("agree",)]),
     "lexicon": (("out", *_LEXICON), [("align", "--aligner", "hunalign", "--pairs", "en-fr")]),
+    "provenance": (
+        ("out", *_PROVENANCE), [("align", "--aligner", "gale_church", "--pairs", "en-fr")]
+    ),
 }
 
 
@@ -681,6 +702,9 @@ _FIELD_DAMAGES = {
     ("config", "source-string"): _edit_json(lambda config: {**config, "source": "x"}),
     ("config", "hun-params-string"): _edit_json(lambda config: {**config, "hun_params": "x"}),
     ("config", "languages-string"): _edit_json(lambda config: {**config, "languages": "en"}),
+    ("provenance", "digests-list"): _edit_json(
+        lambda record: {**record, "params_digest": list(record["params_digest"])}
+    ),
 }
 
 
@@ -715,7 +739,7 @@ def test_align_parses_only_the_languages_of_its_pairs(tmp_path, monkeypatch):
         assert _cli(config_path, stage) == 0
     assert len(list((tmp_path / "out" / "tei").rglob("*.xml"))) == 10
 
-    import parcelex.cli
+    import parcelex.tei
 
     calls = []
 
@@ -723,7 +747,7 @@ def test_align_parses_only_the_languages_of_its_pairs(tmp_path, monkeypatch):
         calls.append(1)
         return parse_tei(text)
 
-    monkeypatch.setattr(parcelex.cli, "parse_tei", counting_parse_tei)
+    monkeypatch.setattr(parcelex.tei, "parse_tei", counting_parse_tei)
     assert _cli(config_path, "align", "--aligner", "gale_church", "--pairs", "en-fr") == 0
     assert len(calls) == 7
     assert _cli(config_path, "align", "--aligner", "gale_church") == 0
@@ -742,6 +766,41 @@ def test_align_counts_only_the_pairs_it_wrote(tmp_path, capsys):
     assert "aligned 2 pair/aligner combinations" in err
     written = sorted(p.name for p in (tmp_path / "out" / "alignments").rglob("*.standoff.xml"))
     assert written == ["en-fr.standoff.xml"] * 2
+
+
+def test_align_keeps_the_provenance_of_pairs_it_did_not_align(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    records = {
+        aligner: tmp_path / "out" / "alignments" / aligner / "provenance.json"
+        for aligner in ("gale_church", "hunalign")
+    }
+    full = {aligner: path.read_bytes() for aligner, path in records.items()}
+    assert all(len(json.loads(data)["params_digest"]) == 3 for data in full.values())
+    # Re-aligning one pair rewrites its digest and keeps the other two.
+    assert _cli(tmp_path / "config.json", "align", "--pairs", "en-fr") == 0
+    assert {aligner: path.read_bytes() for aligner, path in records.items()} == full
+    # A run that aligns nothing leaves the record as it was.
+    shutil.rmtree(tmp_path / "out" / "tei" / "de")
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", "align", "--pairs", "de-en,de-fr") == 0
+    assert "aligned 0 pair/aligner combinations" in capsys.readouterr().err
+    assert {aligner: path.read_bytes() for aligner, path in records.items()} == full
+
+
+@pytest.mark.parametrize("pair", ["en-en", "en-xx"])
+@pytest.mark.parametrize(
+    "command",
+    [("align",), ("export",), ("bitext", "--celex", "31984D0001"), ("agree",)],
+    ids=["align", "export", "bitext", "agree"],
+)
+def test_bad_pair_exits_1_naming_it(aligned_tree, tmp_path, command, pair, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    before = _tree(tmp_path / "out")
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", *command, "--pairs", f"en-fr,{pair}") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and f"bad pair {pair}" in err
+    assert _tree(tmp_path / "out") == before
 
 
 def test_normalize_parses_each_raw_document_once(tmp_path, profiles_dir, monkeypatch):
