@@ -16,12 +16,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "beads": ("AlignmentLink", "BitextAlignment"),
     "celex": ("CelexId", "document_url", "format_celex", "jrc_document_id", "parse_celex"),
-    "galechurch": ("GCParams", "align_gale_church", "exhaustive_align"),
-    "hunalign": ("HunParams", "Lexicon", "align_hunalign", "build_lexicon", "similarity_align"),
-    "ingest": (
-        "FetchSource", "RawDocument", "fetch_document", "html_to_paragraphs", "select_corpus",
-    ),
+    "galechurch": ("align_gale_church", "exhaustive_align"),
+    "hunalign": ("Lexicon", "align_hunalign", "build_lexicon", "similarity_align"),
+    "ingest": ("RawDocument", "fetch_document", "html_to_paragraphs", "select_corpus"),
     "langid": ("LanguageProfile", "ProfileIndex", "guess_language", "train_language_profile"),
+    "params": ("FetchSource", "GCParams", "HunParams"),
     "standoff": (
         "StandoffFile",
         "aligner_agreement",

@@ -16,24 +16,14 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .beads import BitextAlignment
-from .celex import CelexId, format_celex, jrc_document_id, parse_celex
 from .errors import ParcelexError, UnknownLanguageError
-from .galechurch import GCParams, align_gale_church
-from .hunalign import HunParams, align_hunalign, lexicon_header, load_lexicon, save_lexicon
-from .ingest import (
-    FetchSource,
-    LOCAL_DIRECTORY,
-    RawDocument,
-    fetch_document,
-    html_to_paragraphs,
-    select_corpus,
-    verify_language,
-)
-from .langid import ProfileIndex, parse_profile
+from .params import LOCAL_DIRECTORY, FetchSource, GCParams, HunParams
 
-# The stage modules (tei, standoff, stats), argparse and hashlib are imported
-# where they are used, so that set-up and each stage load only what they need.
+# Every other parcelex module, argparse and hashlib are imported where they
+# are used, so that reading the config loads no stage module and each stage
+# loads only what it runs. Annotations name some of their classes
+# (``CelexId``, ``BitextAlignment``, ``ProfileIndex``) only as strings, which
+# nothing evaluates.
 
 ALIGNERS = ("gale_church", "hunalign")
 
@@ -75,10 +65,12 @@ def _object(raw: dict, key: str) -> dict:
     return value
 
 
-def _count(raw: dict, key: str, default: int) -> int:
+def _integer(raw: dict, key: str, default: int, minimum: int | None = None) -> int:
     value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{key!r} must be an integer >= 0, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -109,7 +101,9 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
         return (base / raw[key]).resolve() if key in raw and raw[key] else None
 
     try:
-        seed = seed_override if seed_override is not None else int(raw.get("seed", 1960))
+        seed = _integer(raw, "seed", 1960)
+        if seed_override is not None:
+            seed = seed_override
         hun_raw = dict(_object(raw, "hun_params"))
         hun_raw.setdefault("rng_seed", seed)
         source_raw = _object(raw, "source")
@@ -129,7 +123,7 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
             seed=seed,
             profiles_dir=respath("profiles_dir"),
             eurovoc_map=respath("eurovoc_map"),
-            top_descriptors=_count(raw, "top_descriptors", 20),
+            top_descriptors=_integer(raw, "top_descriptors", 20, minimum=0),
             gc=_gc_from_dict(_object(raw, "gc_params")),
             hun=HunParams(**hun_raw),
         )
@@ -167,6 +161,9 @@ def _json_dump(obj) -> str:
 
 
 def cmd_fetch(config: PipelineConfig) -> None:
+    from .celex import format_celex, parse_celex
+    from .ingest import fetch_document
+
     if config.source.mode != LOCAL_DIRECTORY:
         raise InputError("fetch requires a local_directory source (bulk crawling is out of scope)")
     root = Path(config.source.root)
@@ -228,6 +225,8 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
 def _load_profiles(config: PipelineConfig) -> ProfileIndex | None:
     if config.profiles_dir is None:
         return None
+    from .langid import ProfileIndex, parse_profile
+
     paths = sorted(Path(config.profiles_dir).glob("*.profile"))
     if not paths:
         raise InputError(f"no *.profile files under {config.profiles_dir}")
@@ -249,6 +248,8 @@ def _load_eurovoc_map(config: PipelineConfig) -> dict[str, list[int]]:
 
 def _select(documents):
     """The (document, paragraphs) pairs whose celex the rule keeps on the languages among them."""
+    from .ingest import select_corpus
+
     inventory: dict[CelexId, set[str]] = {}
     for raw, _ in documents:
         inventory.setdefault(raw.celex, set()).add(raw.lang)
@@ -258,6 +259,9 @@ def _select(documents):
 
 def _language_checked(documents, profiles: ProfileIndex):
     """The (document, paragraphs) pairs whose text passes the language check; logs the rest."""
+    from .celex import format_celex
+    from .ingest import verify_language
+
     accepted = []
     for raw, paragraphs in documents:
         verdict = verify_language(raw, profiles, paragraphs)
@@ -272,6 +276,8 @@ def _language_checked(documents, profiles: ProfileIndex):
 
 
 def cmd_normalize(config: PipelineConfig) -> None:
+    from .celex import format_celex, jrc_document_id, parse_celex
+    from .ingest import RawDocument, html_to_paragraphs
     from .tei import build_document, classify_sections, serialize_tei
 
     manifest = _load_manifest(config)
@@ -361,7 +367,8 @@ def _resolve_pairs(config: PipelineConfig, pairs) -> list[tuple[str, str]]:
                     f"bad pair {a}-{b}: {lang!r} is not one of the configured languages "
                     f"{list(config.languages)}"
                 )
-    return [canonical_pair(a, b) for a, b in pairs]
+    # A pair named twice, in either order, is aligned, exported or compared once.
+    return list(dict.fromkeys(canonical_pair(a, b) for a, b in pairs))
 
 
 def _doc_texts(doc) -> list[str]:
@@ -372,6 +379,8 @@ def _doc_texts(doc) -> list[str]:
 def _lexicon_cache_key(params: HunParams, celexes, src_texts, tgt_texts) -> str:
     """What a cached lexicon was built from: the parameters and phase 1's input texts."""
     import hashlib
+
+    from .celex import format_celex
 
     h = hashlib.sha256()
     for c in celexes:
@@ -387,6 +396,8 @@ def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, al
     if not common:
         return None
     if aligner == "gale_church":
+        from .galechurch import align_gale_church
+
         alignments = [
             align_gale_church(
                 _doc_texts(src_docs[c]),
@@ -401,6 +412,8 @@ def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, al
             for c in common
         ]
         return alignments, config.gc.digest()
+    from .hunalign import align_hunalign, lexicon_header, load_lexicon, save_lexicon
+
     src_texts = {c: _doc_texts(src_docs[c]) for c in common}
     tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}
     cache = config.output_root / "alignments" / "hunalign" / f"{src_lang}-{tgt_lang}.lexicon.txt"
@@ -511,6 +524,7 @@ def cmd_export(config: PipelineConfig, pairs=None, aligner: str | None = None) -
 
 
 def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str | None = None) -> None:
+    from .celex import format_celex, jrc_document_id
     from .standoff import generate_inplace
     from .tei import parse_tei
 
@@ -571,6 +585,8 @@ def cmd_stats(config: PipelineConfig) -> None:
 
 
 def _standoff_to_alignments(file) -> list[BitextAlignment]:
+    from .beads import BitextAlignment
+
     return [
         BitextAlignment(celex=celex, src_lang=file.src_lang, tgt_lang=file.tgt_lang, links=links)
         for celex, links in file.entries
@@ -669,9 +685,11 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, seed_override=args.seed)
         pairs = _parse_pairs(args.pairs) if args.pairs else None
-        celex_ids = (
-            [parse_celex(c) for c in args.celex.split(",")] if args.celex else None
-        )
+        celex_ids = None
+        if args.celex:
+            from .celex import parse_celex
+
+            celex_ids = [parse_celex(c) for c in args.celex.split(",")]
         return run(args.subcommand, config, pairs, celex_ids, args.aligner)
     except ParcelexError as exc:
         _log(f"error: {exc}")

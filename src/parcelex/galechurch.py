@@ -14,30 +14,22 @@ pair (see ``_dp_block``) and gives every bead exactly the bits that
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
 from .celex import CelexId
 from .errors import InstanceTooLargeError, UnsupportedArityError
-
-CHARACTERS = "characters"
-WORDS = "words"
-
-DEFAULT_MEAN_RATIO = 1.0
-DEFAULT_VARIANCE = 6.8
-DEFAULT_PRIORS = {
-    (1, 1): 0.89,
-    (2, 1): 0.0445,
-    (1, 2): 0.0445,
-    (1, 0): 0.00495,
-    (0, 1): 0.00495,
-    (2, 2): 0.011,
-}
-# Skip beads are priced like a match that is this many standard deviations off.
-DEFAULT_SKIP_DELTA = 4.0
+# The parameters live in params, so that reading a config loads no aligner; they are re-exported.
+from .params import (  # noqa: F401
+    CHARACTERS,
+    DEFAULT_MEAN_RATIO,
+    DEFAULT_PRIORS,
+    DEFAULT_SKIP_DELTA,
+    DEFAULT_VARIANCE,
+    WORDS,
+    GCParams,
+)
 
 # Tie-break order: prefer 1-1, then lower combined arity, then advancing the
 # source side first.
@@ -47,38 +39,6 @@ EXHAUSTIVE_MAX_PARS = 20
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
-
-
-@dataclass(frozen=True)
-class GCParams:
-    mean_ratio: float = DEFAULT_MEAN_RATIO
-    variance: float = DEFAULT_VARIANCE
-    arity_priors: dict = field(default_factory=lambda: dict(DEFAULT_PRIORS))
-    length_unit: str = CHARACTERS
-    skip_delta: float = DEFAULT_SKIP_DELTA
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-        if any(p <= 0 for p in self.arity_priors.values()) or sum(self.arity_priors.values()) > 1 + 1e-9:
-            raise ValueError("arity priors must be positive and sum to at most 1")
-        if self.length_unit not in (CHARACTERS, WORDS):
-            raise ValueError(f"unknown length unit {self.length_unit!r}")
-
-    def digest(self) -> str:
-        import hashlib  # only here, so that start-up does not load it
-
-        blob = json.dumps(
-            {
-                "mean_ratio": self.mean_ratio,
-                "variance": self.variance,
-                "priors": {f"{a}-{b}": p for (a, b), p in sorted(self.arity_priors.items())},
-                "length_unit": self.length_unit,
-                "skip_delta": self.skip_delta,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 def segment_length(text: str, unit: str = CHARACTERS) -> int:

@@ -24,7 +24,6 @@ the lexicon pass costs a few times the first pass.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import re
@@ -37,16 +36,19 @@ from pathlib import Path
 from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
 from .celex import CelexId
 from .errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError, decode_utf8
+# The parameters live in params, so that reading a config loads no aligner; they are re-exported.
+from .params import (  # noqa: F401
+    DEFAULT_MAX_SPLIT,
+    DEFAULT_MIN_COOC,
+    DEFAULT_RNG_SEED,
+    DEFAULT_SAMPLE_SIZE,
+    HunParams,
+)
 
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+")
 _NUMERIC_RE = re.compile(r"^\d")
 # The first line of a lexicon cache: the key it was built for, and its number of entry lines.
 _HEADER_RE = re.compile(r"# (.*) entries=(\d+)")
-
-DEFAULT_SAMPLE_SIZE = 10_000
-DEFAULT_RNG_SEED = 1960
-DEFAULT_MAX_SPLIT = 3
-DEFAULT_MIN_COOC = 2
 
 
 @dataclass(frozen=True)
@@ -77,44 +79,6 @@ def merge_segments(segments) -> TokenizedSegment:
         number_tokens=frozenset().union(*(s.number_tokens for s in segments)),
         length=sum(s.length for s in segments) + len(segments) - 1,
     )
-
-
-@dataclass(frozen=True)
-class HunParams:
-    w_length: float = 0.3
-    w_identical: float = 0.3
-    w_number: float = 0.15
-    w_lexicon: float = 0.25
-    sample_size: int = DEFAULT_SAMPLE_SIZE
-    rng_seed: int = DEFAULT_RNG_SEED
-    max_split: int = DEFAULT_MAX_SPLIT
-    min_cooc: int = DEFAULT_MIN_COOC
-    skip_penalty: float = 0.3
-
-    def __post_init__(self):
-        weights = (self.w_length, self.w_identical, self.w_number, self.w_lexicon)
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError("similarity weights must be nonnegative and sum to 1")
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be at least 1")
-        if self.max_split < 2:
-            raise ValueError("max_split must be at least 2")
-
-    def digest(self) -> str:
-        import hashlib  # only here, so that start-up does not load it
-
-        blob = json.dumps(
-            {
-                "weights": [self.w_length, self.w_identical, self.w_number, self.w_lexicon],
-                "sample_size": self.sample_size,
-                "rng_seed": self.rng_seed,
-                "max_split": self.max_split,
-                "min_cooc": self.min_cooc,
-                "skip_penalty": self.skip_penalty,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass

@@ -14,11 +14,13 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .celex import CelexId, LEXURISERV, document_url, format_celex
+from .celex import CelexId, document_url, format_celex
 from .errors import (
     DecodeError, DocumentNotFoundError, EmptyTextError, UnknownLanguageError, decode_utf8,
 )
 from .langid import guess_language, index_profiles
+# The source lives in params, so that reading a config loads no ingest; it is re-exported.
+from .params import HTTP_ENDPOINT, LOCAL_DIRECTORY, FetchSource  # noqa: F401
 
 OFFICIAL_LANGUAGES = frozenset(
     "cs da de el en es et fi fr hu it lt lv mt nl pl pt sk sl sv".split()
@@ -35,23 +37,8 @@ MIN_NEW_MEMBER_LANGUAGES = 3
 # short snippets are unreliable evidence either way.
 SHORT_TEXT_CHARS = 200
 
-LOCAL_DIRECTORY = "local_directory"
-HTTP_ENDPOINT = "http_endpoint"
 # Seconds an HTTP fetch may wait on the server before the document counts as not found.
 HTTP_TIMEOUT_S = 60
-
-
-@dataclass(frozen=True)
-class FetchSource:
-    """Where raw documents come from: a fixture directory or an HTTP base."""
-
-    mode: str
-    root: str
-    endpoint: str = LEXURISERV
-
-    def __post_init__(self):
-        if self.mode not in (LOCAL_DIRECTORY, HTTP_ENDPOINT):
-            raise ValueError(f"unknown fetch mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 from conftest import FIXTURES
 import parcelex
 from parcelex.celex import parse_celex
-from parcelex.cli import InputError, _lexicon_cache_key, load_config, main, run
+from parcelex.cli import SUBCOMMANDS, InputError, _lexicon_cache_key, load_config, main, run
 from parcelex.hunalign import HunParams
 from parcelex.langid import save_profile, train_language_profile
 from parcelex.standoff import import_csv, import_standoff_xml
@@ -486,6 +486,25 @@ def _config_is_a_directory(tmp_path):
 
 _VALID_CONFIG = {"languages": ["en"], "source": {"root": "html"}, "output_root": "out"}
 
+# Parameter values that are not finite numbers, or not integers where a count
+# or seed belongs. JSON spells NaN and Infinity, and Python reads them.
+_BAD_NUMBERS = [
+    ("hun_params", "max_split", 2.5),
+    ("hun_params", "sample_size", 1.5),
+    ("hun_params", "min_cooc", "2"),
+    ("hun_params", "rng_seed", [1]),
+    ("hun_params", "sample_size", True),
+    ("hun_params", "skip_penalty", "x"),
+    ("hun_params", "skip_penalty", float("nan")),
+    ("hun_params", "w_length", float("nan")),
+    ("gc_params", "mean_ratio", "x"),
+    ("gc_params", "mean_ratio", float("inf")),
+    ("gc_params", "mean_ratio", True),
+    ("gc_params", "skip_delta", "4"),
+    ("gc_params", "variance", float("nan")),
+    ("gc_params", "arity_priors", {"1-1": float("nan")}),
+]
+
 
 def _config_json(value):
     def make(tmp_path):
@@ -514,18 +533,25 @@ def _config_json(value):
         (_config_json({**_VALID_CONFIG, "top_descriptors": -1}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "top_descriptors": 2.5}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "top_descriptors": True}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "seed": 1.9}), "bad config value"),
+        *(
+            (_config_json({**_VALID_CONFIG, key: {field: value}}), "bad config value")
+            for key, field, value in _BAD_NUMBERS
+        ),
     ],
     ids=[
         "not-utf8", "directory", "missing", "list", "source", "gc-params", "hun-params",
         "arity-priors", "languages", "top-descriptors-negative", "top-descriptors-float",
-        "top-descriptors-bool",
+        "top-descriptors-bool", "seed-float",
+        *(f"{field}-{value!r}" for _, field, value in _BAD_NUMBERS),
     ],
 )
 def test_unreadable_config_exits_1(tmp_path, make, message, capsys):
     path = make(tmp_path)
-    assert main(["stats", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "internal error" not in err and message in err and str(path) in err
+    for command in SUBCOMMANDS:
+        assert main([command, "--config", str(path)]) == 1, command
+        err = capsys.readouterr().err
+        assert "internal error" not in err and message in err and str(path) in err, command
 
 
 # Characters XML 1.0 forbids, which a raw document may still hold literally.
@@ -557,16 +583,20 @@ _UNUSED_AT_START_UP = (
     "importlib.resources", "pkgutil",
     "parcelex.tei", "parcelex.standoff", "parcelex.stats", "xml.etree.ElementTree",
     "argparse", "hashlib",
+    "parcelex.beads", "parcelex.celex", "parcelex.ingest", "parcelex.galechurch",
+    "parcelex.hunalign", "random", "html", "html.entities",
 )
 
 
-def test_start_up_loads_no_network_or_sax_module():
+def test_start_up_loads_no_network_or_sax_module(tmp_path):
     src = str(Path(parcelex.__file__).parent.parent)
+    config_path = _config_json(_VALID_CONFIG)(tmp_path)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import parcelex, parcelex.cli; "
+        "parcelex.cli.load_config(sys.argv[2]); "
         f"print(sorted(m for m in {_UNUSED_AT_START_UP!r} if m in sys.modules))"
     )
-    result = subprocess.run([sys.executable, "-S", "-E", "-c", code, src],
+    result = subprocess.run([sys.executable, "-S", "-E", "-c", code, src, str(config_path)],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -803,8 +833,54 @@ def test_bad_pair_exits_1_naming_it(aligned_tree, tmp_path, command, pair, capsy
     assert _tree(tmp_path / "out") == before
 
 
+# A fresh interpreter runs one subcommand; prints its exit status and the parcelex modules loaded.
+_STAGE_CODE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from parcelex import cli
+status = cli.main(sys.argv[2:])
+print(status, *sorted(m for m in sys.modules if m.startswith("parcelex.")))
+"""
+
+
+@pytest.mark.parametrize("stage", _CHAIN, ids=[stage[0] for stage in _CHAIN])
+def test_each_stage_loads_only_its_modules(aligned_tree, tmp_path, stage):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    src = str(Path(parcelex.__file__).parent.parent)
+    argv = [stage[0], "--config", str(tmp_path / "config.json"), *stage[1:]]
+    result = subprocess.run([sys.executable, "-S", "-E", "-c", _STAGE_CODE, src, *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    status, *modules = result.stdout.split()
+    assert status == "0", result.stderr
+    if stage[0] != "align":
+        assert not {"parcelex.galechurch", "parcelex.hunalign"} & set(modules), modules
+    if stage[0] in ("align", "export", "bitext", "agree"):
+        assert not {"parcelex.ingest", "parcelex.langid"} & set(modules), modules
+
+
+@pytest.mark.parametrize(
+    "command, repeated",
+    [
+        (("align",), "en-fr,fr-en"),
+        (("export",), "en-fr,fr-en,en-fr"),
+        (("bitext", "--celex", "31984D0001"), "fr-en,en-fr"),
+        (("agree",), "en-fr,en-fr"),
+    ],
+    ids=["align", "export", "bitext", "agree"],
+)
+def test_a_pair_named_twice_is_run_once(aligned_tree, tmp_path, command, repeated, capsys):
+    runs = {}
+    for pairs in ("en-fr", repeated):
+        root = tmp_path / pairs
+        shutil.copytree(aligned_tree, root)
+        capsys.readouterr()
+        assert _cli(root / "config.json", *command, "--pairs", pairs) == 0
+        runs[pairs] = (_tree(root / "out"), capsys.readouterr().err)
+    assert runs[repeated] == runs["en-fr"]
+
+
 def test_normalize_parses_each_raw_document_once(tmp_path, profiles_dir, monkeypatch):
-    import parcelex.cli
     import parcelex.ingest
 
     config_path = make_config(tmp_path, profiles_dir)
@@ -818,7 +894,6 @@ def test_normalize_parses_each_raw_document_once(tmp_path, profiles_dir, monkeyp
         calls.append(content)
         return original(content)
 
-    monkeypatch.setattr(parcelex.cli, "html_to_paragraphs", counting_html_to_paragraphs)
     monkeypatch.setattr(parcelex.ingest, "html_to_paragraphs", counting_html_to_paragraphs)
     assert _cli(config_path, "normalize") == 0
     assert sorted(calls) == sorted(p.read_text(encoding="utf-8") for p in raw)
