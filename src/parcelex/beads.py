@@ -10,6 +10,7 @@ for both aligners.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 from .celex import CelexId
@@ -69,55 +70,88 @@ def parse_arity(label: str) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def monotone_dp(n: int, m: int, moves, row_beads):
-    """Cheapest monotone path of beads from (0, 0) to (n, m), as ``(move, i, j, bead)`` steps.
+def monotone_dp(n: int, m: int, moves, row_beads, spans=None):
+    """Cheapest monotone path of beads from (0, 0) to (n, m): ``(steps, cost)``.
 
-    ``moves`` lists the arities ``(a, b)`` in tie-break order: of equally
-    cheap choices the earlier move wins.  ``row_beads(i)`` maps each move
-    that fits at source position i to its bead costs indexed by target
-    position j, for j = 0 .. m - b; every cell but (n, m) needs a move that
-    fits.  Rows are filled from the end, and only the path costs of rows
-    i .. i + max a are kept; each cell's chosen move and bead are kept for
-    the traceback.  Bead lists and path-cost rows are padded with ``inf``
-    up to j + b, so a move that runs past m simply never wins a cell and
-    the fill needs no bounds test; a cell looks up its bead again only
-    when a move beats the best so far.
+    ``steps`` lists the path as ``(move, i, j, bead)``; ``cost`` is its
+    total, the path cost at (0, 0) as the fill sums it.  ``moves`` lists
+    the arities ``(a, b)`` in tie-break order: of equally cheap choices the
+    earlier move wins.  ``spans`` is None, for the whole grid, or gives
+    each row i its target range ``(lo, hi)``; a cell outside its row's
+    range costs ``inf``, and the ranges must hold a path from (0, 0) to
+    (n, m).  ``row_beads(i, lo, hi)`` maps each move that fits at source
+    position i to its bead costs for j = lo .. min(hi, m - b), indexed
+    from lo; every cell but (n, m) needs a move that fits.
+
+    Rows are filled from the end, and only the path costs of rows
+    i .. i + max a are kept, each as a full-width row that is ``inf``
+    outside its range.  Bead lists and path-cost rows are padded with
+    ``inf``, so a move that runs past its row's range or past m simply
+    never wins a cell and the fill needs no bounds test; a cell looks up
+    its bead again only when a move beats the best so far.  For the
+    traceback, each row keeps its cells' chosen moves as byte indices into
+    ``moves`` and their beads as packed doubles, both only over its range.
+
+    A range never lowers a cell's cost: float addition and ``min`` are
+    monotone, so every cell costs at least what the whole grid gives it.
+    Where the whole grid's cheapest path lies inside the ranges, every
+    cell on it costs the same bits both ways, each earlier move in
+    tie-break order still costs more, and so the steps, their beads and
+    the cost are the same bits.
     """
     inf = math.inf
+    if spans is None:
+        spans = [(0, m)] * (n + 1)
     depth = max((a for a, _ in moves), default=0)
     width = m + 1 + max((b for _, b in moves), default=0)
+    compact = bytearray if len(moves) <= 256 else list  # a move index fits a byte
     cost: dict[int, list[float]] = {}
     chosen_move = [None] * (n + 1)
     chosen_bead = [None] * (n + 1)
+    packers = {}  # row size -> pack of that many doubles
+    best_index = best_bead = 0  # a cell no move reaches keeps stale ones; no path visits it
     for i in range(n, -1, -1):
+        lo, hi = spans[i]
+        size = hi - lo + 1
         row = [inf] * width
-        beads = row_beads(i)
-        # (bead costs padded to m + 1, path costs of the row the move lands on, b, move)
-        options = [
-            (beads[(a, b)] + [inf] * b, cost[i + a] if a else row, b, (a, b))
-            for a, b in moves if (a, b) in beads
-        ]
-        move_row = chosen_move[i] = [None] * (m + 1)
-        bead_row = chosen_bead[i] = [None] * (m + 1)
+        beads = row_beads(i, lo, hi)
+        # (bead costs padded to the range, path costs of the row the move lands on, b, move index)
+        options = []
+        for index, move in enumerate(moves):
+            costs = beads.get(move)
+            if costs is not None:
+                a, b = move
+                costs = costs + [inf] * (size - len(costs))
+                options.append((costs, cost[i + a] if a else row, b, index))
+        # Lists are written faster than compact arrays; each row is packed once it is filled.
+        move_row = [0] * size
+        bead_row = [0.0] * size
         if i == n:
             row[m] = 0.0
-        for j in range(m - 1 if i == n else m, -1, -1):
-            best, best_move = inf, None
-            for costs, landing, b, move in options:
-                c = costs[j] + landing[j + b]
+        for j in range(hi - 1 if i == n else hi, lo - 1, -1):
+            k = j - lo
+            best = inf
+            for costs, landing, b, index in options:
+                c = costs[k] + landing[j + b]
                 if c < best:
-                    best, best_move, best_bead = c, move, costs[j]
-            row[j], move_row[j], bead_row[j] = best, best_move, best_bead
+                    best, best_index, best_bead = c, index, costs[k]
+            row[j], move_row[k], bead_row[k] = best, best_index, best_bead
         cost[i] = row
         cost.pop(i + depth, None)
+        chosen_move[i] = compact(move_row)
+        pack = packers.get(size)
+        if pack is None:
+            pack = packers[size] = struct.Struct(f"{size}d").pack
+        chosen_bead[i] = pack(*bead_row)
 
     steps = []
     i = j = 0
     while i < n or j < m:
-        move = chosen_move[i][j]
-        steps.append((move, i, j, chosen_bead[i][j]))
+        k = j - spans[i][0]
+        move = moves[chosen_move[i][k]]
+        steps.append((move, i, j, struct.unpack_from("d", chosen_bead[i], 8 * k)[0]))
         i, j = i + move[0], j + move[1]
-    return steps
+    return steps, row[0]
 
 
 def steps_to_links(steps, first_src: int, first_tgt: int) -> list[AlignmentLink]:

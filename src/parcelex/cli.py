@@ -74,6 +74,26 @@ def _integer(raw: dict, key: str, default: int, minimum: int | None = None) -> i
     return value
 
 
+def _boolean(raw: dict, key: str, default: bool) -> bool:
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _aligners(raw: dict) -> tuple[str, ...]:
+    value = raw.get("aligners", list(ALIGNERS))
+    if (
+        not isinstance(value, list)
+        or not all(name in ALIGNERS for name in value)
+        or len(set(value)) != len(value)
+    ):
+        raise ValueError(
+            f"'aligners' must be a list of distinct names from {ALIGNERS}, got {value!r}"
+        )
+    return tuple(value)
+
+
 def _gc_from_dict(d: dict) -> GCParams:
     d = dict(d)
     if "arity_priors" in d:
@@ -118,8 +138,8 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
             languages=tuple(sorted(languages)),
             source=source,
             output_root=(base / raw["output_root"]).resolve(),
-            aligners=tuple(raw.get("aligners", ALIGNERS)),
-            selection=bool(raw.get("selection", False)),
+            aligners=_aligners(raw),
+            selection=_boolean(raw, "selection", False),
             seed=seed,
             profiles_dir=respath("profiles_dir"),
             eurovoc_map=respath("eurovoc_map"),

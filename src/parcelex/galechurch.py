@@ -10,6 +10,26 @@ dynamic program.
 The dynamic program prices beads from tables built once per document
 pair (see ``_dp_block``) and gives every bead exactly the bits that
 ``bead_cost`` gives it.
+
+It fills only a band around the diagonal, once a lower bound on bead
+costs proves that the band holds the cheapest path of the whole grid.
+A match bead costs ``-ln erfc(z) - ln p(a, b)``, and ``-ln erfc(z)`` is
+never negative (its asymptotic branch is positive), so every bead costs
+at least beta(a, b) = -ln p(a, b), plus the fixed skip cost on a 1-0 or
+0-1 bead.  Let u = min(beta(1, 1), beta(2, 2) / 2) and, over the shift
+moves 1-0, 0-1, 2-1 and 1-2, s = min(beta(a, b) - u * min(a, b)).  A
+path with K shift beads covers (n + m - K) / 2 pairs in its min(a, b),
+so it costs at least u * (n + m - K) / 2 + K * s, which grows with K
+when s > u / 2.  With D = |n - m|, the band of half-width w holds every
+cell with min(0, n - m) - w <= i - j <= max(0, n - m) + w, and a path
+that leaves it has K >= D + 2 * (w + 1), since a diagonal bead keeps
+i - j and a shift bead moves it by one.  So if the band's own optimum C
+satisfies C + 1e-9 * (C + 1) < u * (n + m - K) / 2 + K * s at that K,
+every path that leaves the band costs more than C, so the whole grid's
+cheapest path lies in the band, and ``monotone_dp`` then gives its
+steps bit for bit.  The margin covers the few roundings in the bound
+and the rounding of a float sum of n + m non-negative beads, at most
+(n + m) * 2**-53 of it, while n + m stays below a few million.
 """
 
 from __future__ import annotations
@@ -36,6 +56,10 @@ from .params import (  # noqa: F401
 ARITY_PREFERENCE = ((1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2))
 
 EXHAUSTIVE_MAX_PARS = 20
+
+# Half-width of the first band _dp_block fills around the diagonal: near-parallel
+# documents of a few hundred paragraphs are mostly proven in this one pass.
+_FIRST_WIDTH = 16
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -105,6 +129,16 @@ def _dp_block(src_lengths, tgt_lengths, params: GCParams):
     priced in one batch by ``_match_costs``.  A row's beads are then that
     list read at the row's indices, so rows share their floats instead of
     making new ones.
+
+    The fill covers only a band around the diagonal that the bound in the
+    module docstring proves to hold the whole grid's cheapest path, so the
+    steps and their bits are those of the full fill.  A band of half-width
+    ``_FIRST_WIDTH`` is filled first.  If its cost does not prove it, the
+    band as wide as that cost requires is filled next; it cannot cost
+    more, so its own cost proves it.  The whole grid is filled instead
+    where the bound proves nothing (s <= u / 2, which priors can give),
+    where the first band would hold more than half the grid's cells, or
+    where the band the cost requires is the whole grid.
     """
     n, m = len(src_lengths), len(tgt_lengths)
     moves = [(a, b) for a, b in ARITY_PREFERENCE if a <= n and b <= m]
@@ -124,23 +158,51 @@ def _dp_block(src_lengths, tgt_lengths, params: GCParams):
         runs_at[b] = list(map(index.__getitem__, runs))
     tables: dict[tuple, list[float]] = {}  # (move, l1) -> cost of each of distinct[b]
 
-    def row_beads(i):
+    def row_beads(i, lo, hi):
         beads = {}
         for move in moves:
             a, b = move
             if i + a > n:
                 continue
+            end = hi + 1 if hi + b <= m else m - b + 1
             if a == 0 or b == 0:
-                beads[move] = [-log_prior[move] + skip] * (m - b + 1)
+                beads[move] = [-log_prior[move] + skip] * (end - lo)
                 continue
             l1 = src_sums[i + a] - src_sums[i]
             costs = tables.get((move, l1))
             if costs is None:
                 costs = tables[(move, l1)] = _match_costs(l1, distinct[b], log_prior[move], params)
-            beads[move] = list(map(costs.__getitem__, runs_at[b]))
+            beads[move] = list(map(costs.__getitem__, runs_at[b][lo:end]))
         return beads
 
-    return monotone_dp(n, m, moves, row_beads)
+    d = n - m
+
+    def band(w):
+        below, above = min(0, d) - w, max(0, d) + w  # the band's range of i - j
+        return [(max(0, i - above), min(m, i - below)) for i in range(n + 1)]
+
+    w = _FIRST_WIDTH
+    spans = band(w)
+    # The first band is a guess, filled only where it holds at most half the grid's
+    # cells: a band that proves nothing costs its cells on top of the next fill.
+    # Such a band is narrower than the grid, so n, m > w and every move fits.
+    if 2 * sum(hi - lo + 1 for lo, hi in spans) <= (n + 1) * (m + 1):
+        # beta of each move: the least its beads can cost (module docstring).
+        beta = {(a, b): -log_prior[(a, b)] + (skip if a == 0 or b == 0 else 0.0) for a, b in moves}
+        u = min(beta[(1, 1)], beta[(2, 2)] / 2)
+        s = min(beta[(a, b)] - u * min(a, b) for a, b in ((1, 0), (0, 1), (2, 1), (1, 2)))
+        # Else no band can be proven; priors may sum to 1 + 1e-9, so u may be just below 0.
+        while u >= 0.0 and s > u / 2 and w < min(n, m):
+            steps, cost = monotone_dp(n, m, moves, row_beads, spans)
+            shifts = abs(d) + 2 * (w + 1)  # the fewest shift beads on a path that leaves the band
+            margin = 1e-9 * (cost + 1.0)
+            if cost + margin < u * (n + m - shifts) / 2 + shifts * s:
+                return steps
+            # The K past which the bound exceeds cost + margin, and the w that forces it.
+            need = (cost + margin - u * (n + m) / 2) / (s - u / 2)
+            w = max(w + 1, math.floor((need - abs(d)) / 2))
+            spans = band(w)
+    return monotone_dp(n, m, moves, row_beads)[0]
 
 
 def align_gale_church(

@@ -343,8 +343,9 @@ def similarity_align(
     # negation is exact, so the path, its ties and the scores are unchanged.
     # A bead's base is segment_similarity's three terms summed in the same
     # order from the same ints: min/max of the lengths, Dice of the types
-    # and Jaccard of the numbers, with popcounts for set sizes.
-    def row_beads(i):
+    # and Jaccard of the numbers, with popcounts for set sizes.  The fill
+    # covers the whole grid, so every row is priced over lo = 0 .. hi = m.
+    def row_beads(i, lo, hi):
         beads = {(0, 1): [params.skip_penalty] * m}
         if i == n:
             return beads
@@ -370,7 +371,7 @@ def similarity_align(
                 beads[(a, b)] = [-0.0] * len(base)
         return beads
 
-    steps = monotone_dp(n, m, moves, row_beads)
+    steps, _ = monotone_dp(n, m, moves, row_beads)
     links = steps_to_links([(move, i, j, -bead) for move, i, j, bead in steps], first_src, first_tgt)
     assert links_cover(links, n, m, first_src, first_tgt)
     assert all(link.arity != (2, 2) for link in links)

@@ -534,6 +534,11 @@ def _config_json(value):
         (_config_json({**_VALID_CONFIG, "top_descriptors": 2.5}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "top_descriptors": True}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "seed": 1.9}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "selection": "false"}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "selection": 0}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "aligners": ["hunalign", "hunalign"]}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "aligners": "gale_church"}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "aligners": ["gale_church", "bleualign"]}), "bad config value"),
         *(
             (_config_json({**_VALID_CONFIG, key: {field: value}}), "bad config value")
             for key, field, value in _BAD_NUMBERS
@@ -542,7 +547,8 @@ def _config_json(value):
     ids=[
         "not-utf8", "directory", "missing", "list", "source", "gc-params", "hun-params",
         "arity-priors", "languages", "top-descriptors-negative", "top-descriptors-float",
-        "top-descriptors-bool", "seed-float",
+        "top-descriptors-bool", "seed-float", "selection-string", "selection-int",
+        "aligners-repeated", "aligners-string", "aligners-unknown",
         *(f"{field}-{value!r}" for _, field, value in _BAD_NUMBERS),
     ],
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parcelex import galechurch
 from parcelex.beads import links_cover
 from parcelex.errors import InstanceTooLargeError, UnsupportedArityError
 from parcelex.galechurch import (
@@ -20,6 +21,7 @@ from parcelex.galechurch import (
     length_delta,
     segment_length,
 )
+from parcelex.synth import corrupted_pair
 
 P = GCParams()
 
@@ -289,3 +291,79 @@ def test_missing_arity_prior_raises_only_where_the_arity_fits():
         align_gale_church(src * 2, tgt, params)
     with pytest.raises(UnsupportedArityError):
         _reference_align(src * 2, tgt, params)
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """Where row 0's range ends in each band ``_dp_block`` fills (its half-width when
+    n >= m), in order; None for a fill of the whole grid."""
+    widths = []
+    real = galechurch.monotone_dp
+
+    def spy(n, m, moves, row_beads, spans=None):
+        widths.append(None if spans is None else spans[0][1])
+        return real(n, m, moves, row_beads, spans)
+
+    monkeypatch.setattr(galechurch, "monotone_dp", spy)
+    return widths
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_banded_dp_matches_reference_bit_for_bit(case, fills):
+    rng = random.Random(1000 + case)
+    params = REFERENCE_PARAMS[case % len(REFERENCE_PARAMS)]
+    shapes = [" ".join("w" * rng.randint(1, 9) for _ in range(rng.randint(1, 30))) for _ in range(40)]
+    n = rng.randint(80, 110)
+    src = [rng.choice(shapes) for _ in range(n)]
+    tgt = [rng.choice(shapes) for _ in range(n + rng.randint(-12, 12))]
+    got = align_gale_church(src, tgt, params, first_src=2, first_tgt=2)
+    assert _link_bits(got) == _reference_align(src, tgt, params, first=2)
+    assert fills[0] is not None
+
+
+def test_path_that_leaves_the_first_band_is_found_by_the_second(fills):
+    rng = random.Random(40)
+    core = ["x" * rng.randint(80, 160) for _ in range(150)]
+    # 30 source-only paragraphs first and 30 target-only last pull the path off the diagonal.
+    src = ["s" * 400] * 30 + core
+    tgt = [p + "y" * rng.randint(0, 9) for p in core] + ["t" * 200] * 30
+    got = align_gale_church(src, tgt, P)
+    assert _link_bits(got) == _reference_align(src, tgt, P)
+    first, second = fills
+    assert first == galechurch._FIRST_WIDTH < second < len(src)
+    offsets = [l.src_pars[0] - l.tgt_pars[0] for l in got.links if l.arity == (1, 1)]
+    assert max(map(abs, offsets)) > first
+
+
+def test_priors_that_make_shifts_cheap_take_the_whole_grid(fills):
+    # u = min(-ln 0.01, -ln 0.05 / 2) = 1.50 and s = -ln 0.15 - u = 0.40 <= u / 2: no band is proven.
+    priors = {(1, 1): 0.01, (1, 0): 0.3, (0, 1): 0.3, (2, 1): 0.15, (1, 2): 0.15, (2, 2): 0.05}
+    params = GCParams(arity_priors=priors, skip_delta=0.0)
+    pair = corrupted_pair(random.Random(3), 100)
+    got = align_gale_church(pair.src_pars, pair.tgt_pars, params)
+    assert _link_bits(got) == _reference_align(pair.src_pars, pair.tgt_pars, params)
+    assert fills == [None]
+    align_gale_church(pair.src_pars, pair.tgt_pars, P)
+    assert fills[1] is not None
+
+
+# A first band that would hold more than half the grid is not tried.
+@pytest.mark.parametrize(
+    "n, m, banded",
+    [(0, 0, False), (0, 30, False), (30, 0, False), (1, 1, False), (1, 30, False), (30, 1, False),
+     (17, 80, False), (90, 20, False), (20, 20, False), (200, 170, True), (170, 200, True)],
+)
+def test_empty_single_and_lopsided_documents_match_reference(n, m, banded, fills):
+    rng = random.Random(n * 1000 + m)
+    src = ["x" * rng.randint(20, 200) for _ in range(n)]
+    tgt = ["y" * rng.randint(20, 200) for _ in range(m)]
+    got = align_gale_church(src, tgt, P)
+    assert _link_bits(got) == _reference_align(src, tgt, P)
+    assert (fills[0] is not None) == banded
+
+
+def test_corrupted_pair_of_300_paragraphs_matches_reference(fills):
+    pair = corrupted_pair(random.Random(23), 300)
+    got = align_gale_church(pair.src_pars, pair.tgt_pars, P)
+    assert _link_bits(got) == _reference_align(pair.src_pars, pair.tgt_pars, P)
+    assert None not in fills

@@ -500,6 +500,18 @@ def test_similarity_align_matches_reference_with_several_translations_in_one_par
     ] == _reference_align(src, tgt, lexicon, params)
 
 
+def test_a_merge_whose_move_index_needs_more_than_a_byte():
+    # max_split 130 gives 261 moves, and the 1-130 merge, the last of them, wins.
+    src = [" ".join(f"w{k}" for k in range(130))]
+    tgt = [f"w{k}" for k in range(130)]
+    params = HunParams(max_split=130)
+    got = similarity_align(src, tgt, None, params)
+    assert [l.arity for l in got.links] == [(1, 130)]
+    assert [
+        (l.arity, l.src_pars, l.tgt_pars, l.score.hex()) for l in got.links
+    ] == _reference_align(src, tgt, None, params)
+
+
 @pytest.mark.parametrize(
     "line",
     ["a\tx", "a\tx\t0.5\textra", "a\tx\tnan", "a\tx\t-0.25", "a\tx\t1.5", "a\tx\tinf", "a\tx\theavy"],
