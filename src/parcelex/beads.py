@@ -25,14 +25,13 @@ class AlignmentLink:
 
     def __post_init__(self):
         a, b = self.arity
-        if a < 0 or b < 0 or (a, b) == (0, 0):
+        src, tgt = self.src_pars, self.tgt_pars
+        if a < 0 or b < 0 or not (a or b):
             raise ValueError(f"bad arity {self.arity}")
-        if len(self.src_pars) != a or len(self.tgt_pars) != b:
-            raise ValueError(
-                f"arity {a}-{b} inconsistent with {self.src_pars}/{self.tgt_pars}"
-            )
-        for pars in (self.src_pars, self.tgt_pars):
-            if any(q != p + 1 for p, q in zip(pars, pars[1:])):
+        if len(src) != a or len(tgt) != b:
+            raise ValueError(f"arity {a}-{b} inconsistent with {src}/{tgt}")
+        for pars in (src, tgt):
+            if len(pars) > 1 and pars != tuple(range(pars[0], pars[0] + len(pars))):
                 raise ValueError(f"paragraph numbers must be contiguous: {pars}")
 
     @property
@@ -49,18 +48,23 @@ class BitextAlignment:
 
 
 def links_cover(links, n_src: int, n_tgt: int, first_src: int = 1, first_tgt: int = 1) -> bool:
-    """True iff links are monotone and cover both sides exactly once."""
+    """True iff links are monotone and cover both sides exactly once.
+
+    A link's paragraphs are contiguous, so each side of a link is checked
+    by where it starts.
+    """
     want_src = first_src
     want_tgt = first_tgt
     for link in links:
-        for p in link.src_pars:
-            if p != want_src:
+        src, tgt = link.src_pars, link.tgt_pars
+        if src:
+            if src[0] != want_src:
                 return False
-            want_src += 1
-        for p in link.tgt_pars:
-            if p != want_tgt:
+            want_src += len(src)
+        if tgt:
+            if tgt[0] != want_tgt:
                 return False
-            want_tgt += 1
+            want_tgt += len(tgt)
     return want_src == first_src + n_src and want_tgt == first_tgt + n_tgt
 
 

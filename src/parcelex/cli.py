@@ -515,12 +515,24 @@ def _standoff_path(config: PipelineConfig, aligner: str, src: str, tgt: str) -> 
 
 
 def _load_standoff(config: PipelineConfig, aligner: str, src: str, tgt: str):
+    """The pair's stand-off file, whose links for each document run over paragraphs 2.. in order."""
+    from .beads import links_cover
+    from .celex import format_celex
     from .standoff import import_standoff_xml
 
     path = _standoff_path(config, aligner, src, tgt)
     if not path.is_file():
         raise InputError(f"{path} missing; run align first")
-    return _read(path, import_standoff_xml)
+    file = _read(path, import_standoff_xml)
+    for celex, links in file.entries:
+        n_src = sum(len(link.src_pars) for link in links)
+        n_tgt = sum(len(link.tgt_pars) for link in links)
+        if not links_cover(links, n_src, n_tgt, 2, 2):
+            raise InputError(
+                f"{path}: {format_celex(celex)}: links do not cover paragraphs 2.. "
+                "of both documents once each, in order"
+            )
+    return file
 
 
 def cmd_export(config: PipelineConfig, pairs=None, aligner: str | None = None) -> None:

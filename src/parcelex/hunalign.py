@@ -417,19 +417,28 @@ def build_lexicon(
     }
     src_counts: Counter = Counter()
     tgt_counts: Counter = Counter()
-    cooc: Counter = Counter()
+    sampled_types = []
     for celex, src_n, tgt_n in sampled:
         src, tgt = prepared[celex]
         src_types = src.types[src_n - first_n]
         tgt_types = tgt.types[tgt_n - first_n]
         src_counts.update(src_types)
         tgt_counts.update(tgt_types)
-        cooc.update(product(src_types, tgt_types))
+        sampled_types.append((src_types, tgt_types))
 
+    # A pair co-occurs at most as often as each of its types, so only types seen
+    # min_cooc times are paired. Pairs keep the order in which they first occur.
+    min_cooc = params.min_cooc
+    cooc: Counter = Counter()
+    for src_types, tgt_types in sampled_types:
+        cooc.update(product(
+            [s for s in src_types if src_counts[s] >= min_cooc],
+            [t for t in tgt_types if tgt_counts[t] >= min_cooc],
+        ))
     entries = {
         (s, t): min(1.0, c * c / (src_counts[s] * tgt_counts[t]))
         for (s, t), c in cooc.items()
-        if c >= params.min_cooc
+        if c >= min_cooc
     }
     return Lexicon(entries=entries)
 

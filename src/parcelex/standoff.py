@@ -8,6 +8,7 @@ a bilingual alignment document.
 
 from __future__ import annotations
 
+import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -66,31 +67,39 @@ def standoff_from_alignments(alignments) -> StandoffFile:
 
 
 def _join(pars) -> str:
-    return ";".join(str(p) for p in pars)
+    return ";".join(map(str, pars))
+
+
+_POINTER_LIST = re.compile(r"\d+(?:;\d+)*").fullmatch
 
 
 def _split_pars(text: str) -> tuple[int, ...]:
+    # ``\d`` and ``str.isdecimal`` accept the same characters; most links point at one paragraph.
+    if text.isdecimal():
+        return (int(text),)
     if not text:
         return ()
-    if not re.fullmatch(r"\d+(;\d+)*", text):
+    if _POINTER_LIST(text) is None:
         raise MalformedXmlError(f"bad paragraph pointer list {text!r}")
-    return tuple(int(p) for p in text.split(";"))
+    return tuple(map(int, text.split(";")))
 
 
 def _parse_link(arity: str, source: str, target: str, score: str | None) -> AlignmentLink:
-    """A link from its serialized fields; a corrupted field is an input error."""
+    """A link from its serialized fields; a corrupted field is an input error.
+
+    A score must be a finite float: no aligner writes ``nan`` or an infinity.
+    """
     try:
         a, b = parse_arity(arity)
     except ValueError:
         raise UnsupportedArityError(f"bad link type {arity!r}") from None
     src_pars, tgt_pars = _split_pars(source), _split_pars(target)
     try:
-        return AlignmentLink(
-            arity=(a, b),
-            src_pars=src_pars,
-            tgt_pars=tgt_pars,
-            score=float(score) if score is not None else None,
-        )
+        if score is not None:
+            score = float(score)
+            if not math.isfinite(score):
+                raise ValueError(f"score {score} is not finite")
+        return AlignmentLink((a, b), src_pars, tgt_pars, score)
     except ValueError as exc:
         raise SchemaViolationError(f"bad link {arity} {source!r} {target!r}: {exc}") from None
 
@@ -130,12 +139,12 @@ def import_standoff_xml(xml_text: str) -> StandoffFile:
     entries = []
     for grp in root.findall("linkGrp"):
         celex = parse_celex(grp.get("n", ""))
-        links = tuple(
+        links = tuple([
             _parse_link(
                 el.get("type", ""), el.get("source", ""), el.get("target", ""), el.get("score")
             )
             for el in grp.findall("link")
-        )
+        ])
         entries.append((celex, links))
     return _standoff_file(root.get("src", ""), root.get("tgt", ""), entries)
 
@@ -189,18 +198,20 @@ def generate_inplace(src_doc: TeiDocument, tgt_doc: TeiDocument, links) -> str:
             f"documents disagree on celex: {src_doc.celex} vs {tgt_doc.celex}"
         )
     links = list(links)
-    for link in links:
-        for n in link.src_pars:
-            if not 2 <= n <= src_doc.extent:
-                raise DanglingPointerError(
-                    f"source paragraph {n} not in {src_doc.id} (extent {src_doc.extent})"
-                )
-        for n in link.tgt_pars:
-            if not 2 <= n <= tgt_doc.extent:
-                raise DanglingPointerError(
-                    f"target paragraph {n} not in {tgt_doc.id} (extent {tgt_doc.extent})"
-                )
+    # Links that cover paragraphs 2..extent of both documents point at no other paragraph,
+    # so pointers are checked against the extents only to name what fails.
     if not links_cover(links, src_doc.extent - 1, tgt_doc.extent - 1, 2, 2):
+        for link in links:
+            for n in link.src_pars:
+                if not 2 <= n <= src_doc.extent:
+                    raise DanglingPointerError(
+                        f"source paragraph {n} not in {src_doc.id} (extent {src_doc.extent})"
+                    )
+            for n in link.tgt_pars:
+                if not 2 <= n <= tgt_doc.extent:
+                    raise DanglingPointerError(
+                        f"target paragraph {n} not in {tgt_doc.id} (extent {tgt_doc.extent})"
+                    )
         raise SchemaViolationError("links must cover every paragraph after the head exactly once")
 
     code = format_celex(src_doc.celex)
@@ -216,13 +227,17 @@ def generate_inplace(src_doc: TeiDocument, tgt_doc: TeiDocument, links) -> str:
             f'  <head lang={quoteattr(doc.lang)} n="1" TEIform="head">'
             f"{escape(doc.paragraphs[0].text)}</head>\n"
         )
+    src_seg, tgt_seg = (f"    <seg lang={quoteattr(lang)} n=" for lang in (src, tgt))
+    src_paragraphs, tgt_paragraphs = src_doc.paragraphs, tgt_doc.paragraphs
     for link in links:
         w.append(f'  <ab type="{link.arity_label}" part="N" TEIform="ab">\n')
-        for lang, doc, pars in ((src, src_doc, link.src_pars), (tgt, tgt_doc, link.tgt_pars)):
+        for seg, paragraphs, pars in (
+            (src_seg, src_paragraphs, link.src_pars),
+            (tgt_seg, tgt_paragraphs, link.tgt_pars),
+        ):
             for n in pars:
                 w.append(
-                    f'    <seg lang={quoteattr(lang)} n="{n}" part="N" TEIform="seg">'
-                    f"{escape(doc.paragraph(n).text)}</seg>\n"
+                    f'{seg}"{n}" part="N" TEIform="seg">{escape(paragraphs[n - 1].text)}</seg>\n'
                 )
         w.append("  </ab>\n")
     w.append("</div>\n")

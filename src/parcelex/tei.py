@@ -10,7 +10,6 @@ expression families kept in ``data/section_patterns.json``.
 from __future__ import annotations
 
 import datetime
-import html
 import json
 import os
 import re
@@ -25,6 +24,7 @@ BODY = "body"
 SIGNATURE = "signature"
 ANNEX = "annex"
 SECTIONS = (HEAD, BODY, SIGNATURE, ANNEX)
+_SECTION_RANK = {section: rank for rank, section in enumerate(SECTIONS)}
 
 DISTRIBUTOR_URL = "http://wt.jrc.it/lt/acquis/"
 AUTHENTICITY_NOTE = (
@@ -106,15 +106,17 @@ class TeiDocument:
 
     def validate(self) -> None:
         """Check numbering and section-run invariants."""
-        for i, p in enumerate(self.paragraphs, start=1):
-            if p.n != i:
-                raise SchemaViolationError(f"paragraph numbers must be 1..extent; got {p.n} at {i}")
-        if not self.paragraphs or self.paragraphs[0].section != HEAD:
+        paragraphs = self.paragraphs
+        numbers = [p.n for p in paragraphs]
+        if numbers != list(range(1, len(numbers) + 1)):
+            n, i = next((n, i) for i, n in enumerate(numbers, start=1) if n != i)
+            raise SchemaViolationError(f"paragraph numbers must be 1..extent; got {n} at {i}")
+        if not paragraphs or paragraphs[0].section != HEAD:
             raise SchemaViolationError("first paragraph must be the head")
-        order = [SECTIONS.index(p.section) for p in self.paragraphs]
-        if sum(1 for s in order if s == 0) != 1:
+        order = [_SECTION_RANK[p.section] for p in paragraphs]
+        if order.count(0) != 1:
             raise SchemaViolationError("exactly one head paragraph expected")
-        if any(b < a for a, b in zip(order, order[1:])):
+        if order != sorted(order):
             raise SchemaViolationError("sections must run head, body, signature, annex")
 
 
@@ -243,7 +245,7 @@ def build_document(
 
 def escape(text: str) -> str:
     """Character data with ``&``, ``<`` and ``>`` as entities (``xml.sax.saxutils.escape``)."""
-    return html.escape(text, quote=False)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def quoteattr(value: str) -> str:
@@ -317,6 +319,9 @@ def serialize_tei(doc: TeiDocument) -> str:
     return "".join(w)
 
 
+_EXTENT = re.compile(r"(\d+) paragraph segments").match
+
+
 def _require(parent, tag_path: str):
     el = parent.find(tag_path)
     if el is None:
@@ -345,7 +350,7 @@ def parse_tei(xml_text: str) -> TeiDocument:
     title = (titles[-1].text or "").strip()
 
     extent_el = _require(file_desc, "extent")
-    m = re.match(r"(\d+) paragraph segments", extent_el.text or "")
+    m = _EXTENT(extent_el.text or "")
     if not m:
         raise SchemaViolationError(f"unparseable extent {extent_el.text!r}")
     extent = int(m.group(1))
@@ -367,17 +372,15 @@ def parse_tei(xml_text: str) -> TeiDocument:
             for el in header.findall("profileDesc/textClass/classCode")
             if el.get("scheme") == "eurovoc"
         )
-        paragraphs = [
-            Paragraph(n=int(head_el.get("n", 0)), text=(head_el.text or "").strip(), section=HEAD)
-        ]
+        paragraphs = [Paragraph(int(head_el.get("n", 0)), (head_el.text or "").strip(), HEAD)]
         for div in body_el.findall("div"):
             section = div.get("type", "")
             if section not in (BODY, SIGNATURE, ANNEX):
                 raise SchemaViolationError(f"unknown div type {section!r}")
-            for p in div.findall("p"):
-                paragraphs.append(
-                    Paragraph(n=int(p.get("n", 0)), text=(p.text or "").strip(), section=section)
-                )
+            paragraphs += [
+                Paragraph(int(p.get("n", 0)), (p.text or "").strip(), section)
+                for p in div.findall("p")
+            ]
     except ValueError as exc:
         raise SchemaViolationError(str(exc)) from None
     if len(paragraphs) != extent:

@@ -14,7 +14,7 @@ from parcelex.celex import parse_celex
 from parcelex.cli import SUBCOMMANDS, InputError, _lexicon_cache_key, load_config, main, run
 from parcelex.hunalign import HunParams
 from parcelex.langid import save_profile, train_language_profile
-from parcelex.standoff import import_csv, import_standoff_xml
+from parcelex.standoff import export_standoff_xml, import_csv, import_standoff_xml
 from parcelex.tei import parse_tei
 
 EUROVOC_MAP = {
@@ -674,6 +674,20 @@ def test_standoff_not_covering_the_documents_exits_1_naming_it(aligned_tree, tmp
     assert _cli(tmp_path / "config.json", *_BITEXT) == 1
     err = capsys.readouterr().err
     assert "internal error" not in err and str(path) in err and "cover" in err
+    assert "31984D0001" in err
+
+
+def test_aligned_standoff_files_round_trip_every_score_bit(aligned_tree):
+    paths = sorted((aligned_tree / "out" / "alignments").glob("*/*.standoff.xml"))
+    assert len(paths) == 6  # three pairs, both aligners
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        written = re.findall(r'score="([^"]*)"', text)
+        file = import_standoff_xml(text)
+        read = [link.score for _, links in file.entries for link in links]
+        assert written and len(read) == len(written), path
+        assert [score.hex() for score in read] == [float(s).hex() for s in written], path
+        assert export_standoff_xml(file) == text, path
 
 
 # Each kind of file that a stage reads: one such file, and every stage that reads it.
@@ -731,9 +745,31 @@ def _non_integer_eurovoc_code(path):
     path.write_text(re.sub(r'(scheme="eurovoc">)\d+', r"\1abc", text, count=1), encoding="utf-8")
 
 
+def _nan_score(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r'score="[^"]*"', 'score="nan"', text, count=1), encoding="utf-8")
+
+
+def _edit_link_lines(change):
+    """Damage that rewrites the list of a file's ``<link>`` lines."""
+    def damage(path):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        links = [i for i, line in enumerate(lines) if line.lstrip().startswith("<link ")]
+        path.write_text("".join(change(lines, links)), encoding="utf-8")
+
+    return damage
+
+
 # Well-formed files with a bad field, which every stage that reads them must reject.
 _FIELD_DAMAGES = {
     ("tei", "classcode-abc"): _non_integer_eurovoc_code,
+    ("standoff", "score-nan"): _nan_score,
+    ("standoff", "link-repeated"): _edit_link_lines(
+        lambda lines, links: lines[: links[0] + 1] + lines[links[0] :]
+    ),
+    ("standoff", "link-dropped"): _edit_link_lines(
+        lambda lines, links: lines[: links[1]] + lines[links[1] + 1 :]
+    ),
     ("config", "list"): _edit_json(lambda config: [config]),
     ("config", "source-string"): _edit_json(lambda config: {**config, "source": "x"}),
     ("config", "hun-params-string"): _edit_json(lambda config: {**config, "hun_params": "x"}),

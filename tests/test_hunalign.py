@@ -241,14 +241,18 @@ def test_build_lexicon_deterministic():
     assert a.entries == b.entries
 
 
-def _reference_lexicon(phase1, src_docs, tgt_docs, params, first_n=1):
-    """build_lexicon's sample counted naively: tokenize each sampled pair, loop over type pairs."""
+def _sampled_links(phase1, params):
+    """The (celex, source n, target n) of the 1-1 links build_lexicon samples, in its order."""
     one_to_one = [
         (a.celex, l.src_pars[0], l.tgt_pars[0]) for a in phase1 for l in a.links if l.arity == (1, 1)
     ]
-    sampled = random.Random(params.rng_seed).sample(one_to_one, min(params.sample_size, len(one_to_one)))
+    return random.Random(params.rng_seed).sample(one_to_one, min(params.sample_size, len(one_to_one)))
+
+
+def _reference_lexicon(phase1, src_docs, tgt_docs, params, first_n=1):
+    """build_lexicon's sample counted naively: tokenize each sampled pair, loop over type pairs."""
     src_counts, tgt_counts, cooc = Counter(), Counter(), Counter()
-    for celex, src_n, tgt_n in sampled:
+    for celex, src_n, tgt_n in _sampled_links(phase1, params):
         src_types = set(tokenize(src_docs[celex][src_n - first_n]).tokens)
         tgt_types = set(tokenize(tgt_docs[celex][tgt_n - first_n]).tokens)
         src_counts.update(src_types)
@@ -280,6 +284,36 @@ def test_build_lexicon_same_from_prepared_documents_and_texts():
     from_texts = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, params, first_n=2)
     assert from_prepared.entries == from_texts.entries
     assert from_texts.entries == _reference_lexicon(phase1, bt.src_docs, bt.tgt_docs, params, 2)
+
+
+@pytest.mark.parametrize("min_cooc", [1, 2, 3])
+def test_build_lexicon_equals_the_count_over_every_type_pair_in_order(min_cooc):
+    bt = planted_bitext(n_pairs=120, dict_size=20, seed=8)
+    celexes = sorted(bt.src_docs)
+    params = HunParams(min_cooc=min_cooc, sample_size=70)
+    phase1 = [
+        similarity_align(bt.src_docs[c], bt.tgt_docs[c], None, params, celex=c) for c in celexes
+    ]
+    prepared = {c: prepare_pair(bt.src_docs[c], bt.tgt_docs[c], params.max_split) for c in celexes}
+    # Every type pair of each sampled link, counted in build_lexicon's order.
+    src_counts, tgt_counts, cooc = Counter(), Counter(), Counter()
+    for celex, src_n, tgt_n in _sampled_links(phase1, params):
+        src, tgt = prepared[celex]
+        src_counts.update(src.types[src_n - 1])
+        tgt_counts.update(tgt.types[tgt_n - 1])
+        cooc.update(itertools.product(src.types[src_n - 1], tgt.types[tgt_n - 1]))
+    want = {
+        (s, t): min(1.0, c * c / (src_counts[s] * tgt_counts[t]))
+        for (s, t), c in cooc.items()
+        if c >= min_cooc
+    }
+    if min_cooc > 1:  # some types are too rare to pair
+        assert min(src_counts.values()) < min_cooc and min(tgt_counts.values()) < min_cooc
+    got = build_lexicon(
+        phase1, {c: s for c, (s, _) in prepared.items()}, {c: t for c, (_, t) in prepared.items()},
+        params,
+    ).entries
+    assert got == want and list(got) == list(want)
 
 
 def test_lexicon_weights_in_unit_interval():

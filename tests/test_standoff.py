@@ -12,6 +12,7 @@ from parcelex.errors import (
     EmptyCollectionError,
     MalformedXmlError,
     MismatchedDocumentsError,
+    ParcelexError,
     SchemaViolationError,
     UnsupportedArityError,
 )
@@ -78,6 +79,34 @@ def test_import_rejects_bad_pointer():
         import_standoff_xml(xml)
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ('type="2-1"', 'type="x-1"', UnsupportedArityError),
+        ('type="2-1"', 'type="1-1-1"', UnsupportedArityError),
+        ('type="2-1"', 'type=""', UnsupportedArityError),
+        ('source="6;7"', 'source="2;"', MalformedXmlError),
+        ('source="6;7"', 'source=";2"', MalformedXmlError),
+        ('source="6;7"', 'source="2;;3"', MalformedXmlError),
+        ('source="6;7"', 'source="3;2"', SchemaViolationError),
+        ('target="6"/>', 'target="6" score="high"/>', SchemaViolationError),
+        ('target="6"/>', 'target="6" score="nan"/>', SchemaViolationError),
+        ('target="6"/>', 'target="6" score="inf"/>', SchemaViolationError),
+        ('target="6"/>', 'target="6" score="1e999"/>', SchemaViolationError),
+        ('type="2-1" source="6;7" target="6"', 'type="0-0" source="" target=""',
+         SchemaViolationError),
+    ],
+    ids=["type-x-1", "type-1-1-1", "type-empty", "source-2;", "source-;2", "source-2;;3",
+         "source-3;2", "score-high", "score-nan", "score-inf", "score-1e999", "link-0-0"],
+)
+def test_import_rejects_a_malformed_link_field_with_its_own_error(field, value, error):
+    xml = export_standoff_xml(_file())
+    assert xml.count(field) == 1
+    with pytest.raises(ParcelexError) as excinfo:
+        import_standoff_xml(xml.replace(field, value))
+    assert excinfo.type is error
+
+
 def test_import_rejects_garbage():
     with pytest.raises(MalformedXmlError):
         import_standoff_xml("<standoff src='a' tgt='b'")
@@ -110,6 +139,9 @@ def test_csv_round_trip():
         ("31960D0511,1-1,6;7,6,", SchemaViolationError),
         ("31960D0511,1-1,6,6", SchemaViolationError),
         ("31960D0511,1-1,6,6,high", SchemaViolationError),
+        ("31960D0511,1-1,6,6,nan", SchemaViolationError),
+        ("31960D0511,1-1,6,6,-inf", SchemaViolationError),
+        ("31960D0511,1-1,6,6,1e999", SchemaViolationError),
     ],
 )
 def test_csv_corrupted_rows_are_input_errors(row, error):
