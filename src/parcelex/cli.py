@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParcelexError, UnknownLanguageError
-from .params import LOCAL_DIRECTORY, FetchSource, GCParams, HunParams
+from .params import LOCAL_DIRECTORY, FetchSource, GCParams, HunParams, _require_int
 
 # Every other parcelex module, argparse and hashlib are imported where they
 # are used, so that reading the config loads no stage module and each stage
@@ -30,6 +30,8 @@ ALIGNERS = ("gale_church", "hunalign")
 # What normalize reads of each manifest entry.
 _MANIFEST_KEYS = frozenset({"celex", "lang", "file", "source_url", "retrieved"})
 _FIXTURE_FILE_RE = re.compile(r"^(\d{5}[A-Z]\d{4}(?:\(\d{2}\))?)-([a-z]{2})\.(html|txt)$")
+# A language code, as celex spells it; celex itself is not loaded at start-up.
+_LANG_RE = re.compile(r"[a-z]{2}")
 
 
 class InputError(ParcelexError):
@@ -43,7 +45,6 @@ class PipelineConfig:
     output_root: Path
     aligners: tuple[str, ...] = ALIGNERS
     selection: bool = False
-    seed: int = 1960
     profiles_dir: Path | None = None
     eurovoc_map: Path | None = None
     top_descriptors: int = 20
@@ -51,11 +52,32 @@ class PipelineConfig:
     hun: HunParams = field(default_factory=HunParams)
 
     def __post_init__(self):
-        if not self.languages:
-            raise InputError("config must list at least one language")
-        for aligner in self.aligners:
-            if aligner not in ALIGNERS:
-                raise InputError(f"unknown aligner {aligner!r}; expected one of {ALIGNERS}")
+        """Check each value, taking ``languages`` and ``aligners`` as any list or tuple."""
+        languages, aligners = self.languages, self.aligners
+        if not _distinct(languages, lambda lang: isinstance(lang, str) and _LANG_RE.fullmatch(lang)):
+            raise ValueError(
+                f'"languages" must be a list of distinct two-letter lowercase codes, '
+                f"got {languages!r}"
+            )
+        if not languages:
+            raise ValueError("config must list at least one language")
+        if not _distinct(aligners, ALIGNERS.__contains__):
+            raise ValueError(
+                f"'aligners' must be a list of distinct names from {ALIGNERS}, got {aligners!r}"
+            )
+        if not isinstance(self.selection, bool):
+            raise ValueError(f"'selection' must be true or false, got {self.selection!r}")
+        _require_int("'top_descriptors'", self.top_descriptors, minimum=0)
+        self.languages, self.aligners = tuple(sorted(languages)), tuple(aligners)
+
+
+def _distinct(values, valid) -> bool:
+    """Whether ``values`` is a list or tuple of distinct items that ``valid`` accepts."""
+    return (
+        isinstance(values, (list, tuple))
+        and all(map(valid, values))
+        and len(set(values)) == len(values)
+    )
 
 
 def _object(raw: dict, key: str) -> dict:
@@ -63,35 +85,6 @@ def _object(raw: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise InputError(f"{key!r} must be a JSON object")
     return value
-
-
-def _integer(raw: dict, key: str, default: int, minimum: int | None = None) -> int:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _boolean(raw: dict, key: str, default: bool) -> bool:
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _aligners(raw: dict) -> tuple[str, ...]:
-    value = raw.get("aligners", list(ALIGNERS))
-    if (
-        not isinstance(value, list)
-        or not all(name in ALIGNERS for name in value)
-        or len(set(value)) != len(value)
-    ):
-        raise ValueError(
-            f"'aligners' must be a list of distinct names from {ALIGNERS}, got {value!r}"
-        )
-    return tuple(value)
 
 
 def _gc_from_dict(d: dict) -> GCParams:
@@ -111,21 +104,22 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
 
 
 def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineConfig:
+    """The config that parsed JSON spells; ``PipelineConfig`` and the parameter classes check it."""
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
-    languages = raw.get("languages")
-    if not isinstance(languages, list) or not all(isinstance(lang, str) for lang in languages):
-        raise InputError('"languages" must be a list of language codes')
 
     def respath(key):
         return (base / raw[key]).resolve() if key in raw and raw[key] else None
 
     try:
-        seed = _integer(raw, "seed", 1960)
-        if seed_override is not None:
-            seed = seed_override
         hun_raw = dict(_object(raw, "hun_params"))
-        hun_raw.setdefault("rng_seed", seed)
+        # The top-level seed is another spelling of hun_params' rng_seed, and --seed overrides both.
+        if "seed" in raw:
+            if "rng_seed" in hun_raw:
+                raise ValueError("give 'seed' or hun_params 'rng_seed', not both")
+            hun_raw["rng_seed"] = raw["seed"]
+        if seed_override is not None:
+            hun_raw["rng_seed"] = seed_override
         source_raw = _object(raw, "source")
         source = FetchSource(
             mode=source_raw.get("mode", LOCAL_DIRECTORY),
@@ -135,15 +129,14 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
             endpoint=source_raw.get("endpoint", "lexuriserv"),
         )
         return PipelineConfig(
-            languages=tuple(sorted(languages)),
+            languages=raw.get("languages"),
             source=source,
             output_root=(base / raw["output_root"]).resolve(),
-            aligners=_aligners(raw),
-            selection=_boolean(raw, "selection", False),
-            seed=seed,
+            aligners=raw.get("aligners", ALIGNERS),
+            selection=raw.get("selection", False),
             profiles_dir=respath("profiles_dir"),
             eurovoc_map=respath("eurovoc_map"),
-            top_descriptors=_integer(raw, "top_descriptors", 20, minimum=0),
+            top_descriptors=raw.get("top_descriptors", 20),
             gc=_gc_from_dict(_object(raw, "gc_params")),
             hun=HunParams(**hun_raw),
         )
@@ -233,6 +226,12 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
     ):
         raise InputError(f"{path}: every document needs the string keys {sorted(_MANIFEST_KEYS)}")
     for entry in documents:
+        # The name fetch writes for the entry, so that normalize reads nothing outside raw/.
+        m = _FIXTURE_FILE_RE.fullmatch(entry["file"])
+        if m is None or m.group(1, 2) != (entry["celex"], entry["lang"]):
+            raise InputError(
+                f"{path}: {entry['file']!r} is not {entry['celex']}-{entry['lang']}.html or .txt"
+            )
         try:
             entry["retrieved"] = datetime.date.fromisoformat(entry["retrieved"])
         except ValueError:
@@ -354,10 +353,18 @@ def cmd_normalize(config: PipelineConfig) -> None:
     _log(f"normalized {len(documents)} documents into {config.output_root / 'tei'}")
 
 
-def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[CelexId, object]]:
-    """Parse the TEI documents of ``langs`` (default: every language directory)."""
+def _read_tei(path: Path):
+    """The TEI document at ``tei/<lang>/<id>.xml``, checked to be the one its path names."""
     from .tei import parse_tei
 
+    doc = _read(path, parse_tei)
+    if doc.lang != path.parent.name or doc.id != path.stem:
+        raise InputError(f"{path}: holds document {doc.id}, not the one its path names")
+    return doc
+
+
+def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[CelexId, object]]:
+    """Parse the TEI documents of ``langs`` (default: every language directory)."""
     tei_root = config.output_root / "tei"
     if not tei_root.is_dir():
         raise InputError(f"{tei_root} missing; run normalize first")
@@ -367,7 +374,7 @@ def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[Celex
     corpus: dict[str, dict[CelexId, object]] = {}
     for path in paths:
         if langs is None or path.parent.name in langs:
-            doc = _read(path, parse_tei)
+            doc = _read_tei(path)
             corpus.setdefault(doc.lang, {})[doc.celex] = doc
     return corpus
 
@@ -482,9 +489,6 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
 
     pairs = _resolve_pairs(config, pairs)
     aligners = (aligner,) if aligner else config.aligners
-    for name in aligners:
-        if name not in ALIGNERS:
-            raise InputError(f"unknown aligner {name!r}")
     # A run that aligns some pairs keeps what earlier runs recorded for the others.
     provenance = {name: _load_provenance(config, name) for name in aligners}
     corpus = _load_tei_corpus(config, {lang for pair in pairs for lang in pair})
@@ -558,7 +562,6 @@ def cmd_export(config: PipelineConfig, pairs=None, aligner: str | None = None) -
 def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str | None = None) -> None:
     from .celex import format_celex, jrc_document_id
     from .standoff import generate_inplace
-    from .tei import parse_tei
 
     if not pairs:
         raise InputError("bitext requires --pairs")
@@ -573,7 +576,7 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
             path = config.output_root / "tei" / lang / f"{jrc_document_id(celex, lang)}.xml"
             if not path.is_file():
                 raise InputError(f"missing TEI document for {format_celex(celex)} ({lang}): {path}")
-            docs[(lang, celex)] = _read(path, parse_tei)
+            docs[(lang, celex)] = _read_tei(path)
         return docs[(lang, celex)]
 
     n = 0
@@ -667,6 +670,8 @@ _STAGES = {
     "agree": (cmd_agree, ("pairs",)),
 }
 SUBCOMMANDS = tuple(_STAGES)
+# The command-line flag of each option of ``run``.
+_FLAGS = {"pairs": "--pairs", "celex_ids": "--celex", "aligner": "--aligner"}
 
 
 def run(
@@ -681,6 +686,11 @@ def run(
         raise InputError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
     handler, options = _STAGES[subcommand]
     given = {"pairs": pairs, "celex_ids": celex_ids, "aligner": aligner}
+    for option, value in given.items():
+        if value is not None and option not in options:
+            raise InputError(f"{subcommand} does not take {_FLAGS[option]}")
+    if aligner is not None and aligner not in ALIGNERS:
+        raise InputError(f"unknown aligner {aligner!r}; expected one of {ALIGNERS}")
     handler(config, **{option: given[option] for option in options})
     return 0
 
@@ -707,7 +717,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", help="comma-separated language pairs, e.g. en-fr,de-en")
     parser.add_argument("--celex", help="comma-separated CELEX ids")
     parser.add_argument("--aligner", choices=ALIGNERS, help="restrict to one aligner")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", type=int, help="seed of the lexicon sampling; overrides the config")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -40,16 +40,7 @@ from itertools import accumulate
 from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
 from .celex import CelexId
 from .errors import InstanceTooLargeError, UnsupportedArityError
-# The parameters live in params, so that reading a config loads no aligner; they are re-exported.
-from .params import (  # noqa: F401
-    CHARACTERS,
-    DEFAULT_MEAN_RATIO,
-    DEFAULT_PRIORS,
-    DEFAULT_SKIP_DELTA,
-    DEFAULT_VARIANCE,
-    WORDS,
-    GCParams,
-)
+from .params import CHARACTERS, GCParams
 
 # Tie-break order: prefer 1-1, then lower combined arity, then advancing the
 # source side first.

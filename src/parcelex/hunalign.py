@@ -36,14 +36,7 @@ from pathlib import Path
 from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
 from .celex import CelexId
 from .errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError, decode_utf8
-# The parameters live in params, so that reading a config loads no aligner; they are re-exported.
-from .params import (  # noqa: F401
-    DEFAULT_MAX_SPLIT,
-    DEFAULT_MIN_COOC,
-    DEFAULT_RNG_SEED,
-    DEFAULT_SAMPLE_SIZE,
-    HunParams,
-)
+from .params import HunParams
 
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+")
 _NUMERIC_RE = re.compile(r"^\d")

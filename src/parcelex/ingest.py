@@ -19,8 +19,7 @@ from .errors import (
     DecodeError, DocumentNotFoundError, EmptyTextError, UnknownLanguageError, decode_utf8,
 )
 from .langid import guess_language, index_profiles
-# The source lives in params, so that reading a config loads no ingest; it is re-exported.
-from .params import HTTP_ENDPOINT, LOCAL_DIRECTORY, FetchSource  # noqa: F401
+from .params import LOCAL_DIRECTORY, FetchSource
 
 OFFICIAL_LANGUAGES = frozenset(
     "cs da de el en es et fi fr hu it lt lv mt nl pl pt sk sl sv".split()

@@ -1,9 +1,9 @@
 """Parameters of the fetch source and of the two aligners, as a config sets them.
 
 Reading a config builds these classes, so they live apart from the stage
-modules that use them (``ingest``, ``galechurch``, ``hunalign``), which
-re-export them: a run loads a stage module only when it runs that stage.
-This module imports nothing but ``json`` and ``dataclasses``.
+modules that use them (``ingest``, ``galechurch``, ``hunalign``): a run
+loads a stage module only when it runs that stage. This module imports
+nothing but ``json`` and ``dataclasses``.
 
 A config is JSON, which can also spell ``NaN``, ``Infinity``, strings and
 booleans where a number belongs. Every real-valued field must be a finite
@@ -49,9 +49,11 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value, minimum: int | None = None) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _digest(fields: dict) -> str:
@@ -86,6 +88,8 @@ class GCParams:
         for name in ("mean_ratio", "variance", "skip_delta"):
             _require_finite(name, getattr(self, name))
         for arity, p in self.arity_priors.items():
+            if arity not in DEFAULT_PRIORS:
+                raise ValueError(f"arity prior {arity} is not one of {sorted(DEFAULT_PRIORS)}")
             _require_finite(f"arity prior {arity}", p)
         if self.variance <= 0:
             raise ValueError("variance must be positive")

@@ -16,7 +16,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .celex import CelexId, format_celex, jrc_document_id, parse_celex
+from .celex import _LANG_RE, CelexId, format_celex, jrc_document_id, parse_celex
 from .errors import InconsistentBoundariesError, MalformedXmlError, SchemaViolationError
 
 HEAD = "head"
@@ -339,8 +339,8 @@ def parse_tei(xml_text: str) -> TeiDocument:
         raise SchemaViolationError(f"expected TEI.2 root, got {root.tag!r}")
     celex = parse_celex(root.get("n", ""))
     lang = root.get("lang", "")
-    if not lang:
-        raise SchemaViolationError("root lang attribute missing")
+    if not _LANG_RE.match(lang):
+        raise SchemaViolationError(f"root lang must be a two-letter lowercase code, got {lang!r}")
 
     header = _require(root, "teiHeader")
     file_desc = _require(header, "fileDesc")

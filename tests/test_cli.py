@@ -11,7 +11,9 @@ import pytest
 from conftest import FIXTURES
 import parcelex
 from parcelex.celex import parse_celex
-from parcelex.cli import SUBCOMMANDS, InputError, _lexicon_cache_key, load_config, main, run
+from parcelex.cli import (
+    _FLAGS, _STAGES, SUBCOMMANDS, InputError, PipelineConfig, _lexicon_cache_key, load_config, main, run,
+)
 from parcelex.hunalign import HunParams
 from parcelex.langid import save_profile, train_language_profile
 from parcelex.standoff import export_standoff_xml, import_csv, import_standoff_xml
@@ -155,6 +157,8 @@ def test_unknown_subcommand(pipeline):
     _, config, _ = pipeline
     with pytest.raises(InputError):
         run("frobnicate", config)
+    with pytest.raises(InputError, match="unknown aligner 'bleualign'"):
+        run("export", config, aligner="bleualign")
 
 
 def test_main_exit_codes(tmp_path, profiles_dir):
@@ -187,6 +191,14 @@ def test_seed_override_changes_digest(tmp_path, profiles_dir):
     a = load_config(config_path)
     b = load_config(config_path, seed_override=99)
     assert a.hun.rng_seed == 7 and b.hun.rng_seed == 99
+
+
+def test_seed_override_wins_over_hun_params_rng_seed(tmp_path):
+    path = _config_json({**_VALID_CONFIG, "hun_params": {"rng_seed": 5}})(tmp_path)
+    a = load_config(path)
+    b = load_config(path, seed_override=99)
+    assert a.hun.rng_seed == 5 and b.hun.rng_seed == 99
+    assert a.hun.digest() != b.hun.digest()
 
 
 def test_config_requires_languages(tmp_path, profiles_dir):
@@ -426,6 +438,14 @@ def _manifest_file_not_a_string(root):
     return _edit_manifest_entry(root, 0, "file", 3)
 
 
+def _manifest_lang_not_a_code(root):
+    return _edit_manifest_entry(root, 0, "lang", "eng")
+
+
+def _manifest_file_outside_raw(root):
+    return _edit_manifest_entry(root, 0, "file", "../../config.json")
+
+
 def _profile_bad_utf8(root):
     return _bad_utf8_byte(root / "profiles" / "fr.profile")
 
@@ -459,7 +479,8 @@ def _eurovoc_codes_as_string(root):
     "corrupt",
     [_untab_profile_line, _truncate_manifest, _manifest_without_documents, _delete_raw_file,
      _raw_file_bad_utf8, _manifest_bad_date, _manifest_file_not_a_string, _profile_bad_utf8,
-     _eurovoc_not_json, _eurovoc_list, _eurovoc_codes_as_string, _profile_is_a_directory],
+     _eurovoc_not_json, _eurovoc_list, _eurovoc_codes_as_string, _profile_is_a_directory,
+     _manifest_lang_not_a_code, _manifest_file_outside_raw],
 )
 def test_corrupted_profile_or_manifest_exits_1(tmp_path, profiles_dir, corrupt, capsys):
     shutil.copytree(profiles_dir, tmp_path / "profiles")
@@ -539,6 +560,16 @@ def _config_json(value):
         (_config_json({**_VALID_CONFIG, "aligners": ["hunalign", "hunalign"]}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "aligners": "gale_church"}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "aligners": ["gale_church", "bleualign"]}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "languages": ["en", "fr", "en"]}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "languages": ["en", "eng"]}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "languages": ["en", "FR"]}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "languages": ["en", 1]}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "seed": 7, "hun_params": {"rng_seed": 5}}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "gc_params": {"arity_priors": {"3-1": 0.01}}}), "bad config value"),
+        (
+            _config_json({**_VALID_CONFIG, "gc_params": {"arity_priors": {"1-1-1": 0.01}}}),
+            "bad config value",
+        ),
         *(
             (_config_json({**_VALID_CONFIG, key: {field: value}}), "bad config value")
             for key, field, value in _BAD_NUMBERS
@@ -548,7 +579,9 @@ def _config_json(value):
         "not-utf8", "directory", "missing", "list", "source", "gc-params", "hun-params",
         "arity-priors", "languages", "top-descriptors-negative", "top-descriptors-float",
         "top-descriptors-bool", "seed-float", "selection-string", "selection-int",
-        "aligners-repeated", "aligners-string", "aligners-unknown",
+        "aligners-repeated", "aligners-string", "aligners-unknown", "languages-repeated",
+        "languages-three-letters", "languages-uppercase", "languages-number", "seed-and-rng-seed",
+        "arity-prior-3-1", "arity-prior-1-1-1",
         *(f"{field}-{value!r}" for _, field, value in _BAD_NUMBERS),
     ],
 )
@@ -745,6 +778,16 @@ def _non_integer_eurovoc_code(path):
     path.write_text(re.sub(r'(scheme="eurovoc">)\d+', r"\1abc", text, count=1), encoding="utf-8")
 
 
+def _edit_tei_root(old, new):
+    """Damage that rewrites an attribute of a TEI file's root element."""
+    def damage(path):
+        text = path.read_text(encoding="utf-8")
+        root = re.search(r"<TEI\.2 [^>]*>", text).group()
+        path.write_text(text.replace(root, root.replace(old, new)), encoding="utf-8")
+
+    return damage
+
+
 def _nan_score(path):
     text = path.read_text(encoding="utf-8")
     path.write_text(re.sub(r'score="[^"]*"', 'score="nan"', text, count=1), encoding="utf-8")
@@ -763,6 +806,9 @@ def _edit_link_lines(change):
 # Well-formed files with a bad field, which every stage that reads them must reject.
 _FIELD_DAMAGES = {
     ("tei", "classcode-abc"): _non_integer_eurovoc_code,
+    ("tei", "root-lang-english"): _edit_tei_root('lang="en"', 'lang="english"'),
+    ("tei", "root-lang-fr"): _edit_tei_root('lang="en"', 'lang="fr"'),
+    ("tei", "root-n-other-celex"): _edit_tei_root('n="31984D0001"', 'n="31985R0002"'),
     ("standoff", "score-nan"): _nan_score,
     ("standoff", "link-repeated"): _edit_link_lines(
         lambda lines, links: lines[: links[0] + 1] + lines[links[0] :]
@@ -802,6 +848,41 @@ def test_damaged_input_file_exits_1_naming_it(aligned_tree, tmp_path, kind, dama
         assert "internal error" not in err, (stage, err)
         if status == 1:
             assert named in err, (stage, err)
+
+
+_OPTION_VALUES = {"pairs": "en-fr", "celex_ids": "31984D0001", "aligner": "hunalign"}
+
+
+@pytest.mark.parametrize(
+    "stage, option",
+    [(stage, option) for stage, (_, options) in _STAGES.items() for option in _FLAGS
+     if option not in options],
+)
+def test_an_option_the_stage_does_not_take_exits_1_naming_it(aligned_tree, tmp_path, stage, option,
+                                                             capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    before = _tree(tmp_path / "out")
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", stage, _FLAGS[option], _OPTION_VALUES[option]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and f"{stage} does not take {_FLAGS[option]}" in err
+    assert _tree(tmp_path / "out") == before
+
+
+def test_readme_config_reference_names_every_config_key():
+    from dataclasses import fields
+
+    from parcelex.params import FetchSource, GCParams, HunParams
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    reference = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
+    spelling = {"gc": "gc_params", "hun": "hun_params"}
+    keys = {"seed"} | {
+        spelling.get(f.name, f.name)
+        for cls in (PipelineConfig, FetchSource, GCParams, HunParams)
+        for f in fields(cls)
+    }
+    assert sorted(key for key in keys if not re.search(rf"\b{key}\b", reference)) == []
 
 
 def test_align_parses_only_the_languages_of_its_pairs(tmp_path, monkeypatch):

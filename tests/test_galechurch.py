@@ -10,7 +10,6 @@ from parcelex.beads import links_cover
 from parcelex.errors import InstanceTooLargeError, UnsupportedArityError
 from parcelex.galechurch import (
     ARITY_PREFERENCE,
-    DEFAULT_PRIORS,
     GCParams,
     _match_cost,
     _match_costs,
@@ -21,6 +20,7 @@ from parcelex.galechurch import (
     length_delta,
     segment_length,
 )
+from parcelex.params import DEFAULT_PRIORS
 from parcelex.synth import corrupted_pair
 
 P = GCParams()
@@ -181,6 +181,8 @@ def test_params_validation():
         GCParams(arity_priors={(1, 1): 1.5})
     with pytest.raises(ValueError):
         GCParams(length_unit="syllables")
+    with pytest.raises(ValueError, match="arity prior"):
+        GCParams(arity_priors={(1, 1): 0.9, (3, 1): 0.01})
 
 
 def test_digest_stable():

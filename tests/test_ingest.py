@@ -10,7 +10,6 @@ from parcelex.errors import DecodeError, DocumentNotFoundError, EmptyTextError, 
 from parcelex.ingest import (
     ALL_LANGUAGES,
     FetchSource,
-    HTTP_ENDPOINT,
     HTTP_TIMEOUT_S,
     LOCAL_DIRECTORY,
     NEW_MEMBER_LANGUAGES,
@@ -20,6 +19,7 @@ from parcelex.ingest import (
     select_corpus,
     verify_language,
 )
+from parcelex.params import HTTP_ENDPOINT
 
 LOCAL = FetchSource(mode=LOCAL_DIRECTORY, root=str(FIXTURES / "html"))
 
