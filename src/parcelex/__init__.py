@@ -11,8 +11,9 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# Each public name and the submodule that defines it. A name is imported on
-# first access, so ``import parcelex`` loads only the submodules a caller uses.
+# Each public name and the submodule that defines it. A name is looked up in
+# its submodule on each access, so ``import parcelex`` loads only the
+# submodules a caller uses and a name is always what its submodule holds.
 _EXPORTS = {
     "beads": ("AlignmentLink", "BitextAlignment"),
     "celex": ("CelexId", "document_url", "format_celex", "jrc_document_id", "parse_celex"),
@@ -51,9 +52,7 @@ def __getattr__(name):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+    return getattr(_import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__():

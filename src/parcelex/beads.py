@@ -158,9 +158,16 @@ def monotone_dp(n: int, m: int, moves, row_beads, spans=None):
     return steps, row[0]
 
 
-def steps_to_links(steps, first_src: int, first_tgt: int) -> list[AlignmentLink]:
-    """Links of ``(move, i, j, score)`` steps, numbering paragraphs from first_src/first_tgt."""
-    return [
+def steps_to_alignment(
+    steps, n: int, m: int, celex: CelexId | None, src_lang: str, tgt_lang: str,
+    first_src: int, first_tgt: int,
+) -> BitextAlignment:
+    """The alignment of ``(move, i, j, score)`` steps over n source and m target paragraphs.
+
+    Paragraphs are numbered from first_src/first_tgt, and the links must
+    cover both sides exactly once, in order.
+    """
+    links = tuple(
         AlignmentLink(
             arity=(a, b),
             src_pars=tuple(range(first_src + i, first_src + i + a)),
@@ -168,4 +175,6 @@ def steps_to_links(steps, first_src: int, first_tgt: int) -> list[AlignmentLink]
             score=score,
         )
         for (a, b), i, j, score in steps
-    ]
+    )
+    assert links_cover(links, n, m, first_src, first_tgt)
+    return BitextAlignment(celex=celex, src_lang=src_lang, tgt_lang=tgt_lang, links=links)

@@ -12,13 +12,10 @@ import re
 from dataclasses import dataclass
 
 from .errors import MalformedCelexError, UnsupportedEndpointError
+from .params import CCVISTA, ENDPOINTS, LANG_RE, LEXURISERV, SMARTAPI
 
-CELEX_RE = re.compile(r"^(\d)(\d{4})([A-Z])(\d{4})(?:\((\d{2})\))?$")
-
-SMARTAPI = "smartapi"
-LEXURISERV = "lexuriserv"
-CCVISTA = "ccvista"
-ENDPOINTS = (SMARTAPI, LEXURISERV, CCVISTA)
+# Matched whole: a trailing newline is not part of an identifier.
+CELEX_RE = re.compile(r"(\d)(\d{4})([A-Z])(\d{4})(?:\((\d{2})\))?")
 
 _SMARTAPI_TEMPLATE = (
     "http://europa.eu.int/smartapi/cgi/sga_doc"
@@ -31,8 +28,6 @@ _LEXURISERV_TEMPLATE = (
 # Host spelled as found in the historical listing; override via ccvista_host.
 _CCVISTA_TEMPLATE = "http://{host}/Fulcrum/CCVista/{lang}/{celex}-{lang}.doc"
 DEFAULT_CCVISTA_HOST = "ccvista.taiaex.be"
-
-_LANG_RE = re.compile(r"^[a-z]{2}$")
 
 
 @dataclass(frozen=True, order=True)
@@ -65,7 +60,7 @@ def parse_celex(text: str) -> CelexId:
     """Parse a CELEX identifier, rejecting any deviation from the grammar."""
     if not text:
         raise MalformedCelexError("empty CELEX identifier")
-    m = CELEX_RE.match(text)
+    m = CELEX_RE.fullmatch(text)
     if m is None:
         raise MalformedCelexError(f"not a CELEX identifier: {text!r}")
     doc_type, year, letter, serial, part = m.groups()
@@ -89,7 +84,7 @@ def format_celex(celex: CelexId) -> str:
 
 
 def _check_lang(lang: str) -> str:
-    if not _LANG_RE.match(lang):
+    if not LANG_RE.fullmatch(lang):
         raise ValueError(f"expected a two-letter lowercase language code, got {lang!r}")
     return lang
 
@@ -132,7 +127,7 @@ def jrc_alignment_id(celex: CelexId, src_lang: str, tgt_lang: str) -> str:
 
 def split_jrc_id(doc_id: str) -> tuple[CelexId, str]:
     """Recover (celex, lang) from a ``jrc<celex>-<lang>`` document id."""
-    m = re.match(r"^jrc(.+)-([a-z]{2})$", doc_id)
+    m = re.fullmatch(r"jrc(.+)-([a-z]{2})", doc_id)
     if m is None:
         raise MalformedCelexError(f"not a jrc document id: {doc_id!r}")
     return parse_celex(m.group(1)), m.group(2)

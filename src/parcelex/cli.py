@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParcelexError, UnknownLanguageError
-from .params import LOCAL_DIRECTORY, FetchSource, GCParams, HunParams, _require_int
+from .params import LANG_RE, LOCAL_DIRECTORY, FetchSource, GCParams, HunParams, _require_int
 
-# Every other parcelex module, argparse and hashlib are imported where they
+# Every other parcelex module and argparse are imported where they
 # are used, so that reading the config loads no stage module and each stage
 # loads only what it runs. Annotations name some of their classes
 # (``CelexId``, ``BitextAlignment``, ``ProfileIndex``) only as strings, which
@@ -27,11 +27,16 @@ from .params import LOCAL_DIRECTORY, FetchSource, GCParams, HunParams, _require_
 
 ALIGNERS = ("gale_church", "hunalign")
 
+# The keys a config may give at its top level; those of "source" and of the
+# parameter tables are the fields of their classes.
+_CONFIG_KEYS = frozenset({
+    "languages", "source", "output_root", "aligners", "selection", "profiles_dir", "eurovoc_map",
+    "top_descriptors", "gc_params", "hun_params", "seed",
+})
 # What normalize reads of each manifest entry.
 _MANIFEST_KEYS = frozenset({"celex", "lang", "file", "source_url", "retrieved"})
-_FIXTURE_FILE_RE = re.compile(r"^(\d{5}[A-Z]\d{4}(?:\(\d{2}\))?)-([a-z]{2})\.(html|txt)$")
-# A language code, as celex spells it; celex itself is not loaded at start-up.
-_LANG_RE = re.compile(r"[a-z]{2}")
+# The name of a raw document, matched whole.
+_FIXTURE_FILE_RE = re.compile(r"(\d{5}[A-Z]\d{4}(?:\(\d{2}\))?)-([a-z]{2})\.(html|txt)")
 
 
 class InputError(ParcelexError):
@@ -54,7 +59,7 @@ class PipelineConfig:
     def __post_init__(self):
         """Check each value, taking ``languages`` and ``aligners`` as any list or tuple."""
         languages, aligners = self.languages, self.aligners
-        if not _distinct(languages, lambda lang: isinstance(lang, str) and _LANG_RE.fullmatch(lang)):
+        if not _distinct(languages, lambda lang: isinstance(lang, str) and LANG_RE.fullmatch(lang)):
             raise ValueError(
                 f'"languages" must be a list of distinct two-letter lowercase codes, '
                 f"got {languages!r}"
@@ -112,6 +117,9 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
         return (base / raw[key]).resolve() if key in raw and raw[key] else None
 
     try:
+        unknown = sorted(raw.keys() - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}; expected some of {sorted(_CONFIG_KEYS)}")
         hun_raw = dict(_object(raw, "hun_params"))
         # The top-level seed is another spelling of hun_params' rng_seed, and --seed overrides both.
         if "seed" in raw:
@@ -120,14 +128,11 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
             hun_raw["rng_seed"] = raw["seed"]
         if seed_override is not None:
             hun_raw["rng_seed"] = seed_override
-        source_raw = _object(raw, "source")
-        source = FetchSource(
-            mode=source_raw.get("mode", LOCAL_DIRECTORY),
-            root=str((base / source_raw["root"]).resolve())
-            if source_raw.get("mode", LOCAL_DIRECTORY) == LOCAL_DIRECTORY
-            else source_raw["root"],
-            endpoint=source_raw.get("endpoint", "lexuriserv"),
-        )
+        source_raw = dict(_object(raw, "source"))
+        root = source_raw["root"]
+        if source_raw.setdefault("mode", LOCAL_DIRECTORY) == LOCAL_DIRECTORY:
+            source_raw["root"] = str((base / root).resolve())
+        source = FetchSource(**source_raw)
         return PipelineConfig(
             languages=raw.get("languages"),
             source=source,
@@ -182,21 +187,23 @@ def cmd_fetch(config: PipelineConfig) -> None:
     root = Path(config.source.root)
     if not root.is_dir():
         raise InputError(f"source directory not found: {root}")
-    found = []
+    found = {}  # (celex, lang) -> the name of its raw file
     for entry in sorted(root.iterdir()):
-        m = _FIXTURE_FILE_RE.match(entry.name)
+        m = _FIXTURE_FILE_RE.fullmatch(entry.name)
         if not m:
             continue
-        code, lang, ext = m.groups()
+        code, lang, _ = m.groups()
         if lang not in config.languages:
             continue
-        found.append((parse_celex(code), lang, ext))
+        celex = parse_celex(code)
+        if (celex, lang) in found:
+            raise InputError(f"{root}: {found[(celex, lang)]} and {entry.name} hold the same document")
+        found[(celex, lang)] = entry.name
     if not found:
         raise InputError(f"no <celex>-<lang>.html fixtures under {root}")
     manifest = []
-    for celex, lang, ext in found:
+    for (celex, lang), name in found.items():
         doc = fetch_document(config.source, celex, lang)
-        name = f"{format_celex(celex)}-{lang}.{ext}"
         _write(config.output_root / "raw" / name, doc.content)
         manifest.append(
             {
@@ -403,62 +410,39 @@ def _doc_texts(doc) -> list[str]:
     return [p.text for p in doc.paragraphs[1:]]
 
 
-def _lexicon_cache_key(params: HunParams, celexes, src_texts, tgt_texts) -> str:
-    """What a cached lexicon was built from: the parameters and phase 1's input texts."""
-    import hashlib
-
-    from .celex import format_celex
-
-    h = hashlib.sha256()
-    for c in celexes:
-        doc = json.dumps([format_celex(c), src_texts[c], tgt_texts[c]], ensure_ascii=False)
-        h.update(doc.encode("utf-8") + b"\n")
-    return f"hun_params={params.digest()} inputs={h.hexdigest()}"
-
-
 def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, aligner: str):
     src_docs = corpus.get(src_lang, {})
     tgt_docs = corpus.get(tgt_lang, {})
     common = sorted(set(src_docs) & set(tgt_docs))
     if not common:
         return None
+    src_texts = {c: _doc_texts(src_docs[c]) for c in common}
+    tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}
     if aligner == "gale_church":
         from .galechurch import align_gale_church
 
         alignments = [
-            align_gale_church(
-                _doc_texts(src_docs[c]),
-                _doc_texts(tgt_docs[c]),
-                config.gc,
-                celex=c,
-                src_lang=src_lang,
-                tgt_lang=tgt_lang,
-                first_src=2,
-                first_tgt=2,
-            )
+            align_gale_church(src_texts[c], tgt_texts[c], config.gc, celex=c, src_lang=src_lang,
+                              tgt_lang=tgt_lang, first_src=2, first_tgt=2)
             for c in common
         ]
         return alignments, config.gc.digest()
-    from .hunalign import align_hunalign, lexicon_header, load_lexicon, save_lexicon
+    from .hunalign import align_hunalign, lexicon_cache_key, load_lexicon, save_lexicon
 
-    src_texts = {c: _doc_texts(src_docs[c]) for c in common}
-    tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}
     cache = config.output_root / "alignments" / "hunalign" / f"{src_lang}-{tgt_lang}.lexicon.txt"
-    key = _lexicon_cache_key(config.hun, common, src_texts, tgt_texts)
-    cached = None
-    if cache.is_file():
-        if lexicon_header(cache) == key:
-            cached = load_lexicon(cache)
-            _log(f"{src_lang}-{tgt_lang}: cached lexicon ({len(cached)} entries), skipping phases 1-2")
-        else:
-            _log(f"{src_lang}-{tgt_lang}: lexicon cache miss (parameters or texts changed)")
+    key = lexicon_cache_key(config.hun, src_texts, tgt_texts)
+    cached = load_lexicon(cache, key) if cache.is_file() else None
+    if cached is not None:
+        _log(f"{src_lang}-{tgt_lang}: cached lexicon ({len(cached)} entries), skipping phases 1-2")
+    elif cache.is_file():
+        _log(f"{src_lang}-{tgt_lang}: lexicon cache miss (parameters or texts changed)")
     alignments, lexicon = align_hunalign(
         src_texts, tgt_texts, config.hun,
         src_lang=src_lang, tgt_lang=tgt_lang, first_n=2, lexicon=cached,
     )
     if cached is None:
         cache.parent.mkdir(parents=True, exist_ok=True)
-        save_lexicon(lexicon, cache, header=key)
+        save_lexicon(lexicon, cache, key)
     return alignments, config.hun.digest()
 
 

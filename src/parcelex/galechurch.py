@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
+from .beads import BitextAlignment, monotone_dp, steps_to_alignment
 from .celex import CelexId
 from .errors import InstanceTooLargeError, UnsupportedArityError
 from .params import CHARACTERS, GCParams
@@ -214,13 +214,9 @@ def align_gale_church(
     params = params or GCParams()
     src_lengths = _lengths(src_pars, params)
     tgt_lengths = _lengths(tgt_pars, params)
-    links = steps_to_links(_dp_block(src_lengths, tgt_lengths, params), first_src, first_tgt)
-    assert links_cover(links, len(src_lengths), len(tgt_lengths), first_src, first_tgt)
-    return BitextAlignment(
-        celex=celex,
-        src_lang=src_lang,
-        tgt_lang=tgt_lang,
-        links=tuple(links),
+    return steps_to_alignment(
+        _dp_block(src_lengths, tgt_lengths, params), len(src_lengths), len(tgt_lengths),
+        celex, src_lang, tgt_lang, first_src, first_tgt,
     )
 
 
@@ -276,10 +272,4 @@ def exhaustive_align(
             path.pop()
 
     explore(0, 0, 0.0)
-    links = steps_to_links(best_steps or [], first_src, first_tgt)
-    return BitextAlignment(
-        celex=celex,
-        src_lang=src_lang,
-        tgt_lang=tgt_lang,
-        links=tuple(links),
-    )
+    return steps_to_alignment(best_steps, n, m, celex, src_lang, tgt_lang, first_src, first_tgt)

@@ -24,6 +24,8 @@ the lexicon pass costs a few times the first pass.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import re
@@ -33,14 +35,14 @@ from itertools import product
 from operator import add, or_
 from pathlib import Path
 
-from .beads import BitextAlignment, links_cover, monotone_dp, steps_to_links
-from .celex import CelexId
+from .beads import BitextAlignment, monotone_dp, steps_to_alignment
+from .celex import CelexId, format_celex
 from .errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError, decode_utf8
 from .params import HunParams
 
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+")
 _NUMERIC_RE = re.compile(r"^\d")
-# The first line of a lexicon cache: the key it was built for, and its number of entry lines.
+# The first line of a lexicon file: the key it was built under, and its number of entry lines.
 _HEADER_RE = re.compile(r"# (.*) entries=(\d+)")
 
 
@@ -365,21 +367,17 @@ def similarity_align(
         return beads
 
     steps, _ = monotone_dp(n, m, moves, row_beads)
-    links = steps_to_links([(move, i, j, -bead) for move, i, j, bead in steps], first_src, first_tgt)
-    assert links_cover(links, n, m, first_src, first_tgt)
-    assert all(link.arity != (2, 2) for link in links)
-    return BitextAlignment(
-        celex=celex,
-        src_lang=src_lang,
-        tgt_lang=tgt_lang,
-        links=tuple(links),
+    alignment = steps_to_alignment(
+        [(move, i, j, -bead) for move, i, j, bead in steps], n, m,
+        celex, src_lang, tgt_lang, first_src, first_tgt,
     )
+    assert all(link.arity != (2, 2) for link in alignment.links)
+    return alignment
 
 
 def build_lexicon(
     phase1_alignments,
-    src_docs: dict,
-    tgt_docs: dict,
+    prepared: dict,
     params: HunParams | None = None,
     first_n: int = 1,
 ) -> Lexicon:
@@ -388,8 +386,8 @@ def build_lexicon(
     Token pairs are scored with a squared-co-occurrence ratio,
     cooc(s,t)^2 / (count(s) * count(t)), counting each token once per
     sampled pair; pairs seen fewer than ``min_cooc`` times are dropped.
-    ``src_docs`` and ``tgt_docs`` map celex to paragraph texts, or to the
-    ``PreparedDocument`` sides ``prepare_pair`` made of them.
+    ``prepared`` maps each celex to the two ``PreparedDocument`` sides
+    that ``prepare_pair`` made of it.
     """
     params = params or HunParams()
     one_to_one = []
@@ -404,10 +402,6 @@ def build_lexicon(
     k = min(params.sample_size, len(one_to_one))
     sampled = rng.sample(one_to_one, k)
 
-    prepared = {
-        celex: prepare_pair(src_docs[celex], tgt_docs[celex], params.max_split)
-        for celex in dict.fromkeys(celex for celex, _, _ in sampled)
-    }
     src_counts: Counter = Counter()
     tgt_counts: Counter = Counter()
     sampled_types = []
@@ -468,9 +462,7 @@ def align_hunalign(
         ]
 
     if lexicon is None:
-        src_prepared = {c: src for c, (src, _) in prepared.items()}
-        tgt_prepared = {c: tgt for c, (_, tgt) in prepared.items()}
-        lexicon = build_lexicon(align_all(None), src_prepared, tgt_prepared, params, first_n)
+        lexicon = build_lexicon(align_all(None), prepared, params, first_n)
     return align_all(lexicon), lexicon
 
 
@@ -486,12 +478,22 @@ def number_token_fraction(texts) -> float:
     return numeric / total
 
 
-def save_lexicon(lexicon: Lexicon, path, header: str | None = None) -> None:
-    """Write ``src\\ttgt\\tweight`` lines, heaviest first, after an optional header line.
+def lexicon_cache_key(params: HunParams, src_docs: dict, tgt_docs: dict) -> str:
+    """What ``align_hunalign`` builds a lexicon from: the parameters and every aligned text."""
+    h = hashlib.sha256()
+    for c in sorted(set(src_docs) & set(tgt_docs)):
+        doc = json.dumps([format_celex(c), src_docs[c], tgt_docs[c]], ensure_ascii=False)
+        h.update(doc.encode("utf-8") + b"\n")
+    return f"hun_params={params.digest()} inputs={h.hexdigest()}"
 
-    The header line is ``# <header> entries=<number of entry lines>``.
+
+def save_lexicon(lexicon: Lexicon, path, key: str) -> None:
+    """Write ``src\\ttgt\\tweight`` lines, heaviest first, after a header line.
+
+    The header line is ``# <key> entries=<number of entry lines>``, where
+    ``key`` names what the lexicon was built from (``lexicon_cache_key``).
     """
-    lines = [] if header is None else [f"# {header} entries={len(lexicon.entries)}"]
+    lines = [f"# {key} entries={len(lexicon.entries)}"]
     lines += [
         f"{s}\t{t}\t{w!r}"
         for (s, t), w in sorted(lexicon.entries.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -501,33 +503,34 @@ def save_lexicon(lexicon: Lexicon, path, header: str | None = None) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def lexicon_header(path) -> str | None:
-    """The header ``save_lexicon`` wrote into the file, or None when it has none."""
-    with open(path, "rb") as f:
-        first = decode_utf8(f.readline(), path, MalformedLexiconError)
-    m = _HEADER_RE.fullmatch(first.rstrip("\r\n"))
-    return m[1] if m else None
+def load_lexicon(path, key: str) -> Lexicon | None:
+    """The lexicon ``save_lexicon`` wrote under ``key``, or None when the file's header names another.
 
-
-def load_lexicon(path) -> Lexicon:
-    """Read a ``save_lexicon`` file; a bad line, byte or count raises ``MalformedLexiconError``."""
-    entries = {}
-    text = decode_utf8(Path(path).read_bytes(), path, MalformedLexiconError)
-    lines = text.splitlines()
-    header = _HEADER_RE.fullmatch(lines[0]) if lines else None
+    A file whose header line holds another key or no entry count was built
+    from other inputs, and its body is not read.  Under this key, a bad
+    line, byte or count raises ``MalformedLexiconError``, as does a bad
+    byte in the header line.
+    """
+    data = Path(path).read_bytes()
+    first = decode_utf8(data.partition(b"\n")[0], path, MalformedLexiconError)
+    header = _HEADER_RE.fullmatch(first.rstrip("\r"))
+    if header is None or header[1] != key:
+        return None
+    text = decode_utf8(data, path, MalformedLexiconError)
     # Every line ends in a newline, so a file cut even inside its last line falls short.
     complete = text.count("\n") - 1
-    if header and complete != int(header[2]):
+    if complete != int(header[2]):
         raise MalformedLexiconError(f"{path}: header says {header[2]} entries, file has {complete}")
-    for number, line in enumerate(lines, 1):
-        if not line or (number == 1 and line.startswith("#")):
+    entries = {}
+    for number, line in enumerate(text.splitlines()[1:], 2):
+        if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 3:

@@ -3,7 +3,7 @@
 Reading a config builds these classes, so they live apart from the stage
 modules that use them (``ingest``, ``galechurch``, ``hunalign``): a run
 loads a stage module only when it runs that stage. This module imports
-nothing but ``json`` and ``dataclasses``.
+nothing but ``json``, ``re`` and ``dataclasses``.
 
 A config is JSON, which can also spell ``NaN``, ``Infinity``, strings and
 booleans where a number belongs. Every real-valued field must be a finite
@@ -12,11 +12,21 @@ neither.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
+
+# A language code: two lowercase letters, matched whole.
+LANG_RE = re.compile(r"[a-z]{2}")
 
 # Where raw documents come from.
 LOCAL_DIRECTORY = "local_directory"
 HTTP_ENDPOINT = "http_endpoint"
+
+# The sites an HTTP source can address documents at (see ``celex.document_url``).
+SMARTAPI = "smartapi"
+LEXURISERV = "lexuriserv"
+CCVISTA = "ccvista"
+ENDPOINTS = (SMARTAPI, LEXURISERV, CCVISTA)
 
 # Units of a Gale-Church segment length.
 CHARACTERS = "characters"
@@ -69,11 +79,13 @@ class FetchSource:
 
     mode: str
     root: str
-    endpoint: str = "lexuriserv"  # celex.LEXURISERV, not imported so that start-up skips celex
+    endpoint: str = LEXURISERV
 
     def __post_init__(self):
         if self.mode not in (LOCAL_DIRECTORY, HTTP_ENDPOINT):
             raise ValueError(f"unknown fetch mode {self.mode!r}")
+        if self.endpoint not in ENDPOINTS:
+            raise ValueError(f"unknown endpoint {self.endpoint!r}; expected one of {ENDPOINTS}")
 
 
 @dataclass(frozen=True)

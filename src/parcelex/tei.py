@@ -16,8 +16,9 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .celex import _LANG_RE, CelexId, format_celex, jrc_document_id, parse_celex
+from .celex import CelexId, format_celex, jrc_document_id, parse_celex
 from .errors import InconsistentBoundariesError, MalformedXmlError, SchemaViolationError
+from .params import LANG_RE
 
 HEAD = "head"
 BODY = "body"
@@ -339,7 +340,7 @@ def parse_tei(xml_text: str) -> TeiDocument:
         raise SchemaViolationError(f"expected TEI.2 root, got {root.tag!r}")
     celex = parse_celex(root.get("n", ""))
     lang = root.get("lang", "")
-    if not _LANG_RE.match(lang):
+    if not LANG_RE.fullmatch(lang):
         raise SchemaViolationError(f"root lang must be a two-letter lowercase code, got {lang!r}")
 
     header = _require(root, "teiHeader")

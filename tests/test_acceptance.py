@@ -20,7 +20,7 @@ from conftest import FIXTURES, bank_lines, held_out_chunks
 from parcelex.beads import AlignmentLink
 from parcelex.celex import CelexId, document_url, format_celex, parse_celex
 from parcelex.galechurch import GCParams, align_gale_church, alignment_cost, exhaustive_align
-from parcelex.hunalign import HunParams, align_hunalign, build_lexicon, similarity_align
+from parcelex.hunalign import HunParams, align_hunalign, build_lexicon, prepare_pair, similarity_align
 from parcelex.ingest import RawDocument, verify_language
 from parcelex.langid import guess_language
 from parcelex.standoff import (
@@ -137,7 +137,10 @@ def test_c05_lexicon_recovery():
         1 for s, t in bitext.dictionary.items() if lexicon.entries.get((s, t), 0.0) >= 0.5
     )
     assert recovered >= 0.9 * len(bitext.dictionary), recovered
-    again = build_lexicon(phase1, bitext.src_docs, bitext.tgt_docs, params)
+    prepared = {
+        c: prepare_pair(bitext.src_docs[c], bitext.tgt_docs[c], params.max_split) for c in celexes
+    }
+    again = build_lexicon(phase1, prepared, params)
     # The driver's phase 2 ran on this phase 1, and is deterministic under the default seed.
     assert again.entries == lexicon.entries
     assert time.perf_counter() - start < 30.0

@@ -58,6 +58,8 @@ def test_round_trip_example():
         "21999D0624(00)",     # zero part
         "21999D0624(01)x",    # trailing junk
         "X1999D0624",         # non-digit type
+        "21999D0624\n",       # trailing newline
+        "21999D0624(01)\n",   # trailing newline after the part
     ],
 )
 def test_parse_rejects(bad):
@@ -116,6 +118,10 @@ def test_unknown_endpoint():
 
 def test_jrc_document_id():
     assert jrc_document_id(parse_celex("42004D0097"), "fr") == "jrc42004D0097-fr"
+    with pytest.raises(ValueError, match="two-letter"):
+        jrc_document_id(parse_celex("42004D0097"), "fr\n")
+    with pytest.raises(MalformedCelexError):
+        split_jrc_id("jrc42004D0097-fr\n")
 
 
 def test_jrc_alignment_id():

@@ -11,10 +11,8 @@ import pytest
 from conftest import FIXTURES
 import parcelex
 from parcelex.celex import parse_celex
-from parcelex.cli import (
-    _FLAGS, _STAGES, SUBCOMMANDS, InputError, PipelineConfig, _lexicon_cache_key, load_config, main, run,
-)
-from parcelex.hunalign import HunParams
+from parcelex.cli import _FLAGS, _STAGES, SUBCOMMANDS, InputError, PipelineConfig, load_config, main, run
+from parcelex.hunalign import HunParams, lexicon_cache_key
 from parcelex.langid import save_profile, train_language_profile
 from parcelex.standoff import export_standoff_xml, import_csv, import_standoff_xml
 from parcelex.tei import parse_tei
@@ -322,14 +320,48 @@ def test_interrupted_lexicon_cache_write_is_never_trusted(tmp_path, profiles_dir
     assert f"cached lexicon ({entries} entries)" in capsys.readouterr().err
 
 
+def test_a_lexicon_cache_hit_opens_the_cache_once(tmp_path, profiles_dir, monkeypatch, capsys):
+    import builtins
+    import io
+
+    config_path = make_config(tmp_path, profiles_dir)
+    for stage in ("fetch", "normalize"):
+        assert _cli(config_path, stage) == 0
+    align = ("align", "--aligner", "hunalign", "--pairs", "en-fr")
+    assert _cli(config_path, *align) == 0
+    cache = tmp_path / "out" / "alignments" / "hunalign" / "en-fr.lexicon.txt"
+    opened = []
+
+    def counting(open_):
+        def wrapper(file, *args, **kwargs):
+            opened.append(str(file))
+            return open_(file, *args, **kwargs)
+
+        return wrapper
+
+    # Path.open calls io.open, and a bare open() is builtins.open.
+    monkeypatch.setattr(io, "open", counting(io.open))
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    capsys.readouterr()
+    assert _cli(config_path, *align) == 0
+    monkeypatch.undo()
+    assert "cached lexicon" in capsys.readouterr().err
+    assert opened.count(str(cache)) == 1
+
+
 def test_lexicon_cache_key_covers_params_and_every_text():
     c = parse_celex("31984D0001")
     src, tgt = {c: ["un", "deux"]}, {c: ["one", "two"]}
-    key = _lexicon_cache_key(HunParams(), [c], src, tgt)
-    assert key == _lexicon_cache_key(HunParams(), [c], {c: ["un", "deux"]}, tgt)
-    assert key != _lexicon_cache_key(HunParams(rng_seed=99), [c], src, tgt)
-    assert key != _lexicon_cache_key(HunParams(), [c], src, {c: ["one", "two."]})
-    assert key != _lexicon_cache_key(HunParams(), [c], {c: ["un deux"]}, tgt)
+    key = lexicon_cache_key(HunParams(), src, tgt)
+    # The bytes of the caches that earlier versions wrote, so that those stay hits.
+    assert key == (
+        "hun_params=098bebae3ee3 "
+        "inputs=547e08f19d4923d3265616f0baeb1f066bf6a2e9a0986e5aef697bbd8dc1ac29"
+    )
+    assert key == lexicon_cache_key(HunParams(), {c: ["un", "deux"]}, tgt)
+    assert key != lexicon_cache_key(HunParams(rng_seed=99), src, tgt)
+    assert key != lexicon_cache_key(HunParams(), src, {c: ["one", "two."]})
+    assert key != lexicon_cache_key(HunParams(), {c: ["un deux"]}, tgt)
 
 
 @pytest.mark.parametrize(
@@ -570,6 +602,22 @@ def _config_json(value):
             _config_json({**_VALID_CONFIG, "gc_params": {"arity_priors": {"1-1-1": 0.01}}}),
             "bad config value",
         ),
+        (
+            _config_json({**_VALID_CONFIG, "aligner": ["hunalign"]}),
+            "bad config value: unknown key 'aligner'",
+        ),
+        (
+            _config_json({**_VALID_CONFIG, "top_descriptor": 5}),
+            "bad config value: unknown key 'top_descriptor'",
+        ),
+        (
+            _config_json({**_VALID_CONFIG, "source": {"root": "html", "mdoe": "x"}}),
+            "bad config value: FetchSource.__init__() got an unexpected keyword argument 'mdoe'",
+        ),
+        (
+            _config_json({**_VALID_CONFIG, "source": {"root": "html", "endpoint": "foo"}}),
+            "bad config value: unknown endpoint 'foo'",
+        ),
         *(
             (_config_json({**_VALID_CONFIG, key: {field: value}}), "bad config value")
             for key, field, value in _BAD_NUMBERS
@@ -581,7 +629,8 @@ def _config_json(value):
         "top-descriptors-bool", "seed-float", "selection-string", "selection-int",
         "aligners-repeated", "aligners-string", "aligners-unknown", "languages-repeated",
         "languages-three-letters", "languages-uppercase", "languages-number", "seed-and-rng-seed",
-        "arity-prior-3-1", "arity-prior-1-1-1",
+        "arity-prior-3-1", "arity-prior-1-1-1", "unknown-key-aligner", "unknown-key-top-descriptor",
+        "unknown-source-key", "unknown-endpoint",
         *(f"{field}-{value!r}" for _, field, value in _BAD_NUMBERS),
     ],
 )
@@ -1001,6 +1050,22 @@ def test_a_pair_named_twice_is_run_once(aligned_tree, tmp_path, command, repeate
         assert _cli(root / "config.json", *command, "--pairs", pairs) == 0
         runs[pairs] = (_tree(root / "out"), capsys.readouterr().err)
     assert runs[repeated] == runs["en-fr"]
+
+
+def test_fetch_refuses_two_raw_files_of_one_document(tmp_path, capsys):
+    html = tmp_path / "html"
+    html.mkdir()
+    for lang in ("en", "fr"):
+        shutil.copy(FIXTURES / "html" / f"31984D0001-{lang}.html", html)
+    shutil.copy(FIXTURES / "html" / "31984D0001-en.html", html / "31984D0001-en.txt")
+    config_path = make_config(
+        tmp_path, None, languages=["en", "fr"], source={"mode": "local_directory", "root": str(html)},
+    )
+    capsys.readouterr()
+    assert _cli(config_path, "fetch") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "31984D0001-en.html" in err and "31984D0001-en.txt" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_normalize_parses_each_raw_document_once(tmp_path, profiles_dir, monkeypatch):

@@ -16,7 +16,6 @@ from parcelex.hunalign import (
     align_hunalign,
     build_lexicon,
     identical_word_ratio,
-    lexicon_header,
     load_lexicon,
     merge_segments,
     number_similarity,
@@ -217,17 +216,22 @@ def _tiny_bitext():
     return celex, src, tgt
 
 
+def _prepared(src_docs, tgt_docs, params):
+    """The pairs ``align_hunalign`` prepares for phase 2: each celex's two sides."""
+    return {c: prepare_pair(src_docs[c], tgt_docs[c], params.max_split) for c in src_docs}
+
+
 def test_build_lexicon_perfect_cooccurrence():
     celex, src, tgt = _tiny_bitext()
     phase1 = [similarity_align(src[celex], tgt[celex], None, P, celex=celex)]
-    lexicon = build_lexicon(phase1, src, tgt, P)
+    lexicon = build_lexicon(phase1, _prepared(src, tgt, P), P)
     # "aaa" always co-occurs with "xxx" and nowhere else
     assert lexicon.entries[("aaa", "xxx")] == 1.0
 
 
 def test_build_lexicon_no_one_to_one():
     with pytest.raises(NoOneToOneLinksError):
-        build_lexicon([], {}, {}, P)
+        build_lexicon([], {}, P)
 
 
 def test_build_lexicon_deterministic():
@@ -236,8 +240,8 @@ def test_build_lexicon_deterministic():
     phase1 = [
         similarity_align(bt.src_docs[c], bt.tgt_docs[c], None, P, celex=c) for c in celexes
     ]
-    a = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, P)
-    b = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, P)
+    a = build_lexicon(phase1, _prepared(bt.src_docs, bt.tgt_docs, P), P)
+    b = build_lexicon(phase1, _prepared(bt.src_docs, bt.tgt_docs, P), P)
     assert a.entries == b.entries
 
 
@@ -276,14 +280,8 @@ def test_build_lexicon_same_from_prepared_documents_and_texts():
                          first_tgt=2)
         for c in celexes
     ]
-    prepared = {c: prepare_pair(bt.src_docs[c], bt.tgt_docs[c], params.max_split) for c in celexes}
-    from_prepared = build_lexicon(
-        phase1, {c: s for c, (s, _) in prepared.items()}, {c: t for c, (_, t) in prepared.items()},
-        params, first_n=2,
-    )
-    from_texts = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, params, first_n=2)
-    assert from_prepared.entries == from_texts.entries
-    assert from_texts.entries == _reference_lexicon(phase1, bt.src_docs, bt.tgt_docs, params, 2)
+    from_prepared = build_lexicon(phase1, _prepared(bt.src_docs, bt.tgt_docs, params), params, 2)
+    assert from_prepared.entries == _reference_lexicon(phase1, bt.src_docs, bt.tgt_docs, params, 2)
 
 
 @pytest.mark.parametrize("min_cooc", [1, 2, 3])
@@ -309,10 +307,7 @@ def test_build_lexicon_equals_the_count_over_every_type_pair_in_order(min_cooc):
     }
     if min_cooc > 1:  # some types are too rare to pair
         assert min(src_counts.values()) < min_cooc and min(tgt_counts.values()) < min_cooc
-    got = build_lexicon(
-        phase1, {c: s for c, (s, _) in prepared.items()}, {c: t for c, (_, t) in prepared.items()},
-        params,
-    ).entries
+    got = build_lexicon(phase1, prepared, params).entries
     assert got == want and list(got) == list(want)
 
 
@@ -331,7 +326,7 @@ def test_driver_equals_phases_run_by_hand():
                          tgt_lang="yy", first_src=2, first_tgt=2)
         for c in celexes
     ]
-    lexicon = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, P, first_n=2)
+    lexicon = build_lexicon(phase1, _prepared(bt.src_docs, bt.tgt_docs, P), P, first_n=2)
     phase3 = [
         similarity_align(bt.src_docs[c], bt.tgt_docs[c], lexicon, P, celex=c, src_lang="xx",
                          tgt_lang="yy", first_src=2, first_tgt=2)
@@ -393,8 +388,8 @@ def test_cached_lexicon_reproduces_output(tmp_path):
     bt = planted_bitext(n_pairs=150, dict_size=20, seed=21)
     first, lexicon = align_hunalign(bt.src_docs, bt.tgt_docs, P)
     path = tmp_path / "pair.lexicon.txt"
-    save_lexicon(lexicon, path)
-    rerun, _ = align_hunalign(bt.src_docs, bt.tgt_docs, P, lexicon=load_lexicon(path))
+    save_lexicon(lexicon, path, "key")
+    rerun, _ = align_hunalign(bt.src_docs, bt.tgt_docs, P, lexicon=load_lexicon(path, "key"))
     assert [a.links for a in rerun] == [a.links for a in first]
 
 
@@ -403,10 +398,10 @@ def test_lexicon_persistence_round_trip(tmp_path):
         entries={("a", "x"): 0.123456789, ("b", "y"): 1.0, ("c", "z"): 0.5},
     )
     path = tmp_path / "lex.txt"
-    save_lexicon(lexicon, path)
+    save_lexicon(lexicon, path, "key")
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("b\ty\t")  # heaviest first
-    loaded = load_lexicon(path)
+    assert lines[1].startswith("b\ty\t")  # heaviest first, after the header
+    loaded = load_lexicon(path, "key")
     assert loaded.entries == lexicon.entries
 
 
@@ -477,7 +472,8 @@ def reference_lexicons():
     ]
     # min_cooc 1 keeps many weights that are not short binary fractions, so
     # the order in which a bead adds them shows in the bits of its score.
-    boot = build_lexicon(phase1, bt.src_docs, bt.tgt_docs, HunParams(min_cooc=1))
+    params = HunParams(min_cooc=1)
+    boot = build_lexicon(phase1, _prepared(bt.src_docs, bt.tgt_docs, params), params)
     # "orphan" has translations, but none of them ever occurs on the target side.
     # Of the other entries every third weighs 0.0 and every third -0.0, which
     # Lexicon accepts, so a bead's best translation can weigh a zero of either sign.
@@ -552,9 +548,9 @@ def test_a_merge_whose_move_index_needs_more_than_a_byte():
 )
 def test_load_lexicon_rejects_malformed_lines(tmp_path, line):
     path = tmp_path / "lex.txt"
-    path.write_text(f"b\ty\t1.0\n{line}\n", encoding="utf-8")
+    path.write_text(f"# key entries=2\nb\ty\t1.0\n{line}\n", encoding="utf-8")
     with pytest.raises(MalformedLexiconError, match="lex.txt"):
-        load_lexicon(path)
+        load_lexicon(path, "key")
 
 
 def test_lexicon_rejects_weights_outside_unit_interval():
@@ -565,22 +561,16 @@ def test_lexicon_rejects_weights_outside_unit_interval():
 @pytest.mark.parametrize("offset", [5, 30])  # in the header line, in the first entry
 def test_lexicon_file_with_bad_utf8_byte_is_malformed(tmp_path, offset):
     path = tmp_path / "lex.txt"
-    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, header="hun_params=abc")
+    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, "hun_params=abc")
     data = path.read_bytes()
     path.write_bytes(data[:offset] + b"\xff" + data[offset:])
-    message = f"lex.txt: not valid UTF-8 at byte {offset}"
-    if offset < data.index(b"\n"):
-        with pytest.raises(MalformedLexiconError, match=message):
-            lexicon_header(path)
-    else:
-        assert lexicon_header(path) == "hun_params=abc"
-    with pytest.raises(MalformedLexiconError, match=message):
-        load_lexicon(path)
+    with pytest.raises(MalformedLexiconError, match=f"lex.txt: not valid UTF-8 at byte {offset}"):
+        load_lexicon(path, "hun_params=abc")
 
 
 def test_interrupted_save_leaves_the_old_lexicon_file(tmp_path, monkeypatch):
     path = tmp_path / "lex.txt"
-    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, header="old")
+    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, "old")
     old = path.read_bytes()
     write_text = Path.write_text
 
@@ -591,9 +581,9 @@ def test_interrupted_save_leaves_the_old_lexicon_file(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "write_text", interrupted)
     new = Lexicon(entries={("b", "y"): 1 / 3, ("c", "z"): 0.25})
     with pytest.raises(KeyboardInterrupt):
-        save_lexicon(new, path, header="new")
+        save_lexicon(new, path, "new")
     with pytest.raises(KeyboardInterrupt):
-        save_lexicon(new, tmp_path / "fresh.txt")
+        save_lexicon(new, tmp_path / "fresh.txt", "new")
     monkeypatch.undo()
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["lex.txt"]  # nothing half-written beside it
@@ -602,9 +592,19 @@ def test_interrupted_save_leaves_the_old_lexicon_file(tmp_path, monkeypatch):
 def test_lexicon_header_round_trip(tmp_path):
     lexicon = Lexicon(entries={("a", "x"): 0.5})
     path = tmp_path / "lex.txt"
-    save_lexicon(lexicon, path, header="hun_params=abc inputs=def")
+    save_lexicon(lexicon, path, "hun_params=abc inputs=def")
     assert path.read_text(encoding="utf-8").splitlines()[0] == "# hun_params=abc inputs=def entries=1"
-    assert lexicon_header(path) == "hun_params=abc inputs=def"
-    assert load_lexicon(path).entries == lexicon.entries
-    save_lexicon(lexicon, path)
-    assert lexicon_header(path) is None
+    assert load_lexicon(path, "hun_params=abc inputs=def").entries == lexicon.entries
+    assert load_lexicon(path, "hun_params=abc inputs=xyz") is None
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["# hun_params=old entries=2", "# hun_params=new", "a\tx\t0.5", ""],
+    ids=["other-key", "no-count", "no-header", "empty"],
+)
+def test_lexicon_built_under_another_key_is_not_read(tmp_path, header):
+    # A body that would not load: a line without its weight, and a count that disagrees.
+    path = tmp_path / "lex.txt"
+    path.write_bytes(header.encode("utf-8") + b"\na\tx\n\xff\n" if header else b"")
+    assert load_lexicon(path, "hun_params=new") is None

@@ -10,6 +10,7 @@ from parcelex.celex import CelexId, parse_celex
 from parcelex.errors import (
     DanglingPointerError,
     EmptyCollectionError,
+    MalformedCelexError,
     MalformedXmlError,
     MismatchedDocumentsError,
     ParcelexError,
@@ -95,9 +96,11 @@ def test_import_rejects_bad_pointer():
         ('target="6"/>', 'target="6" score="1e999"/>', SchemaViolationError),
         ('type="2-1" source="6;7" target="6"', 'type="0-0" source="" target=""',
          SchemaViolationError),
+        ('n="31960D0511"', 'n="31960D0511&#10;"', MalformedCelexError),
     ],
     ids=["type-x-1", "type-1-1-1", "type-empty", "source-2;", "source-;2", "source-2;;3",
-         "source-3;2", "score-high", "score-nan", "score-inf", "score-1e999", "link-0-0"],
+         "source-3;2", "score-high", "score-nan", "score-inf", "score-1e999", "link-0-0",
+         "celex-newline"],
 )
 def test_import_rejects_a_malformed_link_field_with_its_own_error(field, value, error):
     xml = export_standoff_xml(_file())

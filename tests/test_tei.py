@@ -9,6 +9,7 @@ from conftest import FIXTURES
 from parcelex.celex import parse_celex
 from parcelex.errors import (
     InconsistentBoundariesError,
+    MalformedCelexError,
     MalformedXmlError,
     SchemaViolationError,
 )
@@ -164,6 +165,22 @@ def test_parse_truncated_xml():
 def test_parse_missing_mandatory_elements():
     with pytest.raises(SchemaViolationError):
         parse_tei('<TEI.2 id="x" n="31984D0001" lang="en"><teiHeader/></TEI.2>')
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        (' n="42004D0097"', ' n="42004D0097&#10;"', MalformedCelexError),
+        (' lang="fr"', ' lang="fr&#10;"', SchemaViolationError),
+    ],
+    ids=["celex", "lang"],
+)
+def test_parse_rejects_a_root_identifier_with_a_trailing_newline(figure1_document, old, new, error):
+    xml = serialize_tei(figure1_document)
+    root = xml[: xml.index(">", xml.index("<TEI.2")) + 1]
+    assert root.count(old) == 1
+    with pytest.raises(error):
+        parse_tei(xml.replace(root, root.replace(old, new)))
 
 
 def test_parse_extent_mismatch(figure1_document):
