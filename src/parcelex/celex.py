@@ -12,7 +12,13 @@ import re
 from dataclasses import dataclass
 
 from .errors import MalformedCelexError, UnsupportedEndpointError
-from .params import CCVISTA, ENDPOINTS, LANG_RE, LEXURISERV, SMARTAPI
+from .params import LANG_RE
+
+# The sites that published the documents, each addressing them by its own URL.
+SMARTAPI = "smartapi"
+LEXURISERV = "lexuriserv"
+CCVISTA = "ccvista"
+ENDPOINTS = (SMARTAPI, LEXURISERV, CCVISTA)
 
 # Matched whole: a trailing newline is not part of an identifier.
 CELEX_RE = re.compile(r"(\d)(\d{4})([A-Z])(\d{4})(?:\((\d{2})\))?")

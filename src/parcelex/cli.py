@@ -128,10 +128,8 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
             hun_raw["rng_seed"] = raw["seed"]
         if seed_override is not None:
             hun_raw["rng_seed"] = seed_override
-        source_raw = dict(_object(raw, "source"))
-        root = source_raw["root"]
-        if source_raw.setdefault("mode", LOCAL_DIRECTORY) == LOCAL_DIRECTORY:
-            source_raw["root"] = str((base / root).resolve())
+        source_raw = {"mode": LOCAL_DIRECTORY, **_object(raw, "source")}
+        source_raw["root"] = str((base / source_raw["root"]).resolve())
         source = FetchSource(**source_raw)
         return PipelineConfig(
             languages=raw.get("languages"),
@@ -182,8 +180,6 @@ def cmd_fetch(config: PipelineConfig) -> None:
     from .celex import format_celex, parse_celex
     from .ingest import fetch_document
 
-    if config.source.mode != LOCAL_DIRECTORY:
-        raise InputError("fetch requires a local_directory source (bulk crawling is out of scope)")
     root = Path(config.source.root)
     if not root.is_dir():
         raise InputError(f"source directory not found: {root}")
@@ -410,62 +406,95 @@ def _doc_texts(doc) -> list[str]:
     return [p.text for p in doc.paragraphs[1:]]
 
 
-def _align_pair(config: PipelineConfig, corpus, src_lang: str, tgt_lang: str, aligner: str):
-    src_docs = corpus.get(src_lang, {})
-    tgt_docs = corpus.get(tgt_lang, {})
-    common = sorted(set(src_docs) & set(tgt_docs))
-    if not common:
-        return None
-    src_texts = {c: _doc_texts(src_docs[c]) for c in common}
-    tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}
+def _inputs_digest(src_texts: dict, tgt_texts: dict) -> str:
+    """The sha256 over what a pair is aligned from: each common document's texts, in celex order."""
+    import hashlib
+
+    from .celex import format_celex
+
+    h = hashlib.sha256()
+    for c in sorted(src_texts):
+        doc = json.dumps([format_celex(c), src_texts[c], tgt_texts[c]], ensure_ascii=False)
+        h.update(doc.encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+def _align_pair(config: PipelineConfig, aligner: str, src_lang: str, tgt_lang: str,
+                src_texts: dict, tgt_texts: dict, inputs: str) -> list[BitextAlignment]:
+    """The pair's alignments by ``aligner``; hunalign also writes its lexicon."""
     if aligner == "gale_church":
         from .galechurch import align_gale_church
 
-        alignments = [
+        return [
             align_gale_church(src_texts[c], tgt_texts[c], config.gc, celex=c, src_lang=src_lang,
                               tgt_lang=tgt_lang, first_src=2, first_tgt=2)
-            for c in common
+            for c in src_texts
         ]
-        return alignments, config.gc.digest()
-    from .hunalign import align_hunalign, lexicon_cache_key, load_lexicon, save_lexicon
+    from .hunalign import align_hunalign, save_lexicon
 
-    cache = config.output_root / "alignments" / "hunalign" / f"{src_lang}-{tgt_lang}.lexicon.txt"
-    key = lexicon_cache_key(config.hun, src_texts, tgt_texts)
-    cached = load_lexicon(cache, key) if cache.is_file() else None
-    if cached is not None:
-        _log(f"{src_lang}-{tgt_lang}: cached lexicon ({len(cached)} entries), skipping phases 1-2")
-    elif cache.is_file():
-        _log(f"{src_lang}-{tgt_lang}: lexicon cache miss (parameters or texts changed)")
     alignments, lexicon = align_hunalign(
-        src_texts, tgt_texts, config.hun,
-        src_lang=src_lang, tgt_lang=tgt_lang, first_n=2, lexicon=cached,
+        src_texts, tgt_texts, config.hun, src_lang=src_lang, tgt_lang=tgt_lang, first_n=2,
     )
-    if cached is None:
-        cache.parent.mkdir(parents=True, exist_ok=True)
-        save_lexicon(lexicon, cache, key)
-    return alignments, config.hun.digest()
+    path = _pair_files(config, aligner, src_lang, tgt_lang)[1]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_lexicon(lexicon, path, f"hun_params={config.hun.digest()} inputs={inputs}")
+    return alignments
+
+
+def _pair_files(config: PipelineConfig, aligner: str, src: str, tgt: str) -> list[Path]:
+    """The files ``align`` writes for a pair: its stand-off file, then hunalign's lexicon."""
+    standoff = _standoff_path(config, aligner, src, tgt)
+    if aligner == "hunalign":
+        return [standoff, standoff.with_name(f"{src}-{tgt}.lexicon.txt")]
+    return [standoff]
+
+
+def _file_digests(paths) -> dict[str, str] | None:
+    """The sha256 of each file, by name; None when one of them cannot be read."""
+    import hashlib
+
+    try:
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    except OSError:
+        return None
 
 
 def _provenance_path(config: PipelineConfig, aligner: str) -> Path:
     return config.output_root / "alignments" / aligner / "provenance.json"
 
 
-def _load_provenance(config: PipelineConfig, aligner: str) -> dict[str, str]:
-    """The parameter digest of each pair that earlier ``align`` runs recorded for ``aligner``."""
+def _is_pair_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and entry.keys() == {"params", "inputs", "files"}
+        and isinstance(entry["files"], dict)
+        and all(isinstance(value, str)
+                for value in (entry["params"], entry["inputs"], *entry["files"].values()))
+    )
+
+
+def _load_provenance(config: PipelineConfig, aligner: str) -> dict[str, dict]:
+    """What earlier ``align`` runs recorded for each pair of ``aligner``.
+
+    Each pair's entry holds its parameter digest, its input digest and the
+    sha256 of each file it wrote.
+    """
     path = _provenance_path(config, aligner)
     if not path.is_file():
         return {}
     record = _read(path, json.loads)
     if not (
         isinstance(record, dict)
-        and record.get("aligner") == aligner
-        and isinstance(record.get("params_digest"), dict)
-        and all(isinstance(digest, str) for digest in record["params_digest"].values())
+        and record.keys() == {"aligner", "pairs"}
+        and record["aligner"] == aligner
+        and isinstance(record["pairs"], dict)
+        and all(map(_is_pair_entry, record["pairs"].values()))
     ):
         raise InputError(
-            f'{path}: expected {{"aligner": "{aligner}", "params_digest": {{pair: digest, ...}}}}'
+            f'{path}: expected {{"aligner": "{aligner}", "pairs": {{pair: {{"params": digest, '
+            f'"inputs": sha256, "files": {{name: sha256, ...}}}}, ...}}}}'
         )
-    return record["params_digest"]
+    return record["pairs"]
 
 
 def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) -> None:
@@ -473,29 +502,47 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
 
     pairs = _resolve_pairs(config, pairs)
     aligners = (aligner,) if aligner else config.aligners
-    # A run that aligns some pairs keeps what earlier runs recorded for the others.
-    provenance = {name: _load_provenance(config, name) for name in aligners}
+    # A run keeps what earlier runs recorded for the pairs it does not align.
+    records = {name: _load_provenance(config, name) for name in aligners}
     corpus = _load_tei_corpus(config, {lang for pair in pairs for lang in pair})
-    written = 0
-    for src, tgt in pairs:
-        for name in aligners:
-            result = _align_pair(config, corpus, src, tgt, name)
-            if result is None:
-                _log(f"{name} {src}-{tgt}: no common documents, skipped")
+    aligned = []
+    try:
+        for src, tgt in pairs:
+            src_docs, tgt_docs = corpus.get(src, {}), corpus.get(tgt, {})
+            common = sorted(set(src_docs) & set(tgt_docs))
+            if not common:
+                for name in aligners:
+                    _log(f"{name} {src}-{tgt}: no common documents, skipped")
                 continue
-            alignments, digest = result
-            _write(
-                _standoff_path(config, name, src, tgt),
-                export_standoff_xml(standoff_from_alignments(alignments)),
-            )
-            provenance[name][f"{src}-{tgt}"] = digest
-            written += 1
-    for name in aligners:
-        _write(
-            _provenance_path(config, name),
-            _json_dump({"aligner": name, "params_digest": provenance[name]}),
-        )
-    _log(f"aligned {written} pair/aligner combinations")
+            src_texts = {c: _doc_texts(src_docs[c]) for c in common}
+            tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}
+            inputs = _inputs_digest(src_texts, tgt_texts)
+            for name in aligners:
+                pair, files = f"{src}-{tgt}", _pair_files(config, name, src, tgt)
+                params = (config.gc if name == "gale_church" else config.hun).digest()
+                # A pair is kept when it would be aligned from the same parameters
+                # and texts, and every file it wrote is still there, unchanged.
+                entry = records[name].get(pair)
+                if (
+                    entry is not None
+                    and (entry["params"], entry["inputs"]) == (params, inputs)
+                    and entry["files"] == _file_digests(files)
+                ):
+                    _log(f"{name} {pair}: kept")
+                    continue
+                alignments = _align_pair(config, name, src, tgt, src_texts, tgt_texts, inputs)
+                _write(files[0], export_standoff_xml(standoff_from_alignments(alignments)))
+                records[name][pair] = {
+                    "params": params, "inputs": inputs, "files": _file_digests(files),
+                }
+                aligned.append(name)
+    finally:
+        # Also after a failure, so that a rerun keeps the pairs aligned before it.
+        for name in aligners:
+            if name in aligned:
+                record = {"aligner": name, "pairs": records[name]}
+                _write(_provenance_path(config, name), _json_dump(record))
+    _log(f"aligned {len(aligned)} pair/aligner combinations")
 
 
 def _standoff_path(config: PipelineConfig, aligner: str, src: str, tgt: str) -> Path:
@@ -503,7 +550,7 @@ def _standoff_path(config: PipelineConfig, aligner: str, src: str, tgt: str) -> 
 
 
 def _load_standoff(config: PipelineConfig, aligner: str, src: str, tgt: str):
-    """The pair's stand-off file, whose links for each document run over paragraphs 2.. in order."""
+    """The pair's stand-off file, checked to name its pair and to cover paragraphs 2.. in order."""
     from .beads import links_cover
     from .celex import format_celex
     from .standoff import import_standoff_xml
@@ -512,6 +559,10 @@ def _load_standoff(config: PipelineConfig, aligner: str, src: str, tgt: str):
     if not path.is_file():
         raise InputError(f"{path} missing; run align first")
     file = _read(path, import_standoff_xml)
+    if (file.src_lang, file.tgt_lang) != (src, tgt):
+        raise InputError(
+            f"{path}: holds pair {file.src_lang}-{file.tgt_lang}, not the one its path names"
+        )
     for celex, links in file.entries:
         n_src = sum(len(link.src_pars) for link in links)
         n_tgt = sum(len(link.tgt_pars) for link in links)

@@ -54,7 +54,7 @@ class InstanceTooLargeError(ParcelexError, ValueError):
 
 
 class MalformedLexiconError(ParcelexError, ValueError):
-    """A lexicon line lacks its three fields or carries a weight outside [0, 1]."""
+    """A lexicon entry carries a weight outside [0, 1]."""
 
 
 class MalformedProfileError(ParcelexError, ValueError):

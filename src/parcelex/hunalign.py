@@ -24,8 +24,6 @@ the lexicon pass costs a few times the first pass.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import random
 import re
@@ -36,14 +34,12 @@ from operator import add, or_
 from pathlib import Path
 
 from .beads import BitextAlignment, monotone_dp, steps_to_alignment
-from .celex import CelexId, format_celex
-from .errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError, decode_utf8
+from .celex import CelexId
+from .errors import MalformedLexiconError, NoOneToOneLinksError
 from .params import HunParams
 
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+")
 _NUMERIC_RE = re.compile(r"^\d")
-# The first line of a lexicon file: the key it was built under, and its number of entry lines.
-_HEADER_RE = re.compile(r"# (.*) entries=(\d+)")
 
 
 @dataclass(frozen=True)
@@ -437,15 +433,12 @@ def align_hunalign(
     src_lang: str = "",
     tgt_lang: str = "",
     first_n: int = 1,
-    lexicon: Lexicon | None = None,
 ) -> tuple[list[BitextAlignment], Lexicon]:
     """Run the three phases over documents paired by celex; return (alignments, lexicon).
 
     ``src_docs`` and ``tgt_docs`` map celex to paragraph-text sequences;
     only celexes present on both sides are aligned.  Each document pair is
-    prepared once and read by all three phases.  Passing a prebuilt
-    ``lexicon`` (e.g. loaded from cache) skips phases 1 and 2, and that
-    lexicon is the one returned.
+    prepared once and read by all three phases.
     """
     params = params or HunParams()
     celexes = sorted(set(src_docs) & set(tgt_docs))
@@ -461,37 +454,15 @@ def align_hunalign(
             for c in celexes
         ]
 
-    if lexicon is None:
-        lexicon = build_lexicon(align_all(None), prepared, params, first_n)
+    lexicon = build_lexicon(align_all(None), prepared, params, first_n)
     return align_all(lexicon), lexicon
-
-
-def number_token_fraction(texts) -> float:
-    """Fraction of number tokens among all tokens of the given texts."""
-    total = numeric = 0
-    for text in texts:
-        seg = tokenize(text)
-        total += len(seg.tokens)
-        numeric += sum(1 for t in seg.tokens if _NUMERIC_RE.match(t))
-    if total == 0:
-        raise EmptyCollectionError("no tokens in the collection")
-    return numeric / total
-
-
-def lexicon_cache_key(params: HunParams, src_docs: dict, tgt_docs: dict) -> str:
-    """What ``align_hunalign`` builds a lexicon from: the parameters and every aligned text."""
-    h = hashlib.sha256()
-    for c in sorted(set(src_docs) & set(tgt_docs)):
-        doc = json.dumps([format_celex(c), src_docs[c], tgt_docs[c]], ensure_ascii=False)
-        h.update(doc.encode("utf-8") + b"\n")
-    return f"hun_params={params.digest()} inputs={h.hexdigest()}"
 
 
 def save_lexicon(lexicon: Lexicon, path, key: str) -> None:
     """Write ``src\\ttgt\\tweight`` lines, heaviest first, after a header line.
 
     The header line is ``# <key> entries=<number of entry lines>``, where
-    ``key`` names what the lexicon was built from (``lexicon_cache_key``).
+    ``key`` names what the lexicon was built from.
     """
     lines = [f"# {key} entries={len(lexicon.entries)}"]
     lines += [
@@ -499,7 +470,7 @@ def save_lexicon(lexicon: Lexicon, path, key: str) -> None:
         for (s, t), w in sorted(lexicon.entries.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
     # Written beside the target and renamed over it, so an interrupted save
-    # never leaves a truncated file where a later run would trust it.
+    # never leaves a truncated file.
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -508,41 +479,3 @@ def save_lexicon(lexicon: Lexicon, path, key: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def load_lexicon(path, key: str) -> Lexicon | None:
-    """The lexicon ``save_lexicon`` wrote under ``key``, or None when the file's header names another.
-
-    A file whose header line holds another key or no entry count was built
-    from other inputs, and its body is not read.  Under this key, a bad
-    line, byte or count raises ``MalformedLexiconError``, as does a bad
-    byte in the header line.
-    """
-    data = Path(path).read_bytes()
-    first = decode_utf8(data.partition(b"\n")[0], path, MalformedLexiconError)
-    header = _HEADER_RE.fullmatch(first.rstrip("\r"))
-    if header is None or header[1] != key:
-        return None
-    text = decode_utf8(data, path, MalformedLexiconError)
-    # Every line ends in a newline, so a file cut even inside its last line falls short.
-    complete = text.count("\n") - 1
-    if complete != int(header[2]):
-        raise MalformedLexiconError(f"{path}: header says {header[2]} entries, file has {complete}")
-    entries = {}
-    for number, line in enumerate(text.splitlines()[1:], 2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedLexiconError(
-                f"{path}:{number}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        s, t, w = fields
-        try:
-            entries[(s, t)] = float(w)
-        except ValueError:
-            raise MalformedLexiconError(f"{path}:{number}: weight {w!r} is not a number") from None
-    try:
-        return Lexicon(entries=entries)
-    except MalformedLexiconError as exc:
-        raise MalformedLexiconError(f"{path}: {exc}") from None

@@ -1,7 +1,7 @@
 """Document acquisition and normalization.
 
-Raw documents come from a pluggable source (a local fixture directory or an
-HTTP endpoint), are reduced from legacy HTML to plain paragraph texts, get
+Raw documents come from a local directory of fixture files, are reduced
+from legacy HTML to plain paragraph texts, get
 their language verified against n-gram profiles, and are filtered by the
 corpus selection rule before TEI encoding.
 """
@@ -14,12 +14,12 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .celex import CelexId, document_url, format_celex
+from .celex import CelexId, format_celex
 from .errors import (
     DecodeError, DocumentNotFoundError, EmptyTextError, UnknownLanguageError, decode_utf8,
 )
 from .langid import guess_language, index_profiles
-from .params import LOCAL_DIRECTORY, FetchSource
+from .params import FetchSource
 
 OFFICIAL_LANGUAGES = frozenset(
     "cs da de el en es et fi fr hu it lt lv mt nl pl pt sk sl sv".split()
@@ -36,9 +36,6 @@ MIN_NEW_MEMBER_LANGUAGES = 3
 # short snippets are unreliable evidence either way.
 SHORT_TEXT_CHARS = 200
 
-# Seconds an HTTP fetch may wait on the server before the document counts as not found.
-HTTP_TIMEOUT_S = 60
-
 
 @dataclass(frozen=True)
 class RawDocument:
@@ -49,57 +46,22 @@ class RawDocument:
     retrieved: datetime.date
 
 
-def fetch_document(
-    source: FetchSource,
-    celex: CelexId,
-    lang: str,
-    http_get=None,
-) -> RawDocument:
-    """Fetch one (celex, lang) document from the source.
-
-    In local mode the fixture file is ``<root>/<celex>-<lang>.html`` (or
-    ``.txt``).  ``http_get`` overrides the URL fetcher, mainly for tests.
-    """
+def fetch_document(source: FetchSource, celex: CelexId, lang: str) -> RawDocument:
+    """Fetch one (celex, lang) document: the file ``<root>/<celex>-<lang>.html`` (or ``.txt``)."""
     code = format_celex(celex)
-    if source.mode == LOCAL_DIRECTORY:
-        root = Path(source.root)
-        for ext in (".html", ".txt"):
-            path = root / f"{code}-{lang}{ext}"
-            if path.is_file():
-                mtime = datetime.date.fromtimestamp(path.stat().st_mtime)
-                return RawDocument(
-                    celex=celex,
-                    lang=lang,
-                    content=decode_utf8(path.read_bytes(), path, DecodeError),
-                    source_url=path.as_uri(),
-                    retrieved=mtime,
-                )
-        raise DocumentNotFoundError(f"no fixture {code}-{lang}.html under {source.root}")
-
-    url = document_url(celex, lang, source.endpoint)
-    if http_get is None:
-        def http_get(u):
-            # The HTTP stack is imported on the first HTTP fetch, not at start-up.
-            import http.client
-            import urllib.request
-
-            try:
-                with urllib.request.urlopen(u, timeout=HTTP_TIMEOUT_S) as resp:
-                    return resp.read()
-            except http.client.HTTPException as exc:
-                # A body cut short (IncompleteRead) or a garbled status line.
-                raise DocumentNotFoundError(f"{u}: {exc!r}") from None
-    try:
-        data = http_get(url)
-    except OSError as exc:
-        raise DocumentNotFoundError(f"{url}: {exc}") from None
-    return RawDocument(
-        celex=celex,
-        lang=lang,
-        content=decode_utf8(data, url, DecodeError),
-        source_url=url,
-        retrieved=datetime.date.today(),
-    )
+    root = Path(source.root)
+    for ext in (".html", ".txt"):
+        path = root / f"{code}-{lang}{ext}"
+        if path.is_file():
+            mtime = datetime.date.fromtimestamp(path.stat().st_mtime)
+            return RawDocument(
+                celex=celex,
+                lang=lang,
+                content=decode_utf8(path.read_bytes(), path, DecodeError),
+                source_url=path.as_uri(),
+                retrieved=mtime,
+            )
+    raise DocumentNotFoundError(f"no fixture {code}-{lang}.html under {source.root}")
 
 
 _DROP_BLOCK_RE = re.compile(

@@ -18,15 +18,8 @@ from dataclasses import dataclass, field
 # A language code: two lowercase letters, matched whole.
 LANG_RE = re.compile(r"[a-z]{2}")
 
-# Where raw documents come from.
+# Where raw documents come from: the one kind of source.
 LOCAL_DIRECTORY = "local_directory"
-HTTP_ENDPOINT = "http_endpoint"
-
-# The sites an HTTP source can address documents at (see ``celex.document_url``).
-SMARTAPI = "smartapi"
-LEXURISERV = "lexuriserv"
-CCVISTA = "ccvista"
-ENDPOINTS = (SMARTAPI, LEXURISERV, CCVISTA)
 
 # Units of a Gale-Church segment length.
 CHARACTERS = "characters"
@@ -75,17 +68,14 @@ def _digest(fields: dict) -> str:
 
 @dataclass(frozen=True)
 class FetchSource:
-    """Where raw documents come from: a fixture directory or an HTTP base."""
+    """Where raw documents come from: a directory of ``<celex>-<lang>.html`` files."""
 
     mode: str
     root: str
-    endpoint: str = LEXURISERV
 
     def __post_init__(self):
-        if self.mode not in (LOCAL_DIRECTORY, HTTP_ENDPOINT):
-            raise ValueError(f"unknown fetch mode {self.mode!r}")
-        if self.endpoint not in ENDPOINTS:
-            raise ValueError(f"unknown endpoint {self.endpoint!r}; expected one of {ENDPOINTS}")
+        if self.mode != LOCAL_DIRECTORY:
+            raise ValueError(f"unknown fetch mode {self.mode!r}; expected {LOCAL_DIRECTORY!r}")
 
 
 @dataclass(frozen=True)

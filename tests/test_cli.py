@@ -11,8 +11,9 @@ import pytest
 from conftest import FIXTURES
 import parcelex
 from parcelex.celex import parse_celex
-from parcelex.cli import _FLAGS, _STAGES, SUBCOMMANDS, InputError, PipelineConfig, load_config, main, run
-from parcelex.hunalign import HunParams, lexicon_cache_key
+from parcelex.cli import (
+    _FLAGS, _STAGES, SUBCOMMANDS, InputError, PipelineConfig, _inputs_digest, load_config, main, run,
+)
 from parcelex.langid import save_profile, train_language_profile
 from parcelex.standoff import export_standoff_xml, import_csv, import_standoff_xml
 from parcelex.tei import parse_tei
@@ -89,11 +90,11 @@ def test_full_pipeline(pipeline, capsys):
         assert (out / "alignments" / aligner / "provenance.json").is_file()
     assert (out / "alignments" / "hunalign" / "en-fr.lexicon.txt").is_file()
 
-    # align rerun reuses the cached lexicon and reproduces identical bytes
+    # an align rerun keeps every pair and leaves every byte as it was
     before = _tree(out / "alignments")
     capsys.readouterr()
     assert run("align", config) == 0
-    assert "cached lexicon" in capsys.readouterr().err
+    assert capsys.readouterr().err.count(": kept") == 6
     assert _tree(out / "alignments") == before
 
     assert run("export", config) == 0
@@ -209,30 +210,6 @@ def _cli(config_path, *args) -> int:
     return main([args[0], "--config", str(config_path), *args[1:]])
 
 
-def test_corrupted_lexicon_cache_exits_1(tmp_path, profiles_dir, capsys):
-    config_path = make_config(tmp_path, profiles_dir)
-    assert _cli(config_path, "fetch") == 0
-    assert _cli(config_path, "normalize") == 0
-    align = ("align", "--aligner", "hunalign", "--pairs", "en-fr")
-    assert _cli(config_path, *align) == 0
-    cache = tmp_path / "out" / "alignments" / "hunalign" / "en-fr.lexicon.txt"
-    header, first, *rest = cache.read_text(encoding="utf-8").splitlines()
-    s, t, _ = first.split("\t")
-    for bad in (f"{s}\t{t}", f"{s}\t{t}\tnan", f"{s}\t{t}\t-0.5"):
-        cache.write_text("\n".join([header, bad, *rest]) + "\n", encoding="utf-8")
-        assert _cli(config_path, *align) == 1
-    # Cut short at 40% of its bytes, or at a line boundary halfway, its header line survives.
-    lines = [header, first, *rest]
-    whole = ("\n".join(lines) + "\n").encode("utf-8")
-    halfway = ("\n".join(lines[: len(lines) // 2]) + "\n").encode("utf-8")
-    for cut in (whole[: len(whole) * 2 // 5], halfway):
-        cache.write_bytes(cut)
-        capsys.readouterr()
-        assert _cli(config_path, *align) == 1
-        err = capsys.readouterr().err
-        assert str(cache) in err and "header says" in err
-
-
 def test_lexicon_cache_without_entry_count_is_rebuilt(tmp_path, profiles_dir, capsys):
     config_path = make_config(tmp_path, profiles_dir)
     for stage in ("fetch", "normalize"):
@@ -245,7 +222,8 @@ def test_lexicon_cache_without_entry_count_is_rebuilt(tmp_path, profiles_dir, ca
     cache.write_bytes(re.sub(rb" entries=\d+$", b"", header) + b"\n" + entries)
     capsys.readouterr()
     assert _cli(config_path, *align) == 0
-    assert "lexicon cache miss" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "kept" not in err and "aligned 1 pair/aligner combinations" in err
     assert cache.read_bytes() == built
 
 
@@ -262,7 +240,7 @@ def test_lexicon_cache_keyed_to_params_and_texts(tmp_path, profiles_dir, capsys)
     make_config(tmp_path, profiles_dir, hun_params={"min_cooc": 5})
     capsys.readouterr()
     assert _cli(config_path, *align) == 0
-    assert "lexicon cache miss" in capsys.readouterr().err
+    assert "kept" not in capsys.readouterr().err
     rebuilt = cache.read_bytes()
     assert rebuilt != first
     assert len(rebuilt.splitlines()) < len(first.splitlines())
@@ -276,9 +254,10 @@ def test_lexicon_cache_keyed_to_params_and_texts(tmp_path, profiles_dir, capsys)
     assert _cli(fresh_config, *align) == 0
     assert (fresh / "out" / "alignments" / "hunalign" / "en-fr.lexicon.txt").read_bytes() == rebuilt
 
-    # ... and a rerun under unchanged parameters and texts reuses it.
+    # ... and a rerun under unchanged parameters and texts keeps it.
+    capsys.readouterr()
     assert _cli(config_path, *align) == 0
-    assert "cached lexicon" in capsys.readouterr().err
+    assert "hunalign en-fr: kept" in capsys.readouterr().err
     assert cache.read_bytes() == rebuilt
 
 
@@ -310,14 +289,14 @@ def test_interrupted_lexicon_cache_write_is_never_trusted(tmp_path, profiles_dir
 
     capsys.readouterr()
     assert _cli(config_path, *align) == 0
-    err = capsys.readouterr().err
-    assert "cached lexicon" not in err and "cache miss" not in err  # rebuilt from scratch
+    assert "aligned 1 pair/aligner combinations" in capsys.readouterr().err
     assert sorted(p.name for p in hun_dir.iterdir()) == [
         "en-fr.lexicon.txt", "en-fr.standoff.xml", "provenance.json",
     ]
+    built = cache.read_bytes()
     assert _cli(config_path, *align) == 0
-    entries = len(cache.read_text(encoding="utf-8").splitlines()) - 1
-    assert f"cached lexicon ({entries} entries)" in capsys.readouterr().err
+    assert "hunalign en-fr: kept" in capsys.readouterr().err
+    assert cache.read_bytes() == built
 
 
 def test_a_lexicon_cache_hit_opens_the_cache_once(tmp_path, profiles_dir, monkeypatch, capsys):
@@ -345,23 +324,21 @@ def test_a_lexicon_cache_hit_opens_the_cache_once(tmp_path, profiles_dir, monkey
     capsys.readouterr()
     assert _cli(config_path, *align) == 0
     monkeypatch.undo()
-    assert "cached lexicon" in capsys.readouterr().err
+    assert "hunalign en-fr: kept" in capsys.readouterr().err
     assert opened.count(str(cache)) == 1
 
 
-def test_lexicon_cache_key_covers_params_and_every_text():
+def test_inputs_digest_covers_every_text():
     c = parse_celex("31984D0001")
     src, tgt = {c: ["un", "deux"]}, {c: ["one", "two"]}
-    key = lexicon_cache_key(HunParams(), src, tgt)
-    # The bytes of the caches that earlier versions wrote, so that those stay hits.
-    assert key == (
-        "hun_params=098bebae3ee3 "
-        "inputs=547e08f19d4923d3265616f0baeb1f066bf6a2e9a0986e5aef697bbd8dc1ac29"
-    )
-    assert key == lexicon_cache_key(HunParams(), {c: ["un", "deux"]}, tgt)
-    assert key != lexicon_cache_key(HunParams(rng_seed=99), src, tgt)
-    assert key != lexicon_cache_key(HunParams(), src, {c: ["one", "two."]})
-    assert key != lexicon_cache_key(HunParams(), {c: ["un deux"]}, tgt)
+    digest = _inputs_digest(src, tgt)
+    # The bytes that lexicon headers written by earlier versions hold after "inputs=".
+    assert digest == "547e08f19d4923d3265616f0baeb1f066bf6a2e9a0986e5aef697bbd8dc1ac29"
+    assert digest == _inputs_digest({c: ["un", "deux"]}, tgt)
+    assert digest != _inputs_digest(src, {c: ["one", "two."]})
+    assert digest != _inputs_digest({c: ["un deux"]}, tgt)
+    other = parse_celex("31985R0002")
+    assert digest != _inputs_digest({c: ["un", "deux"], other: ["x"]}, {**tgt, other: ["x"]})
 
 
 @pytest.mark.parametrize(
@@ -616,7 +593,11 @@ def _config_json(value):
         ),
         (
             _config_json({**_VALID_CONFIG, "source": {"root": "html", "endpoint": "foo"}}),
-            "bad config value: unknown endpoint 'foo'",
+            "bad config value: FetchSource.__init__() got an unexpected keyword argument 'endpoint'",
+        ),
+        (
+            _config_json({**_VALID_CONFIG, "source": {"root": "html", "mode": "http_endpoint"}}),
+            "bad config value: unknown fetch mode 'http_endpoint'",
         ),
         *(
             (_config_json({**_VALID_CONFIG, key: {field: value}}), "bad config value")
@@ -630,7 +611,7 @@ def _config_json(value):
         "aligners-repeated", "aligners-string", "aligners-unknown", "languages-repeated",
         "languages-three-letters", "languages-uppercase", "languages-number", "seed-and-rng-seed",
         "arity-prior-3-1", "arity-prior-1-1-1", "unknown-key-aligner", "unknown-key-top-descriptor",
-        "unknown-source-key", "unknown-endpoint",
+        "unknown-source-key", "unknown-endpoint", "http-endpoint-mode",
         *(f"{field}-{value!r}" for _, field, value in _BAD_NUMBERS),
     ],
 )
@@ -733,9 +714,11 @@ _PROVENANCE = ("alignments", "gale_church", "provenance.json")
         (_TEI, _BITEXT),
         (_STANDOFF, ("export",)),
         (_STANDOFF, ("agree",)),
-        (_LEXICON, ("align", "--aligner", "hunalign", "--pairs", "en-fr")),
+        (_PROVENANCE, ("align", "--aligner", "gale_church", "--pairs", "en-fr")),
     ],
-    ids=["align-tei", "stats-tei", "bitext-tei", "export-standoff", "agree-standoff", "align-lexicon"],
+    ids=[
+        "align-tei", "stats-tei", "bitext-tei", "export-standoff", "agree-standoff", "align-provenance",
+    ],
 )
 def test_bad_utf8_byte_in_an_output_file_exits_1(aligned_tree, tmp_path, file, command, capsys):
     shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
@@ -827,11 +810,11 @@ def _non_integer_eurovoc_code(path):
     path.write_text(re.sub(r'(scheme="eurovoc">)\d+', r"\1abc", text, count=1), encoding="utf-8")
 
 
-def _edit_tei_root(old, new):
-    """Damage that rewrites an attribute of a TEI file's root element."""
+def _edit_root(tag, old, new):
+    """Damage that rewrites an attribute of a file's root element ``<tag ...>``."""
     def damage(path):
         text = path.read_text(encoding="utf-8")
-        root = re.search(r"<TEI\.2 [^>]*>", text).group()
+        root = re.search(rf"<{re.escape(tag)} [^>]*>", text).group()
         path.write_text(text.replace(root, root.replace(old, new)), encoding="utf-8")
 
     return damage
@@ -852,12 +835,19 @@ def _edit_link_lines(change):
     return damage
 
 
+def _edit_en_fr_entry(change):
+    """Damage that rewrites the en-fr entry of a provenance record."""
+    return _edit_json(lambda record: {
+        **record, "pairs": {**record["pairs"], "en-fr": change(record["pairs"]["en-fr"])},
+    })
+
+
 # Well-formed files with a bad field, which every stage that reads them must reject.
 _FIELD_DAMAGES = {
     ("tei", "classcode-abc"): _non_integer_eurovoc_code,
-    ("tei", "root-lang-english"): _edit_tei_root('lang="en"', 'lang="english"'),
-    ("tei", "root-lang-fr"): _edit_tei_root('lang="en"', 'lang="fr"'),
-    ("tei", "root-n-other-celex"): _edit_tei_root('n="31984D0001"', 'n="31985R0002"'),
+    ("tei", "root-lang-english"): _edit_root("TEI.2", 'lang="en"', 'lang="english"'),
+    ("tei", "root-lang-fr"): _edit_root("TEI.2", 'lang="en"', 'lang="fr"'),
+    ("tei", "root-n-other-celex"): _edit_root("TEI.2", 'n="31984D0001"', 'n="31985R0002"'),
     ("standoff", "score-nan"): _nan_score,
     ("standoff", "link-repeated"): _edit_link_lines(
         lambda lines, links: lines[: links[0] + 1] + lines[links[0] :]
@@ -865,12 +855,21 @@ _FIELD_DAMAGES = {
     ("standoff", "link-dropped"): _edit_link_lines(
         lambda lines, links: lines[: links[1]] + lines[links[1] + 1 :]
     ),
+    ("standoff", "root-src-english"): _edit_root("standoff", 'src="en"', 'src="english"'),
+    ("standoff", "root-tgt-de"): _edit_root("standoff", 'tgt="fr"', 'tgt="de"'),
     ("config", "list"): _edit_json(lambda config: [config]),
     ("config", "source-string"): _edit_json(lambda config: {**config, "source": "x"}),
     ("config", "hun-params-string"): _edit_json(lambda config: {**config, "hun_params": "x"}),
     ("config", "languages-string"): _edit_json(lambda config: {**config, "languages": "en"}),
-    ("provenance", "digests-list"): _edit_json(
-        lambda record: {**record, "params_digest": list(record["params_digest"])}
+    ("provenance", "digests-list"): _edit_en_fr_entry(lambda entry: {**entry, "params": [entry["params"]]}),
+    ("provenance", "files-list"): _edit_en_fr_entry(lambda entry: {**entry, "files": list(entry["files"])}),
+    ("provenance", "entry-extra-key"): _edit_en_fr_entry(lambda entry: {**entry, "seconds": "1"}),
+    ("provenance", "other-aligner"): _edit_json(lambda record: {**record, "aligner": "hunalign"}),
+    ("provenance", "old-shape"): _edit_json(
+        lambda record: {
+            "aligner": record["aligner"],
+            "params_digest": {pair: entry["params"] for pair, entry in record["pairs"].items()},
+        }
     ),
 }
 
@@ -977,9 +976,13 @@ def test_align_keeps_the_provenance_of_pairs_it_did_not_align(aligned_tree, tmp_
         for aligner in ("gale_church", "hunalign")
     }
     full = {aligner: path.read_bytes() for aligner, path in records.items()}
-    assert all(len(json.loads(data)["params_digest"]) == 3 for data in full.values())
-    # Re-aligning one pair rewrites its digest and keeps the other two.
+    assert all(len(json.loads(data)["pairs"]) == 3 for data in full.values())
+    # Re-aligning one pair rewrites its entry and keeps the other two.
+    for aligner in records:
+        (tmp_path / "out" / "alignments" / aligner / "en-fr.standoff.xml").unlink()
+    capsys.readouterr()
     assert _cli(tmp_path / "config.json", "align", "--pairs", "en-fr") == 0
+    assert "aligned 2 pair/aligner combinations" in capsys.readouterr().err
     assert {aligner: path.read_bytes() for aligner, path in records.items()} == full
     # A run that aligns nothing leaves the record as it was.
     shutil.rmtree(tmp_path / "out" / "tei" / "de")
@@ -987,6 +990,137 @@ def test_align_keeps_the_provenance_of_pairs_it_did_not_align(aligned_tree, tmp_
     assert _cli(tmp_path / "config.json", "align", "--pairs", "de-en,de-fr") == 0
     assert "aligned 0 pair/aligner combinations" in capsys.readouterr().err
     assert {aligner: path.read_bytes() for aligner, path in records.items()} == full
+
+
+def _align_outputs(root: Path) -> dict[str, bytes]:
+    """The files under ``out/alignments`` that ``align`` writes: all but the CSV files."""
+    return {
+        name: data for name, data in _tree(root / "out" / "alignments").items()
+        if not name.endswith(".csv")
+    }
+
+
+def _fresh_align(root: Path) -> dict[str, bytes]:
+    """What ``align`` writes from ``root``'s config and TEI tree into a tree with no alignments."""
+    fresh = root / "fresh"
+    shutil.copytree(root / "out" / "tei", fresh / "out" / "tei")
+    shutil.copy(root / "config.json", fresh)
+    assert _cli(fresh / "config.json", "align") == 0
+    return _align_outputs(fresh)
+
+
+def _realigned(root: Path, capsys) -> list[str]:
+    """Run ``align`` on ``root``; the ``<aligner> <pair>`` it aligned rather than kept, sorted."""
+    capsys.readouterr()
+    assert _cli(root / "config.json", "align") == 0
+    kept = set(re.findall(r"^(\S+ \S+): kept$", capsys.readouterr().err, re.MULTILINE))
+    every = {f"{aligner} {pair}" for aligner in ("gale_church", "hunalign")
+             for pair in ("de-en", "de-fr", "en-fr")}
+    return sorted(every - kept)
+
+
+def test_an_unchanged_align_keeps_every_pair_without_aligning(aligned_tree, tmp_path, monkeypatch,
+                                                              capsys):
+    import parcelex.galechurch
+    import parcelex.hunalign
+
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    out = tmp_path / "out"
+    before = _tree(out)
+    stamps = {path: path.stat().st_mtime_ns for path in out.rglob("*")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an aligner ran")
+
+    monkeypatch.setattr(parcelex.galechurch, "align_gale_church", refuse)
+    monkeypatch.setattr(parcelex.hunalign, "align_hunalign", refuse)
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", "align") == 0
+    err = capsys.readouterr().err
+    assert err.count(": kept") == 6 and "aligned 0 pair/aligner combinations" in err
+    assert _tree(out) == before
+    assert {path: path.stat().st_mtime_ns for path in out.rglob("*")} == stamps  # nothing rewritten
+
+
+def test_an_edited_text_realigns_only_the_pairs_of_its_language(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    tei = tmp_path / "out" / "tei" / "de" / "jrc31984D0001-de.xml"
+    text = tei.read_text(encoding="utf-8")
+    assert "prüft den Antrag" in text  # paragraph 2, which the aligners read
+    tei.write_text(text.replace("prüft den Antrag", "prüft jeden Antrag"), encoding="utf-8")
+    assert _realigned(tmp_path, capsys) == [
+        "gale_church de-en", "gale_church de-fr", "hunalign de-en", "hunalign de-fr",
+    ]
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+def test_new_hun_params_realign_every_hunalign_pair_and_no_other(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    config_path = tmp_path / "config.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps({**config, "hun_params": {"min_cooc": 3}}), encoding="utf-8")
+    assert _realigned(tmp_path, capsys) == ["hunalign de-en", "hunalign de-fr", "hunalign en-fr"]
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+@pytest.mark.parametrize("damage", [Path.unlink, _cut, _bad_byte_mid_file], ids=["deleted", "cut", "bad-byte"])
+@pytest.mark.parametrize(
+    "aligner, name",
+    [("gale_church", "en-fr.standoff.xml"), ("hunalign", "de-fr.standoff.xml"),
+     ("hunalign", "de-en.lexicon.txt")],
+)
+def test_a_damaged_align_output_realigns_only_its_pair(aligned_tree, tmp_path, aligner, name, damage,
+                                                      capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    damage(tmp_path / "out" / "alignments" / aligner / name)
+    assert _realigned(tmp_path, capsys) == [f"{aligner} {name.split('.')[0]}"]
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+def test_a_new_language_aligns_only_its_pairs(tmp_path, capsys):
+    config_path = make_config(tmp_path, None, languages=["en", "fr"])
+    for stage in ("fetch", "normalize", "align"):
+        assert _cli(config_path, stage) == 0
+    make_config(tmp_path, None)  # de joins en and fr
+    for stage in ("fetch", "normalize"):
+        assert _cli(config_path, stage) == 0
+    assert _realigned(tmp_path, capsys) == [
+        "gale_church de-en", "gale_church de-fr", "hunalign de-en", "hunalign de-fr",
+    ]
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+def test_the_lexicon_header_names_the_digests_its_pair_records(aligned_tree):
+    hun_dir = aligned_tree / "out" / "alignments" / "hunalign"
+    pairs = json.loads((hun_dir / "provenance.json").read_text(encoding="utf-8"))["pairs"]
+    for pair, entry in pairs.items():
+        lines = (hun_dir / f"{pair}.lexicon.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == (
+            f"# hun_params={entry['params']} inputs={entry['inputs']} entries={len(lines) - 1}"
+        )
+
+
+def test_a_failed_align_records_the_pairs_it_aligned_before_the_failure(aligned_tree, tmp_path,
+                                                                        monkeypatch, capsys):
+    import parcelex.hunalign
+    from parcelex.errors import NoOneToOneLinksError
+
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    shutil.rmtree(tmp_path / "out" / "alignments")
+    align_hunalign = parcelex.hunalign.align_hunalign
+
+    def failing_on_en_fr(src_docs, tgt_docs, params, src_lang, tgt_lang, first_n):
+        if (src_lang, tgt_lang) == ("en", "fr"):
+            raise NoOneToOneLinksError("no 1-1 links")
+        return align_hunalign(src_docs, tgt_docs, params, src_lang=src_lang, tgt_lang=tgt_lang,
+                              first_n=first_n)
+
+    monkeypatch.setattr(parcelex.hunalign, "align_hunalign", failing_on_en_fr)
+    assert _cli(tmp_path / "config.json", "align") == 1
+    monkeypatch.undo()
+    # de-en and de-fr came before en-fr, by both aligners, and en-fr by Gale-Church.
+    assert _realigned(tmp_path, capsys) == ["hunalign en-fr"]
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
 
 
 @pytest.mark.parametrize("pair", ["en-en", "en-xx"])

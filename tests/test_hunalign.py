@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 
 from parcelex.beads import links_cover
 from parcelex.celex import CelexId
-from parcelex.errors import EmptyCollectionError, MalformedLexiconError, NoOneToOneLinksError
+from parcelex.errors import MalformedLexiconError, NoOneToOneLinksError
 from parcelex.hunalign import (
     HunParams,
     Lexicon,
     align_hunalign,
     build_lexicon,
     identical_word_ratio,
-    load_lexicon,
     merge_segments,
     number_similarity,
-    number_token_fraction,
     prepare_pair,
     save_lexicon,
     segment_similarity,
@@ -344,9 +342,6 @@ def test_driver_equals_phases_run_by_hand():
     assert lexicon.entries  # the lexicon pass had evidence to add
     assert links(got) == links(phase3)
     assert got_lexicon.entries == lexicon.entries
-    # A prebuilt lexicon skips phases 1-2 and comes back as given.
-    again, same = align_hunalign(bt.src_docs, bt.tgt_docs, P, "xx", "yy", 2, lexicon)
-    assert same is lexicon and links(again) == links(phase3)
 
 
 def test_planted_recovery_small():
@@ -384,15 +379,6 @@ def test_empty_collection_surfaces_lexicon_error():
         align_hunalign({}, {}, P)
 
 
-def test_cached_lexicon_reproduces_output(tmp_path):
-    bt = planted_bitext(n_pairs=150, dict_size=20, seed=21)
-    first, lexicon = align_hunalign(bt.src_docs, bt.tgt_docs, P)
-    path = tmp_path / "pair.lexicon.txt"
-    save_lexicon(lexicon, path, "key")
-    rerun, _ = align_hunalign(bt.src_docs, bt.tgt_docs, P, lexicon=load_lexicon(path, "key"))
-    assert [a.links for a in rerun] == [a.links for a in first]
-
-
 def test_lexicon_persistence_round_trip(tmp_path):
     lexicon = Lexicon(
         entries={("a", "x"): 0.123456789, ("b", "y"): 1.0, ("c", "z"): 0.5},
@@ -401,17 +387,12 @@ def test_lexicon_persistence_round_trip(tmp_path):
     save_lexicon(lexicon, path, "key")
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[1].startswith("b\ty\t")  # heaviest first, after the header
-    loaded = load_lexicon(path, "key")
-    assert loaded.entries == lexicon.entries
-
-
-def test_number_token_fraction():
-    assert number_token_fraction(["1 2 3"]) == 1.0
-    assert number_token_fraction(["alpha beta"]) == 0.0
-    words = ["w"] * 187 + ["9"] * 13
-    assert number_token_fraction([" ".join(words)]) == pytest.approx(0.065)
-    with pytest.raises(EmptyCollectionError):
-        number_token_fraction([])
+    # Every weight is written in full, so reading the lines back gives the same floats.
+    read = {}
+    for line in lines[1:]:
+        s, t, w = line.split("\t")
+        read[(s, t)] = float(w)
+    assert read == lexicon.entries
 
 
 def test_params_validation():
@@ -542,30 +523,9 @@ def test_a_merge_whose_move_index_needs_more_than_a_byte():
     ] == _reference_align(src, tgt, None, params)
 
 
-@pytest.mark.parametrize(
-    "line",
-    ["a\tx", "a\tx\t0.5\textra", "a\tx\tnan", "a\tx\t-0.25", "a\tx\t1.5", "a\tx\tinf", "a\tx\theavy"],
-)
-def test_load_lexicon_rejects_malformed_lines(tmp_path, line):
-    path = tmp_path / "lex.txt"
-    path.write_text(f"# key entries=2\nb\ty\t1.0\n{line}\n", encoding="utf-8")
-    with pytest.raises(MalformedLexiconError, match="lex.txt"):
-        load_lexicon(path, "key")
-
-
 def test_lexicon_rejects_weights_outside_unit_interval():
     with pytest.raises(MalformedLexiconError):
         Lexicon(entries={("a", "x"): -0.1})
-
-
-@pytest.mark.parametrize("offset", [5, 30])  # in the header line, in the first entry
-def test_lexicon_file_with_bad_utf8_byte_is_malformed(tmp_path, offset):
-    path = tmp_path / "lex.txt"
-    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, "hun_params=abc")
-    data = path.read_bytes()
-    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
-    with pytest.raises(MalformedLexiconError, match=f"lex.txt: not valid UTF-8 at byte {offset}"):
-        load_lexicon(path, "hun_params=abc")
 
 
 def test_interrupted_save_leaves_the_old_lexicon_file(tmp_path, monkeypatch):
@@ -593,18 +553,6 @@ def test_lexicon_header_round_trip(tmp_path):
     lexicon = Lexicon(entries={("a", "x"): 0.5})
     path = tmp_path / "lex.txt"
     save_lexicon(lexicon, path, "hun_params=abc inputs=def")
-    assert path.read_text(encoding="utf-8").splitlines()[0] == "# hun_params=abc inputs=def entries=1"
-    assert load_lexicon(path, "hun_params=abc inputs=def").entries == lexicon.entries
-    assert load_lexicon(path, "hun_params=abc inputs=xyz") is None
-
-
-@pytest.mark.parametrize(
-    "header",
-    ["# hun_params=old entries=2", "# hun_params=new", "a\tx\t0.5", ""],
-    ids=["other-key", "no-count", "no-header", "empty"],
-)
-def test_lexicon_built_under_another_key_is_not_read(tmp_path, header):
-    # A body that would not load: a line without its weight, and a count that disagrees.
-    path = tmp_path / "lex.txt"
-    path.write_bytes(header.encode("utf-8") + b"\na\tx\n\xff\n" if header else b"")
-    assert load_lexicon(path, "hun_params=new") is None
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "# hun_params=abc inputs=def entries=1", "a\tx\t0.5",
+    ]

@@ -10,8 +10,6 @@ from parcelex.errors import DecodeError, DocumentNotFoundError, EmptyTextError, 
 from parcelex.ingest import (
     ALL_LANGUAGES,
     FetchSource,
-    HTTP_TIMEOUT_S,
-    LOCAL_DIRECTORY,
     NEW_MEMBER_LANGUAGES,
     RawDocument,
     fetch_document,
@@ -19,7 +17,7 @@ from parcelex.ingest import (
     select_corpus,
     verify_language,
 )
-from parcelex.params import HTTP_ENDPOINT
+from parcelex.params import LOCAL_DIRECTORY
 
 LOCAL = FetchSource(mode=LOCAL_DIRECTORY, root=str(FIXTURES / "html"))
 
@@ -43,80 +41,6 @@ def test_fetch_decode_failure(tmp_path):
     with pytest.raises(DecodeError):
         fetch_document(FetchSource(mode=LOCAL_DIRECTORY, root=str(tmp_path)),
                        parse_celex("31984D0001"), "fr")
-
-
-def test_fetch_http_stub():
-    calls = []
-
-    def fake_get(url):
-        calls.append(url)
-        return "<p>bonjour</p>".encode("utf-8")
-
-    source = FetchSource(mode=HTTP_ENDPOINT, root="http://europa.eu.int/", endpoint="lexuriserv")
-    doc = fetch_document(source, parse_celex("42004D0097"), "fr", http_get=fake_get)
-    assert doc.content == "<p>bonjour</p>"
-    assert calls == [doc.source_url]
-    assert "42004D0097" in doc.source_url
-
-
-def test_http_error_maps_to_not_found():
-    def failing_get(url):
-        raise OSError("connection refused")
-
-    source = FetchSource(mode=HTTP_ENDPOINT, root="http://europa.eu.int/")
-    with pytest.raises(DocumentNotFoundError):
-        fetch_document(source, parse_celex("42004D0097"), "fr", http_get=failing_get)
-
-
-class _Response:
-    def __init__(self, data):
-        self.data = data
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def read(self):
-        return self.data
-
-
-def test_http_fetch_has_a_timeout(monkeypatch):
-    timeouts = []
-
-    def fake_urlopen(url, timeout=None):
-        timeouts.append(timeout)
-        return _Response("<p>bonjour</p>".encode("utf-8"))
-
-    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    source = FetchSource(mode=HTTP_ENDPOINT, root="http://europa.eu.int/")
-    assert fetch_document(source, parse_celex("42004D0097"), "fr").content == "<p>bonjour</p>"
-    assert timeouts == [HTTP_TIMEOUT_S]
-
-
-def test_http_timeout_maps_to_not_found(monkeypatch):
-    def timing_out_urlopen(url, timeout=None):
-        assert timeout == HTTP_TIMEOUT_S
-        raise TimeoutError("timed out")
-
-    monkeypatch.setattr("urllib.request.urlopen", timing_out_urlopen)
-    source = FetchSource(mode=HTTP_ENDPOINT, root="http://europa.eu.int/")
-    with pytest.raises(DocumentNotFoundError, match="timed out"):
-        fetch_document(source, parse_celex("42004D0097"), "fr")
-
-
-def test_http_body_cut_short_maps_to_not_found(monkeypatch):
-    import http.client
-
-    class _CutShort(_Response):
-        def read(self):
-            raise http.client.IncompleteRead(b"<p>bon", 8)
-
-    monkeypatch.setattr("urllib.request.urlopen", lambda url, timeout=None: _CutShort(b""))
-    source = FetchSource(mode=HTTP_ENDPOINT, root="http://europa.eu.int/")
-    with pytest.raises(DocumentNotFoundError, match=r"42004D0097.*IncompleteRead\(6 bytes read"):
-        fetch_document(source, parse_celex("42004D0097"), "fr")
 
 
 @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0e", "\x1b", "\ufffe", "\uffff"])

@@ -1,9 +1,13 @@
-from parcelex import celex, galechurch, hunalign, ingest, params
+import pytest
+
+from parcelex import galechurch, hunalign, ingest, params
 
 
-def test_fetch_source_defaults_to_the_lexuriserv_endpoint():
-    # params spells the default out, so that reading a config loads no celex.
-    assert params.FetchSource(mode=params.LOCAL_DIRECTORY, root=".").endpoint == celex.LEXURISERV
+@pytest.mark.parametrize("mode", ["http_endpoint", "local"])
+def test_a_fetch_source_is_a_local_directory(mode):
+    assert params.FetchSource(mode=params.LOCAL_DIRECTORY, root=".").root == "."
+    with pytest.raises(ValueError, match=f"unknown fetch mode '{mode}'"):
+        params.FetchSource(mode=mode, root=".")
 
 
 def test_stage_modules_re_export_the_parameter_classes():
@@ -13,7 +17,7 @@ def test_stage_modules_re_export_the_parameter_classes():
 
 
 def test_digests_of_valid_parameters_are_unchanged():
-    # Lexicon-cache keys and provenance.json hold these digests.
+    # provenance.json records and lexicon headers hold these digests.
     assert params.GCParams().digest() == "554e8326ea32"
     assert params.GCParams(length_unit="words", mean_ratio=1, variance=3).digest() == "40ad89574076"
     assert params.HunParams().digest() == "098bebae3ee3"
