@@ -420,7 +420,7 @@ def _inputs_digest(src_texts: dict, tgt_texts: dict) -> str:
 
 
 def _align_pair(config: PipelineConfig, aligner: str, src_lang: str, tgt_lang: str,
-                src_texts: dict, tgt_texts: dict, inputs: str) -> list[BitextAlignment]:
+                src_texts: dict, tgt_texts: dict) -> list[BitextAlignment]:
     """The pair's alignments by ``aligner``; hunalign also writes its lexicon."""
     if aligner == "gale_church":
         from .galechurch import align_gale_church
@@ -437,7 +437,7 @@ def _align_pair(config: PipelineConfig, aligner: str, src_lang: str, tgt_lang: s
     )
     path = _pair_files(config, aligner, src_lang, tgt_lang)[1]
     path.parent.mkdir(parents=True, exist_ok=True)
-    save_lexicon(lexicon, path, f"hun_params={config.hun.digest()} inputs={inputs}")
+    save_lexicon(lexicon, path)
     return alignments
 
 
@@ -463,38 +463,25 @@ def _provenance_path(config: PipelineConfig, aligner: str) -> Path:
     return config.output_root / "alignments" / aligner / "provenance.json"
 
 
-def _is_pair_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and entry.keys() == {"params", "inputs", "files"}
-        and isinstance(entry["files"], dict)
-        and all(isinstance(value, str)
-                for value in (entry["params"], entry["inputs"], *entry["files"].values()))
-    )
-
-
-def _load_provenance(config: PipelineConfig, aligner: str) -> dict[str, dict]:
-    """What earlier ``align`` runs recorded for each pair of ``aligner``.
+def _load_provenance(config: PipelineConfig, aligner: str) -> dict[str, dict] | None:
+    """The entries that earlier ``align`` runs recorded for the pairs of ``aligner``.
 
     Each pair's entry holds its parameter digest, its input digest and the
-    sha256 of each file it wrote.
+    sha256 of each file it wrote. Like those files, the record is only a
+    hint: {} when it is missing, and None, logged, when it cannot be read
+    as ``{"pairs": {pair: entry, ...}}``.
     """
     path = _provenance_path(config, aligner)
-    if not path.is_file():
+    try:
+        record = json.loads(path.read_bytes())
+    except FileNotFoundError:
         return {}
-    record = _read(path, json.loads)
-    if not (
-        isinstance(record, dict)
-        and record.keys() == {"aligner", "pairs"}
-        and record["aligner"] == aligner
-        and isinstance(record["pairs"], dict)
-        and all(map(_is_pair_entry, record["pairs"].values()))
-    ):
-        raise InputError(
-            f'{path}: expected {{"aligner": "{aligner}", "pairs": {{pair: {{"params": digest, '
-            f'"inputs": sha256, "files": {{name: sha256, ...}}}}, ...}}}}'
-        )
-    return record["pairs"]
+    except (OSError, ValueError):
+        record = None
+    if isinstance(record, dict) and record.keys() == {"pairs"} and isinstance(record["pairs"], dict):
+        return record["pairs"]
+    _log(f"{path}: unreadable or not a record of pairs; no {aligner} pair is kept")
+    return None
 
 
 def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) -> None:
@@ -502,47 +489,50 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
 
     pairs = _resolve_pairs(config, pairs)
     aligners = (aligner,) if aligner else config.aligners
-    # A run keeps what earlier runs recorded for the pairs it does not align.
-    records = {name: _load_provenance(config, name) for name in aligners}
+    # A run keeps what earlier runs recorded for the pairs it does not run.
+    loaded = {name: _load_provenance(config, name) for name in aligners}
+    records = {name: dict(loaded[name] or {}) for name in aligners}
     corpus = _load_tei_corpus(config, {lang for pair in pairs for lang in pair})
-    aligned = []
+    aligned = 0
     try:
         for src, tgt in pairs:
             src_docs, tgt_docs = corpus.get(src, {}), corpus.get(tgt, {})
             common = sorted(set(src_docs) & set(tgt_docs))
+            pair = f"{src}-{tgt}"
             if not common:
+                # A fresh run writes nothing for the pair, so neither does this one.
                 for name in aligners:
-                    _log(f"{name} {src}-{tgt}: no common documents, skipped")
+                    _log(f"{name} {pair}: no common documents, skipped")
+                    records[name].pop(pair, None)
+                    for path in _pair_files(config, name, src, tgt):
+                        path.unlink(missing_ok=True)
                 continue
             src_texts = {c: _doc_texts(src_docs[c]) for c in common}
             tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}
             inputs = _inputs_digest(src_texts, tgt_texts)
             for name in aligners:
-                pair, files = f"{src}-{tgt}", _pair_files(config, name, src, tgt)
+                files = _pair_files(config, name, src, tgt)
                 params = (config.gc if name == "gale_church" else config.hun).digest()
-                # A pair is kept when it would be aligned from the same parameters
-                # and texts, and every file it wrote is still there, unchanged.
-                entry = records[name].get(pair)
-                if (
-                    entry is not None
-                    and (entry["params"], entry["inputs"]) == (params, inputs)
-                    and entry["files"] == _file_digests(files)
-                ):
+                # A pair is kept when its recorded entry is the one this run
+                # would write, and every file that entry lists can be read.
+                entry = {"params": params, "inputs": inputs, "files": _file_digests(files)}
+                if entry["files"] is not None and records[name].get(pair) == entry:
                     _log(f"{name} {pair}: kept")
                     continue
-                alignments = _align_pair(config, name, src, tgt, src_texts, tgt_texts, inputs)
+                alignments = _align_pair(config, name, src, tgt, src_texts, tgt_texts)
                 _write(files[0], export_standoff_xml(standoff_from_alignments(alignments)))
-                records[name][pair] = {
-                    "params": params, "inputs": inputs, "files": _file_digests(files),
-                }
-                aligned.append(name)
+                records[name][pair] = {**entry, "files": _file_digests(files)}
+                aligned += 1
     finally:
         # Also after a failure, so that a rerun keeps the pairs aligned before it.
         for name in aligners:
-            if name in aligned:
-                record = {"aligner": name, "pairs": records[name]}
-                _write(_provenance_path(config, name), _json_dump(record))
-    _log(f"aligned {len(aligned)} pair/aligner combinations")
+            if records[name] != loaded[name]:
+                path = _provenance_path(config, name)
+                if records[name]:
+                    _write(path, _json_dump({"pairs": records[name]}))
+                else:
+                    path.unlink(missing_ok=True)
+    _log(f"aligned {aligned} pair/aligner combinations")
 
 
 def _standoff_path(config: PipelineConfig, aligner: str, src: str, tgt: str) -> Path:

@@ -458,23 +458,18 @@ def align_hunalign(
     return align_all(lexicon), lexicon
 
 
-def save_lexicon(lexicon: Lexicon, path, key: str) -> None:
-    """Write ``src\\ttgt\\tweight`` lines, heaviest first, after a header line.
-
-    The header line is ``# <key> entries=<number of entry lines>``, where
-    ``key`` names what the lexicon was built from.
-    """
-    lines = [f"# {key} entries={len(lexicon.entries)}"]
-    lines += [
-        f"{s}\t{t}\t{w!r}"
+def save_lexicon(lexicon: Lexicon, path) -> None:
+    """Write ``src\\ttgt\\tweight`` lines, heaviest first."""
+    text = "".join(
+        f"{s}\t{t}\t{w!r}\n"
         for (s, t), w in sorted(lexicon.entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
+    )
     # Written beside the target and renamed over it, so an interrupted save
     # never leaves a truncated file.
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -97,11 +97,6 @@ class TeiDocument:
     def extent(self) -> int:
         return len(self.paragraphs)
 
-    def paragraph(self, n: int) -> Paragraph:
-        if not 1 <= n <= len(self.paragraphs):
-            raise KeyError(n)
-        return self.paragraphs[n - 1]
-
     def section_texts(self, section: str) -> list[str]:
         return [p.text for p in self.paragraphs if p.section == section]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -218,8 +219,8 @@ def test_lexicon_cache_without_entry_count_is_rebuilt(tmp_path, profiles_dir, ca
     assert _cli(config_path, *align) == 0
     cache = tmp_path / "out" / "alignments" / "hunalign" / "en-fr.lexicon.txt"
     built = cache.read_bytes()
-    header, entries = built.split(b"\n", 1)
-    cache.write_bytes(re.sub(rb" entries=\d+$", b"", header) + b"\n" + entries)
+    first, rest = built.split(b"\n", 1)
+    cache.write_bytes(first.rsplit(b"\t", 1)[0] + b"\n" + rest)  # the first entry loses its weight
     capsys.readouterr()
     assert _cli(config_path, *align) == 0
     err = capsys.readouterr().err
@@ -235,7 +236,8 @@ def test_lexicon_cache_keyed_to_params_and_texts(tmp_path, profiles_dir, capsys)
     assert _cli(config_path, *align) == 0
     cache = tmp_path / "out" / "alignments" / "hunalign" / "en-fr.lexicon.txt"
     first = cache.read_bytes()
-    assert first.startswith(b"# hun_params=")
+    record = json.loads((cache.parent / "provenance.json").read_text(encoding="utf-8"))
+    assert record["pairs"]["en-fr"]["files"][cache.name] == hashlib.sha256(first).hexdigest()
 
     make_config(tmp_path, profiles_dir, hun_params={"min_cooc": 5})
     capsys.readouterr()
@@ -484,12 +486,19 @@ def _eurovoc_codes_as_string(root):
     return _write_eurovoc(root, json.dumps({"31984D0001": "4180"}))
 
 
+def _no_profile_left(root):
+    path = root / "profiles"
+    for profile in path.glob("*.profile"):
+        profile.unlink()
+    return path
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_untab_profile_line, _truncate_manifest, _manifest_without_documents, _delete_raw_file,
      _raw_file_bad_utf8, _manifest_bad_date, _manifest_file_not_a_string, _profile_bad_utf8,
      _eurovoc_not_json, _eurovoc_list, _eurovoc_codes_as_string, _profile_is_a_directory,
-     _manifest_lang_not_a_code, _manifest_file_outside_raw],
+     _manifest_lang_not_a_code, _manifest_file_outside_raw, _no_profile_left],
 )
 def test_corrupted_profile_or_manifest_exits_1(tmp_path, profiles_dir, corrupt, capsys):
     shutil.copytree(profiles_dir, tmp_path / "profiles")
@@ -599,6 +608,11 @@ def _config_json(value):
             _config_json({**_VALID_CONFIG, "source": {"root": "html", "mode": "http_endpoint"}}),
             "bad config value: unknown fetch mode 'http_endpoint'",
         ),
+        (_config_json({**_VALID_CONFIG, "source": {}}), "config is missing required key 'root'"),
+        (
+            _config_json({key: value for key, value in _VALID_CONFIG.items() if key != "output_root"}),
+            "config is missing required key 'output_root'",
+        ),
         *(
             (_config_json({**_VALID_CONFIG, key: {field: value}}), "bad config value")
             for key, field, value in _BAD_NUMBERS
@@ -611,7 +625,8 @@ def _config_json(value):
         "aligners-repeated", "aligners-string", "aligners-unknown", "languages-repeated",
         "languages-three-letters", "languages-uppercase", "languages-number", "seed-and-rng-seed",
         "arity-prior-3-1", "arity-prior-1-1-1", "unknown-key-aligner", "unknown-key-top-descriptor",
-        "unknown-source-key", "unknown-endpoint", "http-endpoint-mode",
+        "unknown-source-key", "unknown-endpoint", "http-endpoint-mode", "source-without-root",
+        "no-output-root",
         *(f"{field}-{value!r}" for _, field, value in _BAD_NUMBERS),
     ],
 )
@@ -714,11 +729,8 @@ _PROVENANCE = ("alignments", "gale_church", "provenance.json")
         (_TEI, _BITEXT),
         (_STANDOFF, ("export",)),
         (_STANDOFF, ("agree",)),
-        (_PROVENANCE, ("align", "--aligner", "gale_church", "--pairs", "en-fr")),
     ],
-    ids=[
-        "align-tei", "stats-tei", "bitext-tei", "export-standoff", "agree-standoff", "align-provenance",
-    ],
+    ids=["align-tei", "stats-tei", "bitext-tei", "export-standoff", "agree-standoff"],
 )
 def test_bad_utf8_byte_in_an_output_file_exits_1(aligned_tree, tmp_path, file, command, capsys):
     shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
@@ -805,9 +817,15 @@ def _edit_json(change):
     return damage
 
 
-def _non_integer_eurovoc_code(path):
-    text = path.read_text(encoding="utf-8")
-    path.write_text(re.sub(r'(scheme="eurovoc">)\d+', r"\1abc", text, count=1), encoding="utf-8")
+def _sub(pattern, replacement, count=1):
+    """Damage that replaces the first ``count`` matches of ``pattern`` in a file (0: all)."""
+    def damage(path):
+        text = path.read_text(encoding="utf-8")
+        damaged = re.sub(pattern, replacement, text, count=count)
+        assert damaged != text
+        path.write_text(damaged, encoding="utf-8")
+
+    return damage
 
 
 def _edit_root(tag, old, new):
@@ -820,11 +838,6 @@ def _edit_root(tag, old, new):
     return damage
 
 
-def _nan_score(path):
-    text = path.read_text(encoding="utf-8")
-    path.write_text(re.sub(r'score="[^"]*"', 'score="nan"', text, count=1), encoding="utf-8")
-
-
 def _edit_link_lines(change):
     """Damage that rewrites the list of a file's ``<link>`` lines."""
     def damage(path):
@@ -835,20 +848,26 @@ def _edit_link_lines(change):
     return damage
 
 
-def _edit_en_fr_entry(change):
-    """Damage that rewrites the en-fr entry of a provenance record."""
-    return _edit_json(lambda record: {
-        **record, "pairs": {**record["pairs"], "en-fr": change(record["pairs"]["en-fr"])},
-    })
-
-
 # Well-formed files with a bad field, which every stage that reads them must reject.
 _FIELD_DAMAGES = {
-    ("tei", "classcode-abc"): _non_integer_eurovoc_code,
+    ("tei", "classcode-abc"): _sub(r'(scheme="eurovoc">)\d+', r"\1abc"),
     ("tei", "root-lang-english"): _edit_root("TEI.2", 'lang="en"', 'lang="english"'),
     ("tei", "root-lang-fr"): _edit_root("TEI.2", 'lang="en"', 'lang="fr"'),
     ("tei", "root-n-other-celex"): _edit_root("TEI.2", 'n="31984D0001"', 'n="31985R0002"'),
-    ("standoff", "score-nan"): _nan_score,
+    ("tei", "root-not-tei2"): _sub(r"(</?)TEI\.2\b", r"\1TEI", count=0),
+    ("tei", "p-n-misnumbered"): _sub(r'<p n="2">', '<p n="3">'),
+    ("tei", "p-n-0"): _sub(r'<p n="2">', '<p n="0">'),
+    ("tei", "p-n-abc"): _sub(r'<p n="2">', '<p n="abc">'),
+    ("tei", "p-empty"): _sub(r'<p n="2">[^<]*</p>', '<p n="2"></p>'),
+    ("tei", "div-type-unknown"): _sub(r'<div type="body">', '<div type="preamble">'),
+    ("tei", "extent-abc"): _sub(r"<extent>\d+", "<extent>many"),
+    ("tei", "extent-off-by-one"): _sub(
+        r"<extent>(\d+)", lambda m: f"<extent>{int(m.group(1)) + 1}"
+    ),
+    ("tei", "date-unparseable"): _sub(r"<date>[^<]*</date>", "<date>yesterday</date>"),
+    ("tei", "no-title"): _sub(r" *<title>[^<]*</title>\n", "", count=0),
+    ("tei", "no-head"): _sub(r" *<head [^>]*>[^<]*</head>\n", ""),
+    ("standoff", "score-nan"): _sub(r'score="[^"]*"', 'score="nan"'),
     ("standoff", "link-repeated"): _edit_link_lines(
         lambda lines, links: lines[: links[0] + 1] + lines[links[0] :]
     ),
@@ -857,20 +876,13 @@ _FIELD_DAMAGES = {
     ),
     ("standoff", "root-src-english"): _edit_root("standoff", 'src="en"', 'src="english"'),
     ("standoff", "root-tgt-de"): _edit_root("standoff", 'tgt="fr"', 'tgt="de"'),
+    ("standoff", "root-not-standoff"): _sub(r"(</?)standoff\b", r"\1links", count=0),
+    ("standoff", "linkgrp-n-repeated"): _sub(r'n="31985R0002"', 'n="31984D0001"'),
+    ("standoff", "linkgrp-out-of-order"): _sub(r'n="31984D0001"', 'n="31999D0001"'),
     ("config", "list"): _edit_json(lambda config: [config]),
     ("config", "source-string"): _edit_json(lambda config: {**config, "source": "x"}),
     ("config", "hun-params-string"): _edit_json(lambda config: {**config, "hun_params": "x"}),
     ("config", "languages-string"): _edit_json(lambda config: {**config, "languages": "en"}),
-    ("provenance", "digests-list"): _edit_en_fr_entry(lambda entry: {**entry, "params": [entry["params"]]}),
-    ("provenance", "files-list"): _edit_en_fr_entry(lambda entry: {**entry, "files": list(entry["files"])}),
-    ("provenance", "entry-extra-key"): _edit_en_fr_entry(lambda entry: {**entry, "seconds": "1"}),
-    ("provenance", "other-aligner"): _edit_json(lambda record: {**record, "aligner": "hunalign"}),
-    ("provenance", "old-shape"): _edit_json(
-        lambda record: {
-            "aligner": record["aligner"],
-            "params_digest": {pair: entry["params"] for pair, entry in record["pairs"].items()},
-        }
-    ),
 }
 
 
@@ -933,6 +945,14 @@ def test_readme_config_reference_names_every_config_key():
     assert sorted(key for key in keys if not re.search(rf"\b{key}\b", reference)) == []
 
 
+def test_readme_library_table_has_a_row_for_every_module():
+    repo = Path(__file__).resolve().parent.parent
+    table = (repo / "README.md").read_text(encoding="utf-8").split("## Library", 1)[1].split("\n#", 1)[0]
+    rows = set(re.findall(r"^\| `parcelex\.(\w+)` \|", table, re.MULTILINE))
+    modules = {path.stem for path in (repo / "src" / "parcelex").glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(modules - rows) == []
+
+
 def test_align_parses_only_the_languages_of_its_pairs(tmp_path, monkeypatch):
     # Without profiles the cross-labeled fr document is kept: en 3 + fr 4 + de 3.
     config_path = make_config(tmp_path, None)
@@ -984,12 +1004,14 @@ def test_align_keeps_the_provenance_of_pairs_it_did_not_align(aligned_tree, tmp_
     assert _cli(tmp_path / "config.json", "align", "--pairs", "en-fr") == 0
     assert "aligned 2 pair/aligner combinations" in capsys.readouterr().err
     assert {aligner: path.read_bytes() for aligner, path in records.items()} == full
-    # A run that aligns nothing leaves the record as it was.
+    # A run that removes two pairs keeps the entry of the third as it was.
     shutil.rmtree(tmp_path / "out" / "tei" / "de")
     capsys.readouterr()
     assert _cli(tmp_path / "config.json", "align", "--pairs", "de-en,de-fr") == 0
     assert "aligned 0 pair/aligner combinations" in capsys.readouterr().err
-    assert {aligner: path.read_bytes() for aligner, path in records.items()} == full
+    for aligner, path in records.items():
+        pairs = json.loads(full[aligner])["pairs"]
+        assert json.loads(path.read_bytes()) == {"pairs": {"en-fr": pairs["en-fr"]}}
 
 
 def _align_outputs(root: Path) -> dict[str, bytes]:
@@ -1009,11 +1031,16 @@ def _fresh_align(root: Path) -> dict[str, bytes]:
     return _align_outputs(fresh)
 
 
-def _realigned(root: Path, capsys) -> list[str]:
-    """Run ``align`` on ``root``; the ``<aligner> <pair>`` it aligned rather than kept, sorted."""
+def _align_log(root: Path, capsys) -> str:
+    """Run ``align`` on ``root``; what it logged."""
     capsys.readouterr()
     assert _cli(root / "config.json", "align") == 0
-    kept = set(re.findall(r"^(\S+ \S+): kept$", capsys.readouterr().err, re.MULTILINE))
+    return capsys.readouterr().err
+
+
+def _realigned(log: str) -> list[str]:
+    """The ``<aligner> <pair>`` that an ``align`` log shows aligned rather than kept, sorted."""
+    kept = set(re.findall(r"^(\S+ \S+): kept$", log, re.MULTILINE))
     every = {f"{aligner} {pair}" for aligner in ("gale_church", "hunalign")
              for pair in ("de-en", "de-fr", "en-fr")}
     return sorted(every - kept)
@@ -1048,7 +1075,7 @@ def test_an_edited_text_realigns_only_the_pairs_of_its_language(aligned_tree, tm
     text = tei.read_text(encoding="utf-8")
     assert "prüft den Antrag" in text  # paragraph 2, which the aligners read
     tei.write_text(text.replace("prüft den Antrag", "prüft jeden Antrag"), encoding="utf-8")
-    assert _realigned(tmp_path, capsys) == [
+    assert _realigned(_align_log(tmp_path, capsys)) == [
         "gale_church de-en", "gale_church de-fr", "hunalign de-en", "hunalign de-fr",
     ]
     assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
@@ -1059,7 +1086,7 @@ def test_new_hun_params_realign_every_hunalign_pair_and_no_other(aligned_tree, t
     config_path = tmp_path / "config.json"
     config = json.loads(config_path.read_text(encoding="utf-8"))
     config_path.write_text(json.dumps({**config, "hun_params": {"min_cooc": 3}}), encoding="utf-8")
-    assert _realigned(tmp_path, capsys) == ["hunalign de-en", "hunalign de-fr", "hunalign en-fr"]
+    assert _realigned(_align_log(tmp_path, capsys)) == ["hunalign de-en", "hunalign de-fr", "hunalign en-fr"]
     assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
 
 
@@ -1073,8 +1100,102 @@ def test_a_damaged_align_output_realigns_only_its_pair(aligned_tree, tmp_path, a
                                                       capsys):
     shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
     damage(tmp_path / "out" / "alignments" / aligner / name)
-    assert _realigned(tmp_path, capsys) == [f"{aligner} {name.split('.')[0]}"]
+    assert _realigned(_align_log(tmp_path, capsys)) == [f"{aligner} {name.split('.')[0]}"]
     assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+def _en_fr_entry(change):
+    """The change of a provenance record that ``change``s its en-fr entry."""
+    return lambda record: {
+        **record, "pairs": {**record["pairs"], "en-fr": change(record["pairs"]["en-fr"])},
+    }
+
+
+def _with_aligner_key(change=lambda record: record):
+    """Damage that adds the ``aligner`` key that earlier versions wrote, then ``change``s the record."""
+    return _edit_json(lambda record: change({"aligner": "gale_church", **record}))
+
+
+# Records that keep no pair: unreadable ones, the shape earlier versions wrote,
+# and the damaged shapes that those versions rejected.
+_RECORD_DAMAGES = {
+    "cut": _cut,
+    "bad-byte": _bad_byte_mid_file,
+    "empty": lambda path: path.write_bytes(b""),
+    "pairs-list": _edit_json(lambda record: {"pairs": list(record["pairs"])}),
+    "with-aligner-key": _with_aligner_key(),
+    "digests-list": _with_aligner_key(_en_fr_entry(lambda entry: {**entry, "params": [entry["params"]]})),
+    "files-list": _with_aligner_key(_en_fr_entry(lambda entry: {**entry, "files": list(entry["files"])})),
+    "entry-extra-key": _with_aligner_key(_en_fr_entry(lambda entry: {**entry, "seconds": "1"})),
+    "other-aligner": _with_aligner_key(lambda record: {**record, "aligner": "hunalign"}),
+    "old-shape": _with_aligner_key(
+        lambda record: {
+            "aligner": record["aligner"],
+            "params_digest": {pair: entry["params"] for pair, entry in record["pairs"].items()},
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", list(_RECORD_DAMAGES.values()), ids=list(_RECORD_DAMAGES))
+def test_a_damaged_record_realigns_every_pair_of_its_aligner(aligned_tree, tmp_path, damage, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    path = tmp_path.joinpath("out", *_PROVENANCE)
+    damage(path)
+    log = _align_log(tmp_path, capsys)
+    assert [line for line in log.splitlines() if str(path) in line] == [
+        f"{path}: unreadable or not a record of pairs; no gale_church pair is kept"
+    ]
+    assert _realigned(log) == ["gale_church de-en", "gale_church de-fr", "gale_church en-fr"]
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "change, delete_standoff",
+    [
+        (lambda entry: {**entry, "params": [entry["params"]]}, False),
+        (lambda entry: {**entry, "files": list(entry["files"])}, False),
+        (lambda entry: {**entry, "seconds": "1"}, False),
+        (lambda entry: {"params": entry["params"], "files": entry["files"]}, False),
+        # What a pair whose files cannot be read would have as digests.
+        (lambda entry: {**entry, "files": None}, True),
+    ],
+    ids=["params-list", "files-list", "extra-key", "no-inputs", "files-null-standoff-deleted"],
+)
+def test_an_entry_that_does_not_check_out_realigns_only_its_pair(aligned_tree, tmp_path, change,
+                                                                 delete_standoff, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    _edit_json(_en_fr_entry(change))(tmp_path.joinpath("out", *_PROVENANCE))
+    if delete_standoff:
+        tmp_path.joinpath("out", *_STANDOFF).unlink()
+    log = _align_log(tmp_path, capsys)
+    assert "provenance.json" not in log
+    assert _realigned(log) == ["gale_church en-fr"]
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+def test_a_pair_without_common_documents_loses_its_alignment_files(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    shutil.rmtree(tmp_path / "out" / "tei" / "de")
+    log = _align_log(tmp_path, capsys)
+    assert log.count("no common documents, skipped") == 4 and log.count(": kept") == 2
+    for aligner, lexicon in (("gale_church", []), ("hunalign", ["en-fr.lexicon.txt"])):
+        directory = tmp_path / "out" / "alignments" / aligner
+        names = sorted(p.name for p in directory.iterdir() if p.suffix != ".csv")
+        assert names == [*lexicon, "en-fr.standoff.xml", "provenance.json"]
+        record = json.loads((directory / "provenance.json").read_text(encoding="utf-8"))
+        assert list(record["pairs"]) == ["en-fr"]
+        for csv in directory.glob("*.csv"):
+            csv.unlink()
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", "export") == 0
+    assert "exported 2 CSV files" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "out" / "alignments").rglob("*.csv")) == ["en-fr.csv"] * 2
+    # With fr gone too, no pair is left, and no record either.
+    shutil.rmtree(tmp_path / "out" / "tei" / "fr")
+    _align_log(tmp_path, capsys)
+    assert _align_outputs(tmp_path) == {}
 
 
 def test_a_new_language_aligns_only_its_pairs(tmp_path, capsys):
@@ -1084,20 +1205,10 @@ def test_a_new_language_aligns_only_its_pairs(tmp_path, capsys):
     make_config(tmp_path, None)  # de joins en and fr
     for stage in ("fetch", "normalize"):
         assert _cli(config_path, stage) == 0
-    assert _realigned(tmp_path, capsys) == [
+    assert _realigned(_align_log(tmp_path, capsys)) == [
         "gale_church de-en", "gale_church de-fr", "hunalign de-en", "hunalign de-fr",
     ]
     assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
-
-
-def test_the_lexicon_header_names_the_digests_its_pair_records(aligned_tree):
-    hun_dir = aligned_tree / "out" / "alignments" / "hunalign"
-    pairs = json.loads((hun_dir / "provenance.json").read_text(encoding="utf-8"))["pairs"]
-    for pair, entry in pairs.items():
-        lines = (hun_dir / f"{pair}.lexicon.txt").read_text(encoding="utf-8").splitlines()
-        assert lines[0] == (
-            f"# hun_params={entry['params']} inputs={entry['inputs']} entries={len(lines) - 1}"
-        )
 
 
 def test_a_failed_align_records_the_pairs_it_aligned_before_the_failure(aligned_tree, tmp_path,
@@ -1119,7 +1230,7 @@ def test_a_failed_align_records_the_pairs_it_aligned_before_the_failure(aligned_
     assert _cli(tmp_path / "config.json", "align") == 1
     monkeypatch.undo()
     # de-en and de-fr came before en-fr, by both aligners, and en-fr by Gale-Church.
-    assert _realigned(tmp_path, capsys) == ["hunalign en-fr"]
+    assert _realigned(_align_log(tmp_path, capsys)) == ["hunalign en-fr"]
     assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
 
 
@@ -1136,6 +1247,35 @@ def test_bad_pair_exits_1_naming_it(aligned_tree, tmp_path, command, pair, capsy
     assert _cli(tmp_path / "config.json", *command, "--pairs", f"en-fr,{pair}") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err and f"bad pair {pair}" in err
+    assert _tree(tmp_path / "out") == before
+
+
+def _one_aligner(root):
+    _edit_json(lambda config: {**config, "aligners": ["gale_church"]})(root / "config.json")
+
+
+@pytest.mark.parametrize(
+    "prepare, command, message",
+    [
+        (None, ("bitext", "--pairs", "en-fr"), "bitext requires --celex"),
+        (None, ("bitext", "--pairs", "en-fr", "--celex", "31987D0004"), "no links for 31987D0004 in en-fr"),
+        (_one_aligner, ("agree",), "agree needs two aligners configured"),
+        (
+            lambda root: shutil.rmtree(root / "out" / "alignments"), ("export",),
+            "no stand-off files to export; run align first",
+        ),
+    ],
+    ids=["bitext-without-celex", "bitext-celex-not-in-pair", "agree-one-aligner", "export-unaligned"],
+)
+def test_a_usage_error_exits_1_naming_it(aligned_tree, tmp_path, prepare, command, message, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    if prepare:
+        prepare(tmp_path)
+    before = _tree(tmp_path / "out")
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", *command) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and message in err
     assert _tree(tmp_path / "out") == before
 
 

@@ -384,12 +384,12 @@ def test_lexicon_persistence_round_trip(tmp_path):
         entries={("a", "x"): 0.123456789, ("b", "y"): 1.0, ("c", "z"): 0.5},
     )
     path = tmp_path / "lex.txt"
-    save_lexicon(lexicon, path, "key")
+    save_lexicon(lexicon, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[1].startswith("b\ty\t")  # heaviest first, after the header
+    assert lines[0].startswith("b\ty\t")  # heaviest first
     # Every weight is written in full, so reading the lines back gives the same floats.
     read = {}
-    for line in lines[1:]:
+    for line in lines:
         s, t, w = line.split("\t")
         read[(s, t)] = float(w)
     assert read == lexicon.entries
@@ -466,17 +466,23 @@ def reference_lexicons():
     return (None, empty, boot, edge), src_words + ["orphan"], tgt_words
 
 
-@pytest.mark.parametrize("case", range(86))
+@pytest.mark.parametrize("case", range(96))
 def test_similarity_align_matches_reference_bit_for_bit(case, reference_lexicons):
     """From case 50 on both sides share their words as well as their numbers.
 
     Then an identical word on both sides must be one bit of the shared
-    vocabulary, or its Dice share of the bead score changes.
+    vocabulary, or its Dice share of the bead score changes.  From case 86
+    on only the lexicon weighs and there is none, so every 1-1 and merge
+    bead scores 0.0 and the path is chosen by the skip penalty and ties.
     """
     lexicons, src_words, tgt_words = reference_lexicons
     rng = random.Random(case)
     params = HunParams(max_split=(2, 3, 4)[case % 3])
     lexicon = lexicons[case % 4]
+    if case >= 86:
+        params = HunParams(max_split=params.max_split, w_length=0, w_identical=0, w_number=0,
+                           w_lexicon=1)
+        lexicon = None
     numbers = ["7", "1984", "12.5", "2003"]
     if case >= 50:
         src_words = tgt_words = rng.sample(src_words, 6) + rng.sample(tgt_words, 6)
@@ -530,7 +536,7 @@ def test_lexicon_rejects_weights_outside_unit_interval():
 
 def test_interrupted_save_leaves_the_old_lexicon_file(tmp_path, monkeypatch):
     path = tmp_path / "lex.txt"
-    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path, "old")
+    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path)
     old = path.read_bytes()
     write_text = Path.write_text
 
@@ -541,18 +547,10 @@ def test_interrupted_save_leaves_the_old_lexicon_file(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "write_text", interrupted)
     new = Lexicon(entries={("b", "y"): 1 / 3, ("c", "z"): 0.25})
     with pytest.raises(KeyboardInterrupt):
-        save_lexicon(new, path, "new")
+        save_lexicon(new, path)
     with pytest.raises(KeyboardInterrupt):
-        save_lexicon(new, tmp_path / "fresh.txt", "new")
+        save_lexicon(new, tmp_path / "fresh.txt")
     monkeypatch.undo()
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["lex.txt"]  # nothing half-written beside it
 
-
-def test_lexicon_header_round_trip(tmp_path):
-    lexicon = Lexicon(entries={("a", "x"): 0.5})
-    path = tmp_path / "lex.txt"
-    save_lexicon(lexicon, path, "hun_params=abc inputs=def")
-    assert path.read_text(encoding="utf-8").splitlines() == [
-        "# hun_params=abc inputs=def entries=1", "a\tx\t0.5",
-    ]
