@@ -37,6 +37,8 @@ _CONFIG_KEYS = frozenset({
 _MANIFEST_KEYS = frozenset({"celex", "lang", "file", "source_url", "retrieved"})
 # The name of a raw document, matched whole.
 _FIXTURE_FILE_RE = re.compile(r"(\d{5}[A-Z]\d{4}(?:\(\d{2}\))?)-([a-z]{2})\.(html|txt)")
+# A language pair as --pairs and the align record spell it.
+_PAIR_RE = re.compile(r"([a-z]{2})-([a-z]{2})")
 
 
 class InputError(ParcelexError):
@@ -168,8 +170,23 @@ def _read(path: Path, parse=str):
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    """Write an output file, making its directory; any failure names the file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _clear(directory: Path) -> None:
+    """Remove a directory that a stage writes whole, so that it holds only this run's files."""
+    import shutil
+
+    try:
+        if directory.exists():
+            shutil.rmtree(directory)
+    except OSError as exc:
+        raise InputError(f"cannot remove {directory}: {exc.strerror}") from None
 
 
 def _json_dump(obj) -> str:
@@ -186,36 +203,28 @@ def cmd_fetch(config: PipelineConfig) -> None:
     found = {}  # (celex, lang) -> the name of its raw file
     for entry in sorted(root.iterdir()):
         m = _FIXTURE_FILE_RE.fullmatch(entry.name)
-        if not m:
-            continue
-        code, lang, _ = m.groups()
-        if lang not in config.languages:
-            continue
-        celex = parse_celex(code)
-        if (celex, lang) in found:
-            raise InputError(f"{root}: {found[(celex, lang)]} and {entry.name} hold the same document")
-        found[(celex, lang)] = entry.name
+        if m and m.group(2) in config.languages:
+            key = (parse_celex(m.group(1)), m.group(2))
+            if key in found:
+                raise InputError(f"{root}: {found[key]} and {entry.name} hold the same document")
+            found[key] = entry.name
     if not found:
         raise InputError(f"no <celex>-<lang>.html fixtures under {root}")
+    # Every document is read before raw/ is replaced, so that a bad one leaves the old tree.
+    documents = [(name, fetch_document(root / name, *key)) for key, name in found.items()]
+    raw = config.output_root / "raw"
+    _clear(raw)
     manifest = []
-    for (celex, lang), name in found.items():
-        doc = fetch_document(config.source, celex, lang)
-        _write(config.output_root / "raw" / name, doc.content)
-        manifest.append(
-            {
-                "celex": format_celex(celex),
-                "lang": lang,
-                "file": name,
-                "source_url": doc.source_url,
-                "retrieved": doc.retrieved.isoformat(),
-            }
-        )
-    _write(config.output_root / "raw" / "manifest.json", _json_dump({"documents": manifest}))
-    _log(f"fetched {len(manifest)} documents into {config.output_root / 'raw'}")
+    for name, doc in documents:
+        _write(raw / name, doc.content)
+        manifest.append({"celex": format_celex(doc.celex), "lang": doc.lang, "file": name,
+                         "source_url": doc.source_url, "retrieved": doc.retrieved.isoformat()})
+    _write(raw / "manifest.json", _json_dump({"documents": manifest}))
+    _log(f"fetched {len(manifest)} documents into {raw}")
 
 
 def _load_manifest(config: PipelineConfig) -> list[dict]:
-    """The manifest's document entries, each with ``retrieved`` parsed to a date."""
+    """The manifest's document entries, each with ``celex`` and ``retrieved`` parsed."""
     path = config.output_root / "raw" / "manifest.json"
     if not path.is_file():
         raise InputError(f"{path} missing; run fetch first")
@@ -228,6 +237,8 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
         for entry in documents
     ):
         raise InputError(f"{path}: every document needs the string keys {sorted(_MANIFEST_KEYS)}")
+    from .celex import parse_celex
+
     for entry in documents:
         # The name fetch writes for the entry, so that normalize reads nothing outside raw/.
         m = _FIXTURE_FILE_RE.fullmatch(entry["file"])
@@ -236,11 +247,10 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
                 f"{path}: {entry['file']!r} is not {entry['celex']}-{entry['lang']}.html or .txt"
             )
         try:
+            entry["celex"] = parse_celex(entry["celex"])
             entry["retrieved"] = datetime.date.fromisoformat(entry["retrieved"])
-        except ValueError:
-            raise InputError(
-                f"{path}: {entry['file']}: bad retrieved date {entry['retrieved']!r}"
-            ) from None
+        except ValueError as exc:
+            raise InputError(f"{path}: {entry['file']}: {exc}") from None
     return documents
 
 
@@ -269,37 +279,37 @@ def _load_eurovoc_map(config: PipelineConfig) -> dict[str, list[int]]:
 
 
 def _select(documents):
-    """The (document, paragraphs) pairs whose celex the rule keeps on the languages among them."""
+    """The (entry, paragraphs) pairs whose celex the rule keeps on the languages among them."""
     from .ingest import select_corpus
 
     inventory: dict[CelexId, set[str]] = {}
-    for raw, _ in documents:
-        inventory.setdefault(raw.celex, set()).add(raw.lang)
+    for entry, _ in documents:
+        inventory.setdefault(entry["celex"], set()).add(entry["lang"])
     kept = select_corpus(inventory)
-    return [(raw, paragraphs) for raw, paragraphs in documents if raw.celex in kept]
+    return [(entry, paragraphs) for entry, paragraphs in documents if entry["celex"] in kept]
 
 
 def _language_checked(documents, profiles: ProfileIndex):
-    """The (document, paragraphs) pairs whose text passes the language check; logs the rest."""
+    """The (entry, paragraphs) pairs whose text passes the language check; logs the rest."""
     from .celex import format_celex
     from .ingest import verify_language
 
     accepted = []
-    for raw, paragraphs in documents:
-        verdict = verify_language(raw, profiles, paragraphs)
+    for entry, paragraphs in documents:
+        verdict = verify_language(entry["lang"], paragraphs, profiles)
         if verdict.accepted:
-            accepted.append((raw, paragraphs))
+            accepted.append((entry, paragraphs))
         else:
             _log(
-                f"rejected {format_celex(raw.celex)}-{raw.lang}: guessed {verdict.guessed_lang} "
-                f"(confidence {verdict.confidence:.3f})"
+                f"rejected {format_celex(entry['celex'])}-{entry['lang']}: guessed "
+                f"{verdict.guessed_lang} (confidence {verdict.confidence:.3f})"
             )
     return accepted
 
 
 def cmd_normalize(config: PipelineConfig) -> None:
-    from .celex import format_celex, jrc_document_id, parse_celex
-    from .ingest import RawDocument, html_to_paragraphs
+    from .celex import format_celex, jrc_document_id
+    from .ingest import html_to_paragraphs
     from .tei import build_document, classify_sections, serialize_tei
 
     manifest = _load_manifest(config)
@@ -310,21 +320,13 @@ def cmd_normalize(config: PipelineConfig) -> None:
     # are kept, so its content is not held for the whole corpus.
     documents = []
     for entry in manifest:
-        celex = parse_celex(entry["celex"])
         paragraphs = html_to_paragraphs(_read(config.output_root / "raw" / entry["file"]))
         if not paragraphs:
-            _log(f"skipping empty document {entry['celex']}-{entry['lang']}")
+            _log(f"skipping empty document {format_celex(entry['celex'])}-{entry['lang']}")
             continue
-        raw = RawDocument(
-            celex=celex,
-            lang=entry["lang"],
-            content="",
-            source_url=entry["source_url"],
-            retrieved=entry["retrieved"],
-        )
-        if profiles is not None and raw.lang not in profiles.langs:
-            raise UnknownLanguageError(f"no profile for declared language {raw.lang!r}")
-        documents.append((raw, paragraphs))
+        if profiles is not None and entry["lang"] not in profiles.langs:
+            raise UnknownLanguageError(f"no profile for declared language {entry['lang']!r}")
+        documents.append((entry, paragraphs))
 
     # A language check only removes languages, and the selection rule is
     # monotone in them: a celex it drops on the declared languages stays
@@ -336,24 +338,23 @@ def cmd_normalize(config: PipelineConfig) -> None:
         if config.selection:
             documents = _select(documents)
 
-    for raw, paragraphs in documents:
+    tei = config.output_root / "tei"
+    _clear(tei)
+    for entry, paragraphs in documents:
+        celex, lang = entry["celex"], entry["lang"]
         title, body = paragraphs[0], paragraphs[1:]
-        boundaries = classify_sections(body) if body else None
         doc = build_document(
-            celex=raw.celex,
-            lang=raw.lang,
+            celex=celex,
+            lang=lang,
             title=title,
             body_paragraphs=body,
-            boundaries=boundaries,
-            eurovoc_codes=eurovoc.get(format_celex(raw.celex), ()),
-            source_url=raw.source_url,
-            download_date=raw.retrieved,
+            boundaries=classify_sections(body) if body else None,
+            eurovoc_codes=eurovoc.get(format_celex(celex), ()),
+            source_url=entry["source_url"],
+            download_date=entry["retrieved"],
         )
-        _write(
-            config.output_root / "tei" / raw.lang / f"{jrc_document_id(raw.celex, raw.lang)}.xml",
-            serialize_tei(doc),
-        )
-    _log(f"normalized {len(documents)} documents into {config.output_root / 'tei'}")
+        _write(tei / lang / f"{jrc_document_id(celex, lang)}.xml", serialize_tei(doc))
+    _log(f"normalized {len(documents)} documents into {tei}")
 
 
 def _read_tei(path: Path):
@@ -366,8 +367,8 @@ def _read_tei(path: Path):
     return doc
 
 
-def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[CelexId, object]]:
-    """Parse the TEI documents of ``langs`` (default: every language directory)."""
+def _load_tei_corpus(config: PipelineConfig, langs) -> dict[str, dict[CelexId, object]]:
+    """Parse the TEI documents of ``langs``."""
     tei_root = config.output_root / "tei"
     if not tei_root.is_dir():
         raise InputError(f"{tei_root} missing; run normalize first")
@@ -376,7 +377,7 @@ def _load_tei_corpus(config: PipelineConfig, langs=None) -> dict[str, dict[Celex
         raise InputError(f"no TEI documents under {tei_root}")
     corpus: dict[str, dict[CelexId, object]] = {}
     for path in paths:
-        if langs is None or path.parent.name in langs:
+        if path.parent.name in langs:
             doc = _read_tei(path)
             corpus.setdefault(doc.lang, {})[doc.celex] = doc
     return corpus
@@ -436,8 +437,11 @@ def _align_pair(config: PipelineConfig, aligner: str, src_lang: str, tgt_lang: s
         src_texts, tgt_texts, config.hun, src_lang=src_lang, tgt_lang=tgt_lang, first_n=2,
     )
     path = _pair_files(config, aligner, src_lang, tgt_lang)[1]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_lexicon(lexicon, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_lexicon(lexicon, path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from None
     return alignments
 
 
@@ -478,7 +482,8 @@ def _load_provenance(config: PipelineConfig, aligner: str) -> dict[str, dict] | 
         return {}
     except (OSError, ValueError):
         record = None
-    if isinstance(record, dict) and record.keys() == {"pairs"} and isinstance(record["pairs"], dict):
+    if (isinstance(record, dict) and record.keys() == {"pairs"} and isinstance(record["pairs"], dict)
+            and all(map(_PAIR_RE.fullmatch, record["pairs"]))):
         return record["pairs"]
     _log(f"{path}: unreadable or not a record of pairs; no {aligner} pair is kept")
     return None
@@ -487,6 +492,7 @@ def _load_provenance(config: PipelineConfig, aligner: str) -> dict[str, dict] | 
 def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) -> None:
     from .standoff import export_standoff_xml, standoff_from_alignments
 
+    full = not pairs
     pairs = _resolve_pairs(config, pairs)
     aligners = (aligner,) if aligner else config.aligners
     # A run keeps what earlier runs recorded for the pairs it does not run.
@@ -495,6 +501,15 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
     corpus = _load_tei_corpus(config, {lang for pair in pairs for lang in pair})
     aligned = 0
     try:
+        if full:
+            # A fresh run writes nothing for a pair outside the configured ones.
+            wanted = {f"{src}-{tgt}" for src, tgt in pairs}
+            for name in aligners:
+                for pair in sorted(records[name].keys() - wanted):
+                    _log(f"{name} {pair}: not a configured pair, removed")
+                    del records[name][pair]
+                    for path in _pair_files(config, name, *pair.split("-")):
+                        path.unlink(missing_ok=True)
         for src, tgt in pairs:
             src_docs, tgt_docs = corpus.get(src, {}), corpus.get(tgt, {})
             common = sorted(set(src_docs) & set(tgt_docs))
@@ -634,7 +649,7 @@ def cmd_stats(config: PipelineConfig) -> None:
         stats_to_text,
     )
 
-    corpus = _load_tei_corpus(config)
+    corpus = _load_tei_corpus(config, config.languages)
     docs = [doc for per_lang in corpus.values() for _, doc in sorted(per_lang.items())]
     table = corpus_stats_table(docs)
     _write(config.output_root / "stats" / "language_stats.csv", stats_to_csv(table))
@@ -723,7 +738,7 @@ def run(
 def _parse_pairs(text: str) -> list[tuple[str, str]]:
     pairs = []
     for chunk in text.split(","):
-        m = re.fullmatch(r"([a-z]{2})-([a-z]{2})", chunk)
+        m = _PAIR_RE.fullmatch(chunk)
         if not m:
             raise InputError(f"bad pair {chunk!r}; expected like en-fr")
         pairs.append((m.group(1), m.group(2)))

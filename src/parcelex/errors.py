@@ -13,10 +13,6 @@ class UnsupportedEndpointError(ParcelexError, ValueError):
     """The requested endpoint cannot serve this identifier (e.g. bracketed id on smartapi)."""
 
 
-class DocumentNotFoundError(ParcelexError, LookupError):
-    """No document for the requested (celex, language) at the source."""
-
-
 class DecodeError(ParcelexError, ValueError):
     """Raw document bytes are not valid under the expected encoding."""
 

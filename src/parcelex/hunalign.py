@@ -24,7 +24,6 @@ the lexicon pass costs a few times the first pass.
 
 from __future__ import annotations
 
-import os
 import random
 import re
 from collections import Counter
@@ -464,13 +463,4 @@ def save_lexicon(lexicon: Lexicon, path) -> None:
         f"{s}\t{t}\t{w!r}\n"
         for (s, t), w in sorted(lexicon.entries.items(), key=lambda kv: (-kv[1], kv[0]))
     )
-    # Written beside the target and renamed over it, so an interrupted save
-    # never leaves a truncated file.
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    Path(path).write_text(text, encoding="utf-8")

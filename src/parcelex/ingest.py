@@ -1,6 +1,6 @@
 """Document acquisition and normalization.
 
-Raw documents come from a local directory of fixture files, are reduced
+Raw documents are read from the files of a local directory, are reduced
 from legacy HTML to plain paragraph texts, get
 their language verified against n-gram profiles, and are filtered by the
 corpus selection rule before TEI encoding.
@@ -15,11 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .celex import CelexId, format_celex
-from .errors import (
-    DecodeError, DocumentNotFoundError, EmptyTextError, UnknownLanguageError, decode_utf8,
-)
-from .langid import guess_language, index_profiles
-from .params import FetchSource
+from .errors import DecodeError, EmptyTextError, UnknownLanguageError, decode_utf8
+from .langid import ProfileIndex, guess_language
 
 OFFICIAL_LANGUAGES = frozenset(
     "cs da de el en es et fi fr hu it lt lv mt nl pl pt sk sl sv".split()
@@ -46,22 +43,15 @@ class RawDocument:
     retrieved: datetime.date
 
 
-def fetch_document(source: FetchSource, celex: CelexId, lang: str) -> RawDocument:
-    """Fetch one (celex, lang) document: the file ``<root>/<celex>-<lang>.html`` (or ``.txt``)."""
-    code = format_celex(celex)
-    root = Path(source.root)
-    for ext in (".html", ".txt"):
-        path = root / f"{code}-{lang}{ext}"
-        if path.is_file():
-            mtime = datetime.date.fromtimestamp(path.stat().st_mtime)
-            return RawDocument(
-                celex=celex,
-                lang=lang,
-                content=decode_utf8(path.read_bytes(), path, DecodeError),
-                source_url=path.as_uri(),
-                retrieved=mtime,
-            )
-    raise DocumentNotFoundError(f"no fixture {code}-{lang}.html under {source.root}")
+def fetch_document(path: Path, celex: CelexId, lang: str) -> RawDocument:
+    """The (celex, lang) document held in the file ``path``, retrieved on its modification date."""
+    return RawDocument(
+        celex=celex,
+        lang=lang,
+        content=decode_utf8(path.read_bytes(), path, DecodeError),
+        source_url=path.as_uri(),
+        retrieved=datetime.date.fromtimestamp(path.stat().st_mtime),
+    )
 
 
 _DROP_BLOCK_RE = re.compile(
@@ -109,26 +99,21 @@ class LanguageVerdict:
     low_confidence: bool = False
 
 
-def verify_language(doc: RawDocument, profiles, paragraphs=None) -> LanguageVerdict:
-    """Accept iff the guessed language matches the declared one.
+def verify_language(lang: str, paragraphs: list[str], index: ProfileIndex) -> LanguageVerdict:
+    """Accept the paragraphs as ``lang`` iff the guessed language matches it.
 
-    Documents below SHORT_TEXT_CHARS are accepted with low_confidence=True
-    rather than rejected.  ``profiles`` is a list of profiles or a
-    ``ProfileIndex``; ``paragraphs`` are the document's
-    ``html_to_paragraphs``, when the caller already has them.
+    Texts below SHORT_TEXT_CHARS are accepted with low_confidence=True
+    rather than rejected.
     """
-    profiles = index_profiles(profiles)
-    if doc.lang not in profiles.langs:
-        raise UnknownLanguageError(f"no profile for declared language {doc.lang!r}")
-    if paragraphs is None:
-        paragraphs = html_to_paragraphs(doc.content)
+    if lang not in index.langs:
+        raise UnknownLanguageError(f"no profile for declared language {lang!r}")
     text = " ".join(paragraphs)
     if not text:
-        raise EmptyTextError(f"document {format_celex(doc.celex)}-{doc.lang} has no text")
-    guessed, confidence = guess_language(text, profiles)
+        raise EmptyTextError(f"no text to verify as {lang!r}")
+    guessed, confidence = guess_language(text, index)
     short = len(text) < SHORT_TEXT_CHARS
     return LanguageVerdict(
-        accepted=short or guessed == doc.lang,
+        accepted=short or guessed == lang,
         guessed_lang=guessed,
         confidence=confidence,
         low_confidence=short,

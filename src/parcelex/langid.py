@@ -117,22 +117,15 @@ class ProfileIndex:
         return [n * size - s for size, s in zip(sizes, shared)]
 
 
-def index_profiles(profiles) -> ProfileIndex:
-    """``profiles`` as a ``ProfileIndex``; an index is returned as given."""
-    return profiles if isinstance(profiles, ProfileIndex) else ProfileIndex(profiles)
+def guess_language(text: str, index: ProfileIndex) -> tuple[str, float]:
+    """Return (language, confidence) for the closest profile of ``index``.
 
-
-def guess_language(text: str, profiles) -> tuple[str, float]:
-    """Return (language, confidence) for the closest profile.
-
-    ``profiles`` is a list of profiles or a ``ProfileIndex`` of them.
     Confidence is the margin between best and second-best distance,
     normalized by the second-best (1.0 when only one profile is given).
     Ties break toward the lexicographically smaller language code.
     """
     if not text or not text.strip():
         raise EmptyTextError("cannot guess the language of empty text")
-    index = index_profiles(profiles)
     if not index.langs:
         raise ValueError("at least one language profile is required")
     text_ranks = _rank(_ngram_counts(text), index.k)

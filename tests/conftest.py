@@ -6,7 +6,7 @@ import pytest
 
 from parcelex.beads import AlignmentLink
 from parcelex.celex import parse_celex
-from parcelex.langid import train_language_profile
+from parcelex.langid import ProfileIndex, train_language_profile
 from parcelex.tei import SectionBoundaries, build_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,6 +42,11 @@ def held_out_chunks(lang: str, n_chunks: int = 30, size: int = 500) -> list[str]
 @pytest.fixture(scope="session")
 def language_profiles():
     return [train_language_profile(training_text(lang), lang) for lang in BANK_LANGS]
+
+
+@pytest.fixture(scope="session")
+def profile_index(language_profiles):
+    return ProfileIndex(language_profiles)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from parcelex.beads import AlignmentLink
 from parcelex.celex import CelexId, document_url, format_celex, parse_celex
 from parcelex.galechurch import GCParams, align_gale_church, alignment_cost, exhaustive_align
 from parcelex.hunalign import HunParams, align_hunalign, build_lexicon, prepare_pair, similarity_align
-from parcelex.ingest import RawDocument, verify_language
+from parcelex.ingest import verify_language
 from parcelex.langid import guess_language
 from parcelex.standoff import (
     StandoffFile,
@@ -258,24 +258,17 @@ def test_c09_stats_exactness():
 
 
 @criterion(10, "language guessing")
-def test_c10_language_guessing(language_profiles):
+def test_c10_language_guessing(language_profiles, profile_index):
     total = correct = 0
     for profile in language_profiles:
         for chunk in held_out_chunks(profile.lang, n_chunks=30, size=500):
-            guessed, _ = guess_language(chunk, language_profiles)
+            guessed, _ = guess_language(chunk, profile_index)
             total += 1
             correct += guessed == profile.lang
     assert correct / total >= 0.99, (correct, total)
 
-    english = " ".join(bank_lines("en")[:12])
-    cross = RawDocument(
-        celex=parse_celex("31984D0001"),
-        lang="fr",
-        content=f"<p>{english}</p>",
-        source_url="file:///x",
-        retrieved=datetime.date(2006, 2, 20),
-    )
-    verdict = verify_language(cross, language_profiles)
+    # English paragraphs declared French.
+    verdict = verify_language("fr", bank_lines("en")[:12], profile_index)
     assert not verdict.accepted and verdict.guessed_lang == "en"
 
 

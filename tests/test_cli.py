@@ -285,9 +285,12 @@ def test_interrupted_lexicon_cache_write_is_never_trusted(tmp_path, profiles_dir
     cache = hun_dir / "en-fr.lexicon.txt"
 
     _interrupt_lexicon_writes(monkeypatch)
-    assert _cli(config_path, *align) != 0
+    capsys.readouterr()
+    assert _cli(config_path, *align) == 1
     monkeypatch.undo()
-    assert list(hun_dir.iterdir()) == []  # neither the cache nor a temp file
+    assert f"cannot write {cache}" in capsys.readouterr().err
+    # The cut lexicon is left in place, and no record lists it.
+    assert [p.name for p in hun_dir.iterdir()] == ["en-fr.lexicon.txt"]
 
     capsys.readouterr()
     assert _cli(config_path, *align) == 0
@@ -1123,6 +1126,10 @@ _RECORD_DAMAGES = {
     "bad-byte": _bad_byte_mid_file,
     "empty": lambda path: path.write_bytes(b""),
     "pairs-list": _edit_json(lambda record: {"pairs": list(record["pairs"])}),
+    # A key that names no pair would name no files of the record's directory.
+    "key-not-a-pair": _edit_json(
+        lambda record: {"pairs": {**record["pairs"], "../en-fr": record["pairs"]["en-fr"]}}
+    ),
     "with-aligner-key": _with_aligner_key(),
     "digests-list": _with_aligner_key(_en_fr_entry(lambda entry: {**entry, "params": [entry["params"]]})),
     "files-list": _with_aligner_key(_en_fr_entry(lambda entry: {**entry, "files": list(entry["files"])})),
@@ -1209,6 +1216,80 @@ def test_a_new_language_aligns_only_its_pairs(tmp_path, capsys):
         "gale_church de-en", "gale_church de-fr", "hunalign de-en", "hunalign de-fr",
     ]
     assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+def test_a_full_align_drops_the_pairs_of_a_removed_language(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    make_config(tmp_path, "profiles", languages=["en", "fr"])
+    # An align of named pairs keeps what it does not run.
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", "align", "--pairs", "en-fr") == 0
+    assert "removed" not in capsys.readouterr().err
+    assert tmp_path.joinpath("out", "alignments", "hunalign", "de-en.lexicon.txt").is_file()
+    log = _align_log(tmp_path, capsys)
+    assert sorted(re.findall(r"^(\S+ \S+): not a configured pair, removed$", log, re.MULTILINE)) == [
+        "gale_church de-en", "gale_church de-fr", "hunalign de-en", "hunalign de-fr",
+    ]
+    assert "hunalign en-fr: kept" in log
+    for csv in (tmp_path / "out" / "alignments").rglob("*.csv"):
+        csv.unlink()  # export's, not align's
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+_RERUN = [("fetch",), ("normalize",), ("align",), ("stats",), ("agree",)]
+
+
+def _source_config(root, html, **overrides):
+    """A config in ``root`` that reads the raw documents of ``html``."""
+    return make_config(root, None, source={"mode": "local_directory", "root": str(html)}, **overrides)
+
+
+def _rerun_matches_a_fresh_run(tmp_path, change):
+    """Run the chain, ``change`` the source directory or config, rerun it; compare with a fresh run."""
+    html = tmp_path / "html"
+    shutil.copytree(FIXTURES / "html", html)
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    rerun.mkdir()
+    fresh.mkdir()
+    for stage in _RERUN:
+        assert _cli(_source_config(rerun, html), *stage) == 0
+    overrides = change(html)
+    for root in (rerun, fresh):
+        for stage in _RERUN:
+            assert _cli(_source_config(root, html, **overrides), *stage) == 0
+    assert _tree(rerun / "out") == _tree(fresh / "out")
+
+
+def test_a_rerun_after_a_source_document_is_removed_leaves_a_fresh_tree(tmp_path):
+    def remove_31986L0003(html):
+        for path in html.glob("31986L0003-*"):
+            path.unlink()
+        return {}
+
+    _rerun_matches_a_fresh_run(tmp_path, remove_31986L0003)
+
+
+def test_a_rerun_with_fewer_languages_leaves_a_fresh_tree(tmp_path):
+    _rerun_matches_a_fresh_run(tmp_path, lambda html: {"languages": ["en", "fr"]})
+
+
+def test_stats_reads_only_the_configured_languages(aligned_tree, tmp_path):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    make_config(tmp_path, "profiles", languages=["en", "fr"])
+    assert _cli(tmp_path / "config.json", "stats") == 0
+    table = (tmp_path / "out" / "stats" / "language_stats.csv").read_text(encoding="utf-8")
+    assert [line.split(",")[0] for line in table.splitlines()[1:]] == ["en", "fr"]
+
+
+def test_an_output_that_cannot_be_written_exits_1_naming_it(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    path = tmp_path.joinpath("out", *_PROVENANCE)
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", "align") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and f"cannot write {path}" in err
 
 
 def test_a_failed_align_records_the_pairs_it_aligned_before_the_failure(aligned_tree, tmp_path,

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -532,25 +531,3 @@ def test_a_merge_whose_move_index_needs_more_than_a_byte():
 def test_lexicon_rejects_weights_outside_unit_interval():
     with pytest.raises(MalformedLexiconError):
         Lexicon(entries={("a", "x"): -0.1})
-
-
-def test_interrupted_save_leaves_the_old_lexicon_file(tmp_path, monkeypatch):
-    path = tmp_path / "lex.txt"
-    save_lexicon(Lexicon(entries={("a", "x"): 0.5}), path)
-    old = path.read_bytes()
-    write_text = Path.write_text
-
-    def interrupted(self, data, *args, **kwargs):
-        write_text(self, data[: len(data) * 2 // 5], *args, **kwargs)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(Path, "write_text", interrupted)
-    new = Lexicon(entries={("b", "y"): 1 / 3, ("c", "z"): 0.25})
-    with pytest.raises(KeyboardInterrupt):
-        save_lexicon(new, path)
-    with pytest.raises(KeyboardInterrupt):
-        save_lexicon(new, tmp_path / "fresh.txt")
-    monkeypatch.undo()
-    assert path.read_bytes() == old
-    assert [p.name for p in tmp_path.iterdir()] == ["lex.txt"]  # nothing half-written beside it
-

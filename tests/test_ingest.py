@@ -1,4 +1,5 @@
 import datetime
+import os
 
 import pytest
 from hypothesis import example, given
@@ -6,41 +7,41 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, bank_lines
 from parcelex.celex import parse_celex
-from parcelex.errors import DecodeError, DocumentNotFoundError, EmptyTextError, UnknownLanguageError
+from parcelex.errors import DecodeError, EmptyTextError, UnknownLanguageError
 from parcelex.ingest import (
     ALL_LANGUAGES,
-    FetchSource,
     NEW_MEMBER_LANGUAGES,
-    RawDocument,
     fetch_document,
     html_to_paragraphs,
     select_corpus,
     verify_language,
 )
-from parcelex.params import LOCAL_DIRECTORY
-
-LOCAL = FetchSource(mode=LOCAL_DIRECTORY, root=str(FIXTURES / "html"))
 
 
 def test_fetch_local_fixture():
-    doc = fetch_document(LOCAL, parse_celex("31984D0001"), "fr")
+    path = FIXTURES / "html" / "31984D0001-fr.html"
+    doc = fetch_document(path, parse_celex("31984D0001"), "fr")
     assert doc.lang == "fr"
     assert doc.celex == parse_celex("31984D0001")
     assert "commercialisation" in doc.content
-    assert doc.source_url.startswith("file://")
+    assert doc.source_url == path.as_uri()
 
 
-def test_fetch_missing_file():
-    with pytest.raises(DocumentNotFoundError):
-        fetch_document(LOCAL, parse_celex("39999X9999"), "fr")
+def test_fetch_reads_the_file_it_is_given(tmp_path):
+    # Any name: the caller's listing, not fetch_document, knows the naming rule.
+    path = tmp_path / "listed.txt"
+    path.write_text("<p>un</p>", encoding="utf-8")
+    os.utime(path, (0, datetime.datetime(2006, 2, 20, 12).timestamp()))
+    doc = fetch_document(path, parse_celex("31984D0001"), "fr")
+    assert doc.content == "<p>un</p>"
+    assert doc.retrieved == datetime.date(2006, 2, 20)
 
 
 def test_fetch_decode_failure(tmp_path):
     bad = tmp_path / "31984D0001-fr.html"
     bad.write_bytes(b"<p>caf\xe9</p>")  # latin-1 bytes, invalid utf-8
-    with pytest.raises(DecodeError):
-        fetch_document(FetchSource(mode=LOCAL_DIRECTORY, root=str(tmp_path)),
-                       parse_celex("31984D0001"), "fr")
+    with pytest.raises(DecodeError, match="31984D0001-fr.html"):
+        fetch_document(bad, parse_celex("31984D0001"), "fr")
 
 
 @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0e", "\x1b", "\ufffe", "\uffff"])
@@ -91,54 +92,41 @@ def test_paragraphs_trimmed_and_tag_free(content):
     assert "<p" not in " ".join(paragraphs).lower()
 
 
-def _raw(lang, text_lang):
-    text = " ".join(bank_lines(text_lang)[:12])
-    return RawDocument(
-        celex=parse_celex("31984D0001"),
-        lang=lang,
-        content=f"<p>{text}</p>",
-        source_url="file:///x",
-        retrieved=datetime.date(2006, 2, 20),
-    )
+def _paragraphs(text_lang):
+    return bank_lines(text_lang)[:12]
 
 
-def test_verify_accepts_matching(language_profiles):
-    verdict = verify_language(_raw("fr", "fr"), language_profiles)
+def test_verify_accepts_matching(profile_index):
+    verdict = verify_language("fr", _paragraphs("fr"), profile_index)
     assert verdict.accepted and not verdict.low_confidence
     assert verdict.guessed_lang == "fr"
 
 
-def test_verify_rejects_cross_labeled(language_profiles):
-    verdict = verify_language(_raw("fr", "en"), language_profiles)
+def test_verify_rejects_cross_labeled(profile_index):
+    verdict = verify_language("fr", _paragraphs("en"), profile_index)
     assert not verdict.accepted
     assert verdict.guessed_lang == "en"
 
 
-def test_verify_short_text_low_confidence(language_profiles):
-    doc = RawDocument(
-        celex=parse_celex("31984D0001"), lang="fr", content="<p>oui</p>",
-        source_url="file:///x", retrieved=datetime.date(2006, 2, 20),
-    )
-    verdict = verify_language(doc, language_profiles)
+def test_verify_short_text_low_confidence(profile_index):
+    verdict = verify_language("fr", ["oui"], profile_index)
     assert verdict.accepted and verdict.low_confidence
 
 
-def test_verify_uses_given_paragraphs(language_profiles):
-    for doc in (_raw("fr", "fr"), _raw("fr", "en")):
-        paragraphs = html_to_paragraphs(doc.content)
-        assert verify_language(doc, language_profiles, paragraphs) == verify_language(
-            doc, language_profiles
+def test_verify_uses_given_paragraphs(profile_index):
+    # The paragraphs are verified as one text: split or joined, the verdict is the same.
+    for text_lang in ("fr", "en"):
+        paragraphs = _paragraphs(text_lang)
+        assert verify_language("fr", paragraphs, profile_index) == verify_language(
+            "fr", [" ".join(paragraphs)], profile_index
         )
-    # The given paragraphs are what gets verified, not the content.
-    en_paragraphs = html_to_paragraphs(_raw("fr", "en").content)
-    assert not verify_language(_raw("fr", "fr"), language_profiles, en_paragraphs).accepted
     with pytest.raises(EmptyTextError):
-        verify_language(_raw("fr", "fr"), language_profiles, [])
+        verify_language("fr", [], profile_index)
 
 
-def test_verify_unknown_declared_language(language_profiles):
+def test_verify_unknown_declared_language(profile_index):
     with pytest.raises(UnknownLanguageError):
-        verify_language(_raw("xx", "en"), language_profiles)
+        verify_language("xx", _paragraphs("en"), profile_index)
 
 
 NEW = sorted(NEW_MEMBER_LANGUAGES)

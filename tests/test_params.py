@@ -1,6 +1,6 @@
 import pytest
 
-from parcelex import galechurch, hunalign, ingest, params
+from parcelex import galechurch, hunalign, params
 
 
 @pytest.mark.parametrize("mode", ["http_endpoint", "local"])
@@ -13,7 +13,6 @@ def test_a_fetch_source_is_a_local_directory(mode):
 def test_stage_modules_re_export_the_parameter_classes():
     assert galechurch.GCParams is params.GCParams
     assert hunalign.HunParams is params.HunParams
-    assert ingest.FetchSource is params.FetchSource
 
 
 def test_digests_of_valid_parameters_are_unchanged():
