@@ -130,10 +130,3 @@ def jrc_alignment_id(celex: CelexId, src_lang: str, tgt_lang: str) -> str:
     """Bilingual alignment id: ``jrc<celex>-<src>-<tgt>`` (languages as given)."""
     return f"jrc{format_celex(celex)}-{_check_lang(src_lang)}-{_check_lang(tgt_lang)}"
 
-
-def split_jrc_id(doc_id: str) -> tuple[CelexId, str]:
-    """Recover (celex, lang) from a ``jrc<celex>-<lang>`` document id."""
-    m = re.fullmatch(r"jrc(.+)-([a-z]{2})", doc_id)
-    if m is None:
-        raise MalformedCelexError(f"not a jrc document id: {doc_id!r}")
-    return parse_celex(m.group(1)), m.group(2)

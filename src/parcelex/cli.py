@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParcelexError, UnknownLanguageError
+from .errors import MalformedCelexError, ParcelexError, UnknownLanguageError
 from .params import LANG_RE, LOCAL_DIRECTORY, FetchSource, GCParams, HunParams, _require_int
 
 # Every other parcelex module and argparse are imported where they
@@ -39,6 +39,8 @@ _MANIFEST_KEYS = frozenset({"celex", "lang", "file", "source_url", "retrieved"})
 _FIXTURE_FILE_RE = re.compile(r"(\d{5}[A-Z]\d{4}(?:\(\d{2}\))?)-([a-z]{2})\.(html|txt)")
 # A language pair as --pairs and the align record spell it.
 _PAIR_RE = re.compile(r"([a-z]{2})-([a-z]{2})")
+# The name of a file that align writes for a pair.
+_PAIR_FILE_RE = re.compile(r"([a-z]{2}-[a-z]{2})\.(?:standoff\.xml|lexicon\.txt)")
 
 
 class InputError(ParcelexError):
@@ -204,7 +206,11 @@ def cmd_fetch(config: PipelineConfig) -> None:
     for entry in sorted(root.iterdir()):
         m = _FIXTURE_FILE_RE.fullmatch(entry.name)
         if m and m.group(2) in config.languages:
-            key = (parse_celex(m.group(1)), m.group(2))
+            try:
+                celex = parse_celex(m.group(1))
+            except MalformedCelexError as exc:
+                raise InputError(f"{entry}: {exc}") from None
+            key = (celex, m.group(2))
             if key in found:
                 raise InputError(f"{root}: {found[key]} and {entry.name} hold the same document")
             found[key] = entry.name
@@ -453,6 +459,22 @@ def _pair_files(config: PipelineConfig, aligner: str, src: str, tgt: str) -> lis
     return [standoff]
 
 
+def _remove_pair(config: PipelineConfig, aligner: str, src: str, tgt: str) -> None:
+    """Remove the files that ``align`` and ``export`` wrote for a pair."""
+    files = _pair_files(config, aligner, src, tgt)
+    for path in [*files, files[0].with_name(f"{src}-{tgt}.csv")]:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot remove {path}: {exc.strerror}") from None
+
+
+def _written_pairs(config: PipelineConfig, aligner: str) -> set[str]:
+    """The pairs that a stand-off file or lexicon in the aligner's directory is named for."""
+    directory = config.output_root / "alignments" / aligner
+    return {m.group(1) for path in directory.glob("*") if (m := _PAIR_FILE_RE.fullmatch(path.name))}
+
+
 def _file_digests(paths) -> dict[str, str] | None:
     """The sha256 of each file, by name; None when one of them cannot be read."""
     import hashlib
@@ -502,14 +524,14 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
     aligned = 0
     try:
         if full:
-            # A fresh run writes nothing for a pair outside the configured ones.
+            # A fresh run writes nothing for a pair outside the configured ones,
+            # whether the record or only a file name still holds it.
             wanted = {f"{src}-{tgt}" for src, tgt in pairs}
             for name in aligners:
-                for pair in sorted(records[name].keys() - wanted):
+                for pair in sorted((records[name].keys() | _written_pairs(config, name)) - wanted):
                     _log(f"{name} {pair}: not a configured pair, removed")
-                    del records[name][pair]
-                    for path in _pair_files(config, name, *pair.split("-")):
-                        path.unlink(missing_ok=True)
+                    records[name].pop(pair, None)
+                    _remove_pair(config, name, *pair.split("-"))
         for src, tgt in pairs:
             src_docs, tgt_docs = corpus.get(src, {}), corpus.get(tgt, {})
             common = sorted(set(src_docs) & set(tgt_docs))
@@ -519,8 +541,7 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
                 for name in aligners:
                     _log(f"{name} {pair}: no common documents, skipped")
                     records[name].pop(pair, None)
-                    for path in _pair_files(config, name, src, tgt):
-                        path.unlink(missing_ok=True)
+                    _remove_pair(config, name, src, tgt)
                 continue
             src_texts = {c: _doc_texts(src_docs[c]) for c in common}
             tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}

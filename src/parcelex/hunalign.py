@@ -43,19 +43,16 @@ _NUMERIC_RE = re.compile(r"^\d")
 
 @dataclass(frozen=True)
 class TokenizedSegment:
-    paragraph_n: int
     tokens: tuple[str, ...]
     number_tokens: frozenset[str]
     length: int
 
 
-def tokenize(text: str, paragraph_n: int = 0) -> TokenizedSegment:
+def tokenize(text: str) -> TokenizedSegment:
     """Lowercase and split on whitespace/punctuation; digit runs become number tokens."""
     tokens = tuple(_TOKEN_RE.findall(text.lower()))
     numbers = frozenset(t for t in tokens if _NUMERIC_RE.match(t))
-    return TokenizedSegment(
-        paragraph_n=paragraph_n, tokens=tokens, number_tokens=numbers, length=len(text)
-    )
+    return TokenizedSegment(tokens=tokens, number_tokens=numbers, length=len(text))
 
 
 def merge_segments(segments) -> TokenizedSegment:
@@ -64,7 +61,6 @@ def merge_segments(segments) -> TokenizedSegment:
     if len(segments) == 1:
         return segments[0]
     return TokenizedSegment(
-        paragraph_n=segments[0].paragraph_n,
         tokens=tuple(t for s in segments for t in s.tokens),
         number_tokens=frozenset().union(*(s.number_tokens for s in segments)),
         length=sum(s.length for s in segments) + len(segments) - 1,
@@ -107,11 +103,6 @@ def _dice(a, b) -> float:
     if not a and not b:
         return 0.0
     return 2 * len(a & b) / (len(a) + len(b))
-
-
-def number_similarity(a, b) -> float:
-    """Jaccard overlap of two number-token sets; 1.0 when both are empty."""
-    return _jaccard(set(a), set(b))
 
 
 def identical_word_ratio(s: TokenizedSegment, t: TokenizedSegment) -> float:

@@ -17,12 +17,9 @@ from pathlib import Path
 from .celex import CelexId, format_celex
 from .errors import DecodeError, EmptyTextError, UnknownLanguageError, decode_utf8
 from .langid import ProfileIndex, guess_language
+from .params import LANGUAGE_NAMES
 
-OFFICIAL_LANGUAGES = frozenset(
-    "cs da de el en es et fi fr hu it lt lv mt nl pl pt sk sl sv".split()
-)
-# 20 official codes plus Romanian.
-ALL_LANGUAGES = OFFICIAL_LANGUAGES | {"ro"}
+ALL_LANGUAGES = frozenset(LANGUAGE_NAMES)
 NEW_MEMBER_LANGUAGES = frozenset("cs et hu lt lv mt pl sk sl".split())
 
 MIN_LANGUAGES = 10

@@ -147,25 +147,22 @@ def save_profile(profile: LanguageProfile, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_profile(path: str | Path, lang: str | None = None, k: int | None = None) -> LanguageProfile:
-    """Load a persisted profile; lang defaults to the file stem.
+def load_profile(path: str | Path) -> LanguageProfile:
+    """Load a persisted profile of the language its file stem names.
 
     Invalid UTF-8 or anything ``parse_profile`` rejects raises
     ``MalformedProfileError``.
     """
     path = Path(path)
     text = decode_utf8(path.read_bytes(), path, MalformedProfileError)
-    return parse_profile(text, path, lang, k)
+    return parse_profile(text, path)
 
 
-def parse_profile(
-    text: str, where: str | Path, lang: str | None = None, k: int | None = None
-) -> LanguageProfile:
-    """The profile persisted as ``text``.
+def parse_profile(text: str, where: str | Path) -> LanguageProfile:
+    """The profile persisted as ``text``, of the language ``where``'s stem names.
 
-    ``where`` names the text in error messages, and its stem is the default
-    lang.  A malformed line, or ranks other than 1..K, raise
-    ``MalformedProfileError``.
+    ``where`` names the text in error messages.  A malformed line, or ranks
+    other than 1..K, raise ``MalformedProfileError``.
     """
     ranks: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), 1):
@@ -180,9 +177,7 @@ def parse_profile(
             ) from None
     try:
         return LanguageProfile(
-            lang=lang or Path(where).stem,
-            ngram_ranks=ranks,
-            k=k if k is not None else max(len(ranks), DEFAULT_PROFILE_SIZE),
+            lang=Path(where).stem, ngram_ranks=ranks, k=max(len(ranks), DEFAULT_PROFILE_SIZE)
         )
     except ValueError as exc:
         raise MalformedProfileError(f"{where}: {exc}") from None

@@ -18,6 +18,16 @@ from dataclasses import dataclass, field
 # A language code: two lowercase letters, matched whole.
 LANG_RE = re.compile(r"[a-z]{2}")
 
+# The 21 languages of the corpus: the 20 official ones and Romanian.
+LANGUAGE_NAMES = {
+    "cs": "Czech", "da": "Danish", "de": "German", "el": "Greek",
+    "en": "English", "es": "Spanish", "et": "Estonian", "fi": "Finnish",
+    "fr": "French", "hu": "Hungarian", "it": "Italian", "lt": "Lithuanian",
+    "lv": "Latvian", "mt": "Maltese", "nl": "Dutch", "pl": "Polish",
+    "pt": "Portuguese", "ro": "Romanian", "sk": "Slovak", "sl": "Slovenian",
+    "sv": "Swedish",
+}
+
 # Where raw documents come from: the one kind of source.
 LOCAL_DIRECTORY = "local_directory"
 

@@ -23,10 +23,12 @@ from .errors import (
     SchemaViolationError,
     UnsupportedArityError,
 )
+from .params import LANG_RE
 from .tei import TeiDocument, escape, quoteattr
 
 CSV_VERSION_LINE = "# standoff-csv v1"
 CSV_HEADER = "celex,arity,src_pars,tgt_pars,score"
+_CSV_VERSION_RE = re.compile(f"{CSV_VERSION_LINE} ({LANG_RE.pattern})-({LANG_RE.pattern})")
 
 
 @dataclass(frozen=True)
@@ -163,18 +165,15 @@ def export_csv(file: StandoffFile) -> str:
 
 
 def import_csv(csv_text: str) -> StandoffFile:
-    """Re-parse an exported CSV (scores at 6-decimal precision)."""
+    """Re-parse what ``export_csv`` wrote, version line first (scores at 6-decimal precision)."""
     lines = [l for l in csv_text.splitlines() if l]
-    langs = ("", "")
-    if lines and lines[0].startswith("#"):
-        m = re.search(r"(\w{2})-(\w{2})\s*$", lines[0])
-        if m:
-            langs = (m.group(1), m.group(2))
-        lines = lines[1:]
-    if not lines or lines[0] != CSV_HEADER:
+    version = _CSV_VERSION_RE.fullmatch(lines[0]) if lines else None
+    if version is None:
+        raise SchemaViolationError(f"expected the first line '{CSV_VERSION_LINE} <src>-<tgt>'")
+    if lines[1:2] != [CSV_HEADER]:
         raise SchemaViolationError(f"expected header {CSV_HEADER!r}")
     per_celex: dict[CelexId, list[AlignmentLink]] = {}
-    for line in lines[1:]:
+    for line in lines[2:]:
         fields = line.split(",")
         if len(fields) != 5:
             raise SchemaViolationError(f"expected 5 fields, got {len(fields)}: {line!r}")
@@ -183,7 +182,7 @@ def import_csv(csv_text: str) -> StandoffFile:
             _parse_link(arity, src, tgt, score or None)
         )
     return _standoff_file(
-        langs[0], langs[1], ((c, tuple(links)) for c, links in sorted(per_celex.items()))
+        *version.groups(), ((c, tuple(links)) for c, links in sorted(per_celex.items()))
     )
 
 

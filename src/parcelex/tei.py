@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .celex import CelexId, format_celex, jrc_document_id, parse_celex
 from .errors import InconsistentBoundariesError, MalformedXmlError, SchemaViolationError
-from .params import LANG_RE
+from .params import LANG_RE, LANGUAGE_NAMES
 
 HEAD = "head"
 BODY = "body"
@@ -32,15 +32,6 @@ AUTHENTICITY_NOTE = (
     "Only European Community legislation printed in the paper edition of "
     "the Official Journal of the European Union is deemed authentic."
 )
-
-LANGUAGE_NAMES = {
-    "cs": "Czech", "da": "Danish", "de": "German", "el": "Greek",
-    "en": "English", "es": "Spanish", "et": "Estonian", "fi": "Finnish",
-    "fr": "French", "hu": "Hungarian", "it": "Italian", "lt": "Lithuanian",
-    "lv": "Latvian", "mt": "Maltese", "nl": "Dutch", "pl": "Polish",
-    "pt": "Portuguese", "ro": "Romanian", "sk": "Slovak", "sl": "Slovenian",
-    "sv": "Swedish",
-}
 
 # Headings longer than this are body text, not annex markers.
 MAX_HEADING_CHARS = 60
@@ -96,9 +87,6 @@ class TeiDocument:
     @property
     def extent(self) -> int:
         return len(self.paragraphs)
-
-    def section_texts(self, section: str) -> list[str]:
-        return [p.text for p in self.paragraphs if p.section == section]
 
     def validate(self) -> None:
         """Check numbering and section-run invariants."""

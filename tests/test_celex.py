@@ -12,7 +12,6 @@ from parcelex.celex import (
     jrc_alignment_id,
     jrc_document_id,
     parse_celex,
-    split_jrc_id,
 )
 from parcelex.errors import MalformedCelexError, UnsupportedEndpointError
 
@@ -120,17 +119,10 @@ def test_jrc_document_id():
     assert jrc_document_id(parse_celex("42004D0097"), "fr") == "jrc42004D0097-fr"
     with pytest.raises(ValueError, match="two-letter"):
         jrc_document_id(parse_celex("42004D0097"), "fr\n")
-    with pytest.raises(MalformedCelexError):
-        split_jrc_id("jrc42004D0097-fr\n")
 
 
 def test_jrc_alignment_id():
     assert jrc_alignment_id(parse_celex("31960D0511"), "et", "mt") == "jrc31960D0511-et-mt"
-
-
-@given(celex_ids, st.sampled_from(["en", "fr", "ro", "mt"]))
-def test_split_jrc_id_inverse(celex, lang):
-    assert split_jrc_id(jrc_document_id(celex, lang)) == (celex, lang)
 
 
 def test_celexid_validation():

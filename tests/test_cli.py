@@ -74,8 +74,8 @@ def test_full_pipeline(pipeline, capsys):
     ]
     doc = parse_tei((out / "tei" / "en" / "jrc31985R0002-en.xml").read_text(encoding="utf-8"))
     assert doc.eurovoc_codes == {5769, 4180}
-    assert doc.section_texts("signature")  # signature block detected
-    assert doc.section_texts("annex")      # ANNEX heading detected
+    assert [p.text for p in doc.paragraphs if p.section == "signature"]  # signature block detected
+    assert [p.text for p in doc.paragraphs if p.section == "annex"]  # ANNEX heading detected
 
     # normalize is idempotent
     before = _tree(out / "tei")
@@ -689,20 +689,6 @@ def test_start_up_loads_no_network_or_sax_module(tmp_path):
     assert result.stdout.strip() == "[]"
 
 
-def test_package_names_resolve_on_first_access():
-    namespace = {}
-    exec("from parcelex import *", namespace)
-    assert sorted(parcelex.__all__) == sorted(set(namespace) - {"__builtins__"})
-    for name in parcelex.__all__:
-        value = getattr(parcelex, name)
-        assert namespace[name] is value
-        assert value.__module__.startswith("parcelex.")
-        assert getattr(sys.modules[value.__module__], name) is value  # the defining module's own
-    assert set(parcelex.__all__) <= set(dir(parcelex))
-    with pytest.raises(AttributeError, match="no_such_name"):
-        parcelex.no_such_name
-
-
 _BITEXT = ("bitext", "--aligner", "gale_church", "--pairs", "en-fr", "--celex", "31984D0001")
 _CHAIN = [("fetch",), ("normalize",), ("align",), ("export",), _BITEXT, ("stats",), ("agree",)]
 
@@ -1236,6 +1222,46 @@ def test_a_full_align_drops_the_pairs_of_a_removed_language(aligned_tree, tmp_pa
     assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
 
 
+def test_a_full_align_drops_the_pairs_of_a_removed_language_from_an_unreadable_record(
+        aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    record = tmp_path.joinpath("out", *_PROVENANCE)
+    record.write_text("garbage", encoding="utf-8")
+    make_config(tmp_path, "profiles", languages=["en", "fr"])
+    log = _align_log(tmp_path, capsys)
+    assert f"{record}: unreadable or not a record of pairs; no gale_church pair is kept" in log
+    # The file names still say which pairs gale_church wrote.
+    assert sorted(re.findall(r"^(\S+ \S+): not a configured pair, removed$", log, re.MULTILINE)) == [
+        "gale_church de-en", "gale_church de-fr", "hunalign de-en", "hunalign de-fr",
+    ]
+    assert _align_outputs(tmp_path) == _fresh_align(tmp_path)
+
+
+def test_align_removes_the_csv_of_each_pair_it_removes(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    alignments = tmp_path / "out" / "alignments"
+    make_config(tmp_path, "profiles", languages=["en", "fr"])  # de-en and de-fr are not configured
+    _align_log(tmp_path, capsys)
+    assert sorted(str(p.relative_to(alignments)) for p in alignments.rglob("*.csv")) == [
+        str(Path("gale_church", "en-fr.csv")), str(Path("hunalign", "en-fr.csv")),
+    ]
+    shutil.rmtree(tmp_path / "out" / "tei" / "fr")  # en-fr has no common documents
+    assert "en-fr: no common documents, skipped" in _align_log(tmp_path, capsys)
+    assert not list(alignments.rglob("*.csv"))
+
+
+def test_a_pair_file_that_cannot_be_removed_exits_1_naming_it(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "out" / "alignments" / "gale_church" / "de-en.standoff.xml"
+    path.unlink()
+    path.mkdir()
+    make_config(tmp_path, "profiles", languages=["en", "fr"])
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", "align") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and f"cannot remove {path}" in err
+
+
 _RERUN = [("fetch",), ("normalize",), ("align",), ("stats",), ("agree",)]
 
 
@@ -1335,6 +1361,15 @@ def _one_aligner(root):
     _edit_json(lambda config: {**config, "aligners": ["gale_church"]})(root / "config.json")
 
 
+def _source_with_a_malformed_celex(root):
+    html = root / "html"
+    shutil.copytree(FIXTURES / "html", html)
+    shutil.copy(html / "31984D0001-en.html", html / "21999D0624(00)-en.html")
+    _edit_json(lambda config: {**config, "source": {"mode": "local_directory", "root": str(html)}})(
+        root / "config.json"
+    )
+
+
 @pytest.mark.parametrize(
     "prepare, command, message",
     [
@@ -1345,8 +1380,13 @@ def _one_aligner(root):
             lambda root: shutil.rmtree(root / "out" / "alignments"), ("export",),
             "no stand-off files to export; run align first",
         ),
+        (
+            _source_with_a_malformed_celex, ("fetch",),
+            f"{Path('html', '21999D0624(00)-en.html')}: bracket part must be 01-99",
+        ),
     ],
-    ids=["bitext-without-celex", "bitext-celex-not-in-pair", "agree-one-aligner", "export-unaligned"],
+    ids=["bitext-without-celex", "bitext-celex-not-in-pair", "agree-one-aligner", "export-unaligned",
+         "fetch-malformed-celex"],
 )
 def test_a_usage_error_exits_1_naming_it(aligned_tree, tmp_path, prepare, command, message, capsys):
     shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)

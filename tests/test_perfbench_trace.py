@@ -38,24 +38,6 @@ def test_tracer_sees_every_hunalign_phase(monkeypatch):
     assert tracer.self_s["hunalign.phase1"] > 0 and tracer.self_s["hunalign.phase3"] > 0
 
 
-def test_package_names_are_unwrapped_after_uninstall(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    from tracer import Tracer
-
-    import parcelex
-    from parcelex import tei
-
-    monkeypatch.delitem(vars(parcelex), "parse_tei", raising=False)  # not yet looked up
-    original = tei.parse_tei
-    tracer = Tracer()
-    tracer.install()
-    try:
-        assert parcelex.parse_tei is not original  # the wrapper, read while installed
-    finally:
-        tracer.uninstall()
-    assert parcelex.parse_tei is original
-
-
 def test_tracer_counts_the_language_checks_of_normalize(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import checks

@@ -160,9 +160,21 @@ def test_xml_unsorted_groups_are_schema_violations():
         import_standoff_xml(xml.replace(group, group + group.replace("31960D0511", "31950D0511")))
 
 
+@pytest.mark.parametrize(
+    "first_line",
+    ["", "# standoff-csv v1", "# standoff-csv v2 et-mt", "# standoff-csv v1 english-mt",
+     "# standoff-csv v1 et-MT", "# standoff-csv v1 et-mt-lv", "# et-mt"],
+    ids=["missing", "no-pair", "v2", "word-not-code", "uppercase", "three-codes", "no-version"],
+)
+def test_csv_without_the_version_line_is_schema_violation(first_line):
+    rows = export_csv(_file()).split("\n", 1)[1]
+    with pytest.raises(SchemaViolationError, match="first line"):
+        import_csv(f"{first_line}\n{rows}")
+
+
 def test_csv_bad_header_is_schema_violation():
     with pytest.raises(SchemaViolationError):
-        import_csv("celex,arity\n")
+        import_csv("# standoff-csv v1 et-mt\ncelex,arity\n")
 
 
 def test_entries_must_be_sorted():
