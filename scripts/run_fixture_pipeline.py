@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from parcelex.celex import parse_celex
 from parcelex.cli import load_config, run
 from parcelex.langid import save_profile, train_language_profile
 
@@ -36,13 +37,8 @@ def train_fixture_profiles(dest: Path):
         save_profile(train_language_profile(text, lang), dest / f"{lang}.profile")
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workdir", type=Path, help="directory for config and outputs")
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
-    workdir = args.workdir
+def write_inputs(workdir: Path, seed: int) -> Path:
+    """Write the profiles, EUROVOC map and config into ``workdir``; return the config's path."""
     workdir.mkdir(parents=True, exist_ok=True)
     train_fixture_profiles(workdir / "profiles")
     (workdir / "eurovoc.json").write_text(json.dumps(EUROVOC_MAP, indent=2), encoding="utf-8")
@@ -55,7 +51,7 @@ def main():
                 "output_root": "out",
                 "aligners": ["gale_church", "hunalign"],
                 "selection": False,
-                "seed": args.seed,
+                "seed": seed,
                 "profiles_dir": "profiles",
                 "eurovoc_map": "eurovoc.json",
             },
@@ -63,26 +59,35 @@ def main():
         ),
         encoding="utf-8",
     )
+    return config_path
 
-    config = load_config(config_path)
-    for step, kwargs in (
+
+def steps() -> list[tuple[str, dict]]:
+    """The chain as (subcommand, keyword arguments of ``parcelex.cli.run``)."""
+    return [
         ("fetch", {}),
         ("normalize", {}),
         ("align", {}),
         ("export", {}),
-        ("bitext", {"pairs": [("en", "fr")], "celex_ids": None}),
+        ("bitext", {"pairs": [("en", "fr")], "celex_ids": [parse_celex(c) for c in EUROVOC_MAP]}),
         ("stats", {}),
         ("agree", {}),
-    ):
-        if step == "bitext":
-            from parcelex.celex import parse_celex
+    ]
 
-            kwargs["celex_ids"] = [parse_celex(c) for c in EUROVOC_MAP]
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workdir", type=Path, help="directory for config and outputs")
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+
+    config = load_config(write_inputs(args.workdir, args.seed))
+    for step, kwargs in steps():
         print(f"-- {step}")
         code = run(step, config, **kwargs)
         if code != 0:
             return code
-    print(f"done; outputs under {workdir / 'out'}")
+    print(f"done; outputs under {args.workdir / 'out'}")
     return 0
 
 

@@ -460,9 +460,11 @@ def _pair_files(config: PipelineConfig, aligner: str, src: str, tgt: str) -> lis
 
 
 def _remove_pair(config: PipelineConfig, aligner: str, src: str, tgt: str) -> None:
-    """Remove the files that ``align`` and ``export`` wrote for a pair."""
+    """Remove the files that ``align``, ``export`` and ``bitext`` wrote for a pair."""
     files = _pair_files(config, aligner, src, tgt)
-    for path in [*files, files[0].with_name(f"{src}-{tgt}.csv")]:
+    # A CELEX holds no "-", so the glob matches only this pair's bitext files.
+    bitext = sorted((config.output_root / "bitext").glob(f"jrc*-{src}-{tgt}.xml"))
+    for path in [*files, files[0].with_name(f"{src}-{tgt}.csv"), *bitext]:
         try:
             path.unlink(missing_ok=True)
         except OSError as exc:

@@ -59,31 +59,27 @@ _BREAK_RE = re.compile(r"<\s*(?:br|p|/p)\b[^>]*>", re.IGNORECASE)
 _TAG_RE = re.compile(r"<[^>]*>")
 # A tag cut off by the end of input: "<" and a letter or "/", with no ">" after.
 _UNTERMINATED_TAG_RE = re.compile(r"<[A-Za-z/][^>]*\Z")
-# XML 1.0 forbids these characters, so they count as whitespace here; \s
-# already covers U+000B, U+000C and U+001C-U+001F.
-_WS_COLLAPSE = re.compile(r"[\s\x00-\x08\x0e-\x1b\ufffe\uffff]+")
+# XML 1.0 forbids these characters, so they count as whitespace here;
+# str.isspace() already covers U+000B, U+000C and U+001C-U+001F.
+_XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0e-\x1b\ufffe\uffff]")
 
 
 def html_to_paragraphs(content: str) -> list[str]:
     """Reduce legacy HTML (or plain text) to trimmed paragraph strings.
 
     Paragraph breaks come from <p>/<br> tags or line breaks; all other
-    markup is stripped and character entities are decoded.  Tag matching is
-    case-insensitive and tolerates unclosed elements; a tag cut off by the
-    end of input is dropped.
+    markup is stripped and character entities are decoded.  Each run of
+    whitespace (``str.isspace()`` characters and those XML 1.0 forbids)
+    becomes one space.  Tag matching is case-insensitive and tolerates
+    unclosed elements; a tag cut off by the end of input is dropped.
     """
     text = _COMMENT_RE.sub(" ", content)
     text = _DROP_BLOCK_RE.sub(" ", text)
     text = _BREAK_RE.sub("\n", text)
     text = _TAG_RE.sub(" ", text)
     text = _UNTERMINATED_TAG_RE.sub(" ", text)
-    text = html.unescape(text)
-    paragraphs = []
-    for chunk in text.split("\n"):
-        cleaned = _WS_COLLAPSE.sub(" ", chunk).strip()
-        if cleaned:
-            paragraphs.append(cleaned)
-    return paragraphs
+    text = _XML_FORBIDDEN.sub(" ", html.unescape(text))
+    return [cleaned for line in text.split("\n") if (cleaned := " ".join(line.split()))]
 
 
 @dataclass(frozen=True)

@@ -105,14 +105,21 @@ class TeiDocument:
 
 
 class _SectionPatterns:
-    def __init__(self, families: dict):
-        def compiled(patterns):
-            return [re.compile(p) for p in patterns]
+    """Each family of ``data/section_patterns.json`` as one alternation.
 
-        self.opening = compiled(families["signature"]["opening"])
-        self.role = compiled(families["signature"]["role"])
-        self.footnote = compiled(families["signature"]["footnote"])
-        self.name = compiled(families["signature"]["name"])
+    An alternation matches a text exactly when one of its branches does, so
+    long as no pattern holds a numbered backreference or an inline flag.
+    Role and footnote lines are only ever asked "either?", so they share one.
+    """
+
+    def __init__(self, families: dict):
+        def compiled(*patterns):
+            return re.compile("|".join(f"(?:{p})" for family in patterns for p in family))
+
+        signature = families["signature"]
+        self.opening = compiled(signature["opening"])
+        self.role_or_footnote = compiled(signature["role"], signature["footnote"])
+        self.name = compiled(signature["name"])
         self.annex_heading = compiled(families["annex"]["heading"])
 
 
@@ -124,10 +131,6 @@ def _load_patterns() -> _SectionPatterns:
 
 
 _PATTERNS = _load_patterns()
-
-
-def _matches_any(patterns, text: str) -> bool:
-    return any(p.search(text) for p in patterns)
 
 
 def classify_sections(paragraphs, first_n: int = 2) -> SectionBoundaries:
@@ -148,14 +151,14 @@ def classify_sections(paragraphs, first_n: int = 2) -> SectionBoundaries:
 
     annex_idx = None
     for i, text in enumerate(texts):
-        if len(text) <= MAX_HEADING_CHARS and _matches_any(pats.annex_heading, text):
+        if len(text) <= MAX_HEADING_CHARS and pats.annex_heading.search(text):
             annex_idx = i
             break
 
     region_end = annex_idx if annex_idx is not None else len(texts)
     sig_idx = None
     for i in range(region_end - 1, -1, -1):
-        if _matches_any(pats.opening, texts[i]):
+        if pats.opening.search(texts[i]):
             sig_idx = i
             break
     if sig_idx is None:
@@ -164,10 +167,10 @@ def classify_sections(paragraphs, first_n: int = 2) -> SectionBoundaries:
         anchored = False
         for i in range(region_end - 1, -1, -1):
             text = texts[i]
-            if _matches_any(pats.role, text) or _matches_any(pats.footnote, text):
+            if pats.role_or_footnote.search(text):
                 run_start = i
                 anchored = True
-            elif _matches_any(pats.name, text):
+            elif pats.name.search(text):
                 run_start = i
             else:
                 break

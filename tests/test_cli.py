@@ -1250,10 +1250,36 @@ def test_align_removes_the_csv_of_each_pair_it_removes(aligned_tree, tmp_path, c
     assert not list(alignments.rglob("*.csv"))
 
 
+def test_align_removes_the_bitext_files_of_each_pair_it_removes(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    bitext = tmp_path / "out" / "bitext"
+    assert _cli(tmp_path / "config.json", "bitext", "--pairs", "de-en", "--celex", "31984D0001") == 0
+    assert sorted(p.name for p in bitext.iterdir()) == [
+        "jrc31984D0001-de-en.xml", "jrc31984D0001-en-fr.xml",
+    ]
+    make_config(tmp_path, "profiles", languages=["en", "fr"])  # de-en and de-fr are not configured
+    _align_log(tmp_path, capsys)
+    assert sorted(p.name for p in bitext.iterdir()) == ["jrc31984D0001-en-fr.xml"]
+    shutil.rmtree(tmp_path / "out" / "tei" / "fr")  # en-fr has no common documents
+    assert "en-fr: no common documents, skipped" in _align_log(tmp_path, capsys)
+    assert not list(bitext.iterdir())
+
+
 def test_a_pair_file_that_cannot_be_removed_exits_1_naming_it(aligned_tree, tmp_path, capsys):
     shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "out" / "alignments" / "gale_church" / "de-en.standoff.xml"
     path.unlink()
+    path.mkdir()
+    make_config(tmp_path, "profiles", languages=["en", "fr"])
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", "align") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and f"cannot remove {path}" in err
+
+
+def test_a_bitext_file_that_cannot_be_removed_exits_1_naming_it(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "out" / "bitext" / "jrc31984D0001-de-en.xml"
     path.mkdir()
     make_config(tmp_path, "profiles", languages=["en", "fr"])
     capsys.readouterr()

@@ -1,8 +1,10 @@
 import datetime
+import html
 import os
+import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, bank_lines
@@ -90,6 +92,59 @@ def test_paragraphs_trimmed_and_tag_free(content):
     for p in paragraphs:
         assert p == p.strip() and p
     assert "<p" not in " ".join(paragraphs).lower()
+
+
+# html_to_paragraphs as it was before it collapsed whitespace with str.split():
+# one regex substitution per line.  The reference the current version must equal.
+_REF_DROP_BLOCK_RE = re.compile(
+    r"<(script|style|head)\b[^>]*>.*?</\1\s*>", re.IGNORECASE | re.DOTALL
+)
+_REF_COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
+_REF_BREAK_RE = re.compile(r"<\s*(?:br|p|/p)\b[^>]*>", re.IGNORECASE)
+_REF_TAG_RE = re.compile(r"<[^>]*>")
+_REF_UNTERMINATED_TAG_RE = re.compile(r"<[A-Za-z/][^>]*\Z")
+_REF_WS_COLLAPSE = re.compile(r"[\s\x00-\x08\x0e-\x1b\ufffe\uffff]+")
+
+
+def _per_line_html_to_paragraphs(content):
+    text = _REF_COMMENT_RE.sub(" ", content)
+    text = _REF_DROP_BLOCK_RE.sub(" ", text)
+    text = _REF_BREAK_RE.sub("\n", text)
+    text = _REF_TAG_RE.sub(" ", text)
+    text = _REF_UNTERMINATED_TAG_RE.sub(" ", text)
+    text = html.unescape(text)
+    paragraphs = []
+    for chunk in text.split("\n"):
+        cleaned = _REF_WS_COLLAPSE.sub(" ", chunk).strip()
+        if cleaned:
+            paragraphs.append(cleaned)
+    return paragraphs
+
+
+# Whitespace, control and separator characters, with a few letters and the
+# markup that becomes breaks, spaces or characters of its own.
+_MARKUP = st.lists(
+    st.one_of(
+        st.text(alphabet="\t\r\x0b\x0c\x1c\x85\xa0\u2028\u3000\x00\x1b\ufffe \nab&;#<>/", max_size=6),
+        st.sampled_from(["<p>", "<BR/>", "<!-- -->", "&nbsp;", "&#10;", "&#133;"]),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(_MARKUP)
+@example("a\x85b\u3000\t&#133;&nbsp;<BR/>\x00 c\ufffe\x0b")
+def test_html_to_paragraphs_matches_the_per_line_version(content):
+    assert html_to_paragraphs(content) == _per_line_html_to_paragraphs(content)
+
+
+def test_str_isspace_and_re_whitespace_agree_on_every_code_point():
+    # html_to_paragraphs splits lines with str.split(), which stands for \s.
+    ws = re.compile(r"\s").match
+    assert [c for c in range(0x110000) if chr(c).isspace()] == [
+        c for c in range(0x110000) if ws(chr(c))
+    ]
 
 
 def _paragraphs(text_lang):

@@ -1,5 +1,7 @@
 import datetime
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from parcelex.errors import (
     MalformedXmlError,
     SchemaViolationError,
 )
+from parcelex import tei
 from parcelex.tei import (
     ANNEX,
     BODY,
@@ -79,6 +82,62 @@ def test_labeled_fixture_agreement():
             and b.annex_start == doc["annex_start"]
         )
     assert hits / len(docs) >= 0.90
+
+
+_PATTERN_FILE = json.loads(
+    (Path(tei.__file__).parent / "data" / "section_patterns.json").read_text(encoding="utf-8")
+)
+# Each compiled family of tei._PATTERNS and the member patterns of the file it joins.
+_FAMILIES = {
+    "opening": _PATTERN_FILE["signature"]["opening"],
+    "role_or_footnote": _PATTERN_FILE["signature"]["role"] + _PATTERN_FILE["signature"]["footnote"],
+    "name": _PATTERN_FILE["signature"]["name"],
+    "annex_heading": _PATTERN_FILE["annex"]["heading"],
+}
+
+
+def _assert_families_match_their_members(text):
+    for family, members in _FAMILIES.items():
+        joined = bool(getattr(tei._PATTERNS, family).search(text))
+        assert joined == any(re.search(p, text) for p in members), (family, text)
+
+
+def test_pattern_families_match_their_members_on_the_labeled_fixture():
+    docs = json.loads((FIXTURES / "sections_labeled.json").read_text(encoding="utf-8"))
+    for doc in docs:
+        for text in doc["paragraphs"]:
+            _assert_families_match_their_members(text)
+
+
+# Pieces of the patterns' literals, so that generated texts match some of them.
+_SECTION_TEXT = st.lists(
+    st.one_of(
+        st.text(max_size=4),
+        st.sampled_from([
+            "Done at ", "Fait à ", "Tehty ", "For the Commission", "Member of the Commission",
+            "The ", "President", "Le président", "(1) ", "OJ", "ABl.", "NARJES", "Karl-Heinz ",
+            "ANNEX", "Annex ", "IV", "BIJLAGE", "ΠΑΡΑΡΤΗΜΑ", " ", "\n", "1",
+        ]),
+    ),
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SECTION_TEXT)
+def test_pattern_families_match_their_members_on_generated_texts(text):
+    _assert_families_match_their_members(text)
+
+
+def test_section_patterns_can_be_joined_into_alternations():
+    # Joined, a numbered backreference (or a conditional on a group number)
+    # would point at another pattern's group, and an inline flag group would
+    # be rejected or apply to every pattern; an empty family would match all.
+    for family, members in _FAMILIES.items():
+        assert members, family
+        for p in members:
+            assert not re.search(r"(?<!\\)(?:\\\\)*(?:\\[1-9]|\(\?\(\d)", p), p
+            assert re.compile(p).flags == re.compile("").flags, p
 
 
 def test_boundaries_order_validation():
