@@ -217,7 +217,12 @@ def cmd_fetch(config: PipelineConfig) -> None:
     if not found:
         raise InputError(f"no <celex>-<lang>.html fixtures under {root}")
     # Every document is read before raw/ is replaced, so that a bad one leaves the old tree.
-    documents = [(name, fetch_document(root / name, *key)) for key, name in found.items()]
+    documents = []
+    for key, name in found.items():
+        try:
+            documents.append((name, fetch_document(root / name, *key)))
+        except OSError as exc:
+            raise InputError(f"cannot read {root / name}: {exc.strerror}") from None
     raw = config.output_root / "raw"
     _clear(raw)
     manifest = []
@@ -408,11 +413,6 @@ def _resolve_pairs(config: PipelineConfig, pairs) -> list[tuple[str, str]]:
     return list(dict.fromkeys(canonical_pair(a, b) for a, b in pairs))
 
 
-def _doc_texts(doc) -> list[str]:
-    # Paragraphs after the head; alignment numbering starts at n=2.
-    return [p.text for p in doc.paragraphs[1:]]
-
-
 def _inputs_digest(src_texts: dict, tgt_texts: dict) -> str:
     """The sha256 over what a pair is aligned from: each common document's texts, in celex order."""
     import hashlib
@@ -545,8 +545,9 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
                     records[name].pop(pair, None)
                     _remove_pair(config, name, src, tgt)
                 continue
-            src_texts = {c: _doc_texts(src_docs[c]) for c in common}
-            tgt_texts = {c: _doc_texts(tgt_docs[c]) for c in common}
+            # Paragraphs after the head; alignment numbering starts at n=2.
+            src_texts = {c: src_docs[c].paragraphs[1:] for c in common}
+            tgt_texts = {c: tgt_docs[c].paragraphs[1:] for c in common}
             inputs = _inputs_digest(src_texts, tgt_texts)
             for name in aligners:
                 files = _pair_files(config, name, src, tgt)
@@ -557,6 +558,9 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
                 if entry["files"] is not None and records[name].get(pair) == entry:
                     _log(f"{name} {pair}: kept")
                     continue
+                # What export and bitext wrote from the old alignment goes with it.
+                records[name].pop(pair, None)
+                _remove_pair(config, name, src, tgt)
                 alignments = _align_pair(config, name, src, tgt, src_texts, tgt_texts)
                 _write(files[0], export_standoff_xml(standoff_from_alignments(alignments)))
                 records[name][pair] = {**entry, "files": _file_digests(files)}

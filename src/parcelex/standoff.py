@@ -224,7 +224,7 @@ def generate_inplace(src_doc: TeiDocument, tgt_doc: TeiDocument, links) -> str:
     for doc in (src_doc, tgt_doc):
         w.append(
             f'  <head lang={quoteattr(doc.lang)} n="1" TEIform="head">'
-            f"{escape(doc.paragraphs[0].text)}</head>\n"
+            f"{escape(doc.paragraphs[0])}</head>\n"
         )
     src_seg, tgt_seg = (f"    <seg lang={quoteattr(lang)} n=" for lang in (src, tgt))
     src_paragraphs, tgt_paragraphs = src_doc.paragraphs, tgt_doc.paragraphs
@@ -236,7 +236,7 @@ def generate_inplace(src_doc: TeiDocument, tgt_doc: TeiDocument, links) -> str:
         ):
             for n in pars:
                 w.append(
-                    f'{seg}"{n}" part="N" TEIform="seg">{escape(paragraphs[n - 1].text)}</seg>\n'
+                    f'{seg}"{n}" part="N" TEIform="seg">{escape(paragraphs[n - 1])}</seg>\n'
                 )
         w.append("  </ab>\n")
     w.append("</div>\n")

@@ -46,14 +46,15 @@ def corpus_stats_table(corpus) -> list[LanguageStats]:
             {"n_texts": 0, "body_words": 0, "body_chars": 0, "signature_words": 0, "annex_words": 0},
         )
         row["n_texts"] += 1
-        for p in doc.paragraphs:
-            words = word_count(p.text)
-            if p.section in (HEAD, BODY):
+        for section, start, stop in doc.sections():
+            texts = doc.paragraphs[start:stop]
+            words = sum(map(word_count, texts))
+            if section in (HEAD, BODY):
                 row["body_words"] += words
-                row["body_chars"] += len(p.text)
-            elif p.section == SIGNATURE:
+                row["body_chars"] += sum(map(len, texts))
+            elif section == SIGNATURE:
                 row["signature_words"] += words
-            elif p.section == ANNEX:
+            elif section == ANNEX:
                 row["annex_words"] += words
     table = []
     for lang in sorted(acc):

@@ -24,8 +24,8 @@ HEAD = "head"
 BODY = "body"
 SIGNATURE = "signature"
 ANNEX = "annex"
-SECTIONS = (HEAD, BODY, SIGNATURE, ANNEX)
-_SECTION_RANK = {section: rank for rank, section in enumerate(SECTIONS)}
+# The order in which div types must follow the head.
+_DIV_RANK = {BODY: 1, SIGNATURE: 2, ANNEX: 3}
 
 DISTRIBUTOR_URL = "http://wt.jrc.it/lt/acquis/"
 AUTHENTICITY_NOTE = (
@@ -35,21 +35,6 @@ AUTHENTICITY_NOTE = (
 
 # Headings longer than this are body text, not annex markers.
 MAX_HEADING_CHARS = 60
-
-
-@dataclass(frozen=True)
-class Paragraph:
-    n: int
-    text: str
-    section: str
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"paragraph number must be >= 1, got {self.n}")
-        if not self.text or self.text != self.text.strip():
-            raise ValueError(f"paragraph {self.n}: text must be non-empty and trimmed")
-        if self.section not in SECTIONS:
-            raise ValueError(f"unknown section {self.section!r}")
 
 
 @dataclass(frozen=True)
@@ -72,10 +57,13 @@ class SectionBoundaries:
 
 @dataclass(frozen=True)
 class TeiDocument:
+    """A document whose paragraph n is ``paragraphs[n - 1]``; paragraph 1 is the head."""
+
     celex: CelexId
     lang: str
     title: str
-    paragraphs: tuple[Paragraph, ...]
+    paragraphs: tuple[str, ...]
+    boundaries: SectionBoundaries
     eurovoc_codes: frozenset[int]
     source_url: str
     download_date: datetime.date
@@ -88,20 +76,21 @@ class TeiDocument:
     def extent(self) -> int:
         return len(self.paragraphs)
 
-    def validate(self) -> None:
-        """Check numbering and section-run invariants."""
-        paragraphs = self.paragraphs
-        numbers = [p.n for p in paragraphs]
-        if numbers != list(range(1, len(numbers) + 1)):
-            n, i = next((n, i) for i, n in enumerate(numbers, start=1) if n != i)
-            raise SchemaViolationError(f"paragraph numbers must be 1..extent; got {n} at {i}")
-        if not paragraphs or paragraphs[0].section != HEAD:
-            raise SchemaViolationError("first paragraph must be the head")
-        order = [_SECTION_RANK[p.section] for p in paragraphs]
-        if order.count(0) != 1:
-            raise SchemaViolationError("exactly one head paragraph expected")
-        if order != sorted(order):
-            raise SchemaViolationError("sections must run head, body, signature, annex")
+    def sections(self) -> list[tuple[str, int, int]]:
+        """The non-empty sections in document order, each as ``(section, start, stop)``.
+
+        A section holds ``paragraphs[start:stop]``: the head is paragraph 1
+        alone, the body follows it, and each boundary n starts its section
+        at index n - 1.
+        """
+        b = self.boundaries
+        starts = [(HEAD, 0), (BODY, 1)] + [
+            (section, n - 1)
+            for section, n in ((SIGNATURE, b.signature_start), (ANNEX, b.annex_start))
+            if n is not None
+        ]
+        stops = [start for _, start in starts[1:]] + [len(self.paragraphs)]
+        return [(s, start, stop) for (s, start), stop in zip(starts, stops) if start < stop]
 
 
 class _SectionPatterns:
@@ -194,40 +183,27 @@ def build_document(
     download_date: datetime.date = datetime.date(2006, 2, 20),
 ) -> TeiDocument:
     """Assemble a document: title becomes the head (n=1), body starts at n=2."""
+    title = title.strip()
     texts = [t.strip() for t in body_paragraphs]
-    if any(not t for t in texts):
-        raise ValueError("body paragraphs must be non-empty")
+    if not title or not all(texts):
+        raise ValueError("the title and body paragraphs must be non-empty")
     boundaries = boundaries or SectionBoundaries()
     extent = len(texts) + 1
-    sig = boundaries.signature_start
-    annex = boundaries.annex_start
-    for name, bound in ((SIGNATURE, sig), (ANNEX, annex)):
+    for name, bound in ((SIGNATURE, boundaries.signature_start), (ANNEX, boundaries.annex_start)):
         if bound is not None and not 2 <= bound <= extent:
             raise InconsistentBoundariesError(
                 f"{name} start {bound} outside paragraph range 2..{extent}"
             )
-
-    paragraphs = [Paragraph(n=1, text=title.strip(), section=HEAD)]
-    for i, text in enumerate(texts, start=2):
-        if annex is not None and i >= annex:
-            section = ANNEX
-        elif sig is not None and i >= sig:
-            section = SIGNATURE
-        else:
-            section = BODY
-        paragraphs.append(Paragraph(n=i, text=text, section=section))
-
-    doc = TeiDocument(
+    return TeiDocument(
         celex=celex,
         lang=lang,
-        title=title.strip(),
-        paragraphs=tuple(paragraphs),
+        title=title,
+        paragraphs=(title, *texts),
+        boundaries=boundaries,
         eurovoc_codes=frozenset(int(c) for c in eurovoc_codes),
         source_url=source_url,
         download_date=download_date,
     )
-    doc.validate()
-    return doc
 
 
 def escape(text: str) -> str:
@@ -291,14 +267,11 @@ def serialize_tei(doc: TeiDocument) -> str:
     out('  </teiHeader>\n')
     out('  <text>\n')
     out('    <body>\n')
-    out(f'      <head n="1">{escape(doc.paragraphs[0].text)}</head>\n')
-    for section in (BODY, SIGNATURE, ANNEX):
-        pars = [p for p in doc.paragraphs if p.section == section]
-        if not pars:
-            continue
+    out(f'      <head n="1">{escape(doc.paragraphs[0])}</head>\n')
+    for section, start, stop in doc.sections()[1:]:
         out(f'      <div type="{section}">\n')
-        for p in pars:
-            out(f'        <p n="{p.n}">{escape(p.text)}</p>\n')
+        for n, text in enumerate(doc.paragraphs[start:stop], start=start + 1):
+            out(f'        <p n="{n}">{escape(text)}</p>\n')
         out('      </div>\n')
     out('    </body>\n')
     out('  </text>\n')
@@ -359,30 +332,51 @@ def parse_tei(xml_text: str) -> TeiDocument:
             for el in header.findall("profileDesc/textClass/classCode")
             if el.get("scheme") == "eurovoc"
         )
-        paragraphs = [Paragraph(int(head_el.get("n", 0)), (head_el.text or "").strip(), HEAD)]
-        for div in body_el.findall("div"):
-            section = div.get("type", "")
-            if section not in (BODY, SIGNATURE, ANNEX):
-                raise SchemaViolationError(f"unknown div type {section!r}")
-            paragraphs += [
-                Paragraph(int(p.get("n", 0)), (p.text or "").strip(), section)
-                for p in div.findall("p")
-            ]
     except ValueError as exc:
         raise SchemaViolationError(str(exc)) from None
-    if len(paragraphs) != extent:
-        raise SchemaViolationError(
-            f"extent says {extent} segments but document has {len(paragraphs)}"
-        )
 
-    doc = TeiDocument(
+    texts = [_paragraph_text(head_el, 1)]
+    starts = {}  # the number of the first paragraph of each section after the body
+    rank = 0
+    for div in body_el.findall("div"):
+        section = div.get("type", "")
+        if section not in _DIV_RANK:
+            raise SchemaViolationError(f"unknown div type {section!r}")
+        ps = div.findall("p")
+        if not ps:
+            continue
+        if _DIV_RANK[section] < rank:
+            raise SchemaViolationError("sections must run head, body, signature, annex")
+        rank = _DIV_RANK[section]
+        starts.setdefault(section, len(texts) + 1)
+        for p in ps:
+            texts.append(_paragraph_text(p, len(texts) + 1))
+    if len(texts) != extent:
+        raise SchemaViolationError(f"extent says {extent} segments but document has {len(texts)}")
+
+    return TeiDocument(
         celex=celex,
         lang=lang,
         title=title,
-        paragraphs=tuple(paragraphs),
+        paragraphs=tuple(texts),
+        boundaries=SectionBoundaries(starts.get(SIGNATURE), starts.get(ANNEX)),
         eurovoc_codes=codes,
         source_url=source_url,
         download_date=download_date,
     )
-    doc.validate()
-    return doc
+
+
+def _paragraph_text(el, n: int) -> str:
+    """The text of a ``head`` or ``p`` element, checked to be paragraph ``n`` and non-empty."""
+    try:
+        number = int(el.get("n", 0))
+    except ValueError as exc:
+        raise SchemaViolationError(str(exc)) from None
+    if number < 1:
+        raise SchemaViolationError(f"paragraph number must be >= 1, got {number}")
+    if number != n:
+        raise SchemaViolationError(f"paragraph numbers must be 1..extent; got {number} at {n}")
+    text = (el.text or "").strip()
+    if not text:
+        raise SchemaViolationError(f"paragraph {n}: text must be non-empty and trimmed")
+    return text

@@ -74,8 +74,9 @@ def test_full_pipeline(pipeline, capsys):
     ]
     doc = parse_tei((out / "tei" / "en" / "jrc31985R0002-en.xml").read_text(encoding="utf-8"))
     assert doc.eurovoc_codes == {5769, 4180}
-    assert [p.text for p in doc.paragraphs if p.section == "signature"]  # signature block detected
-    assert [p.text for p in doc.paragraphs if p.section == "annex"]  # ANNEX heading detected
+    texts = {section: doc.paragraphs[start:stop] for section, start, stop in doc.sections()}
+    assert texts.get("signature")  # signature block detected
+    assert texts.get("annex")  # ANNEX heading detected
 
     # normalize is idempotent
     before = _tree(out / "tei")
@@ -659,7 +660,7 @@ def test_control_characters_in_a_raw_document_give_well_formed_tei(tmp_path, cha
     for stage in ("fetch", "normalize", "align", "stats"):
         assert _cli(config_path, stage) == 0, stage
     tei = tmp_path / "out" / "tei" / "en" / "jrc31984D0001-en.xml"
-    texts = [p.text for p in parse_tei(tei.read_text(encoding="utf-8")).paragraphs]
+    texts = parse_tei(tei.read_text(encoding="utf-8")).paragraphs
     assert any(t.startswith("The committee shall examine") for t in texts)
 
 
@@ -683,7 +684,7 @@ def test_start_up_loads_no_network_or_sax_module(tmp_path):
         "parcelex.cli.load_config(sys.argv[2]); "
         f"print(sorted(m for m in {_UNUSED_AT_START_UP!r} if m in sys.modules))"
     )
-    result = subprocess.run([sys.executable, "-S", "-E", "-c", code, src, str(config_path)],
+    result = subprocess.run([sys.executable, "-B", "-S", "-E", "-c", code, src, str(config_path)],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -849,6 +850,13 @@ _FIELD_DAMAGES = {
     ("tei", "p-n-abc"): _sub(r'<p n="2">', '<p n="abc">'),
     ("tei", "p-empty"): _sub(r'<p n="2">[^<]*</p>', '<p n="2"></p>'),
     ("tei", "div-type-unknown"): _sub(r'<div type="body">', '<div type="preamble">'),
+    ("tei", "div-body-as-annex-before-signature"): _sub(r'<div type="body">', '<div type="annex">'),
+    ("tei", "div-body-after-signature"): _sub(
+        r'<div type="(body|signature)">',
+        lambda m: f'<div type="{"signature" if m.group(1) == "body" else "body"}">', count=0,
+    ),
+    ("tei", "head-n-2"): _sub(r'<head n="1">', '<head n="2">'),
+    ("tei", "p-n-repeated"): _sub(r'<p n="3">', '<p n="2">'),
     ("tei", "extent-abc"): _sub(r"<extent>\d+", "<extent>many"),
     ("tei", "extent-off-by-one"): _sub(
         r"<extent>(\d+)", lambda m: f"<extent>{int(m.group(1)) + 1}"
@@ -1296,29 +1304,42 @@ def _source_config(root, html, **overrides):
     return make_config(root, None, source={"mode": "local_directory", "root": str(html)}, **overrides)
 
 
-def _rerun_matches_a_fresh_run(tmp_path, change):
-    """Run the chain, ``change`` the source directory or config, rerun it; compare with a fresh run."""
+def _rerun_matches_a_fresh_run(tmp_path, change, chain=_RERUN, first=(), **config):
+    """Run ``chain`` then ``first``, ``change`` the source directory or config, rerun ``chain``;
+    compare with a fresh run."""
     html = tmp_path / "html"
     shutil.copytree(FIXTURES / "html", html)
     rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
     rerun.mkdir()
     fresh.mkdir()
-    for stage in _RERUN:
-        assert _cli(_source_config(rerun, html), *stage) == 0
-    overrides = change(html)
+    for stage in [*chain, *first]:
+        assert _cli(_source_config(rerun, html, **config), *stage) == 0
+    overrides = {**config, **change(html)}
     for root in (rerun, fresh):
-        for stage in _RERUN:
+        for stage in chain:
             assert _cli(_source_config(root, html, **overrides), *stage) == 0
     assert _tree(rerun / "out") == _tree(fresh / "out")
 
 
-def test_a_rerun_after_a_source_document_is_removed_leaves_a_fresh_tree(tmp_path):
-    def remove_31986L0003(html):
-        for path in html.glob("31986L0003-*"):
-            path.unlink()
-        return {}
+def _remove_31986L0003(html):
+    for path in html.glob("31986L0003-*"):
+        path.unlink()
+    return {}
 
-    _rerun_matches_a_fresh_run(tmp_path, remove_31986L0003)
+
+def test_a_rerun_after_a_source_document_is_removed_leaves_a_fresh_tree(tmp_path):
+    _rerun_matches_a_fresh_run(tmp_path, _remove_31986L0003)
+
+
+def test_a_rerun_removes_the_bitext_file_of_a_removed_source_document(tmp_path):
+    def remove_31986L0003(html):
+        assert (tmp_path / "rerun" / "out" / "bitext" / "jrc31986L0003-en-fr.xml").is_file()
+        return _remove_31986L0003(html)
+
+    _rerun_matches_a_fresh_run(
+        tmp_path, remove_31986L0003, chain=[("fetch",), ("normalize",), ("align",), ("export",)],
+        first=[("bitext", "--pairs", "en-fr", "--celex", "31986L0003")], aligners=["gale_church"],
+    )
 
 
 def test_a_rerun_with_fewer_languages_leaves_a_fresh_tree(tmp_path):
@@ -1441,7 +1462,7 @@ def test_each_stage_loads_only_its_modules(aligned_tree, tmp_path, stage):
     shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
     src = str(Path(parcelex.__file__).parent.parent)
     argv = [stage[0], "--config", str(tmp_path / "config.json"), *stage[1:]]
-    result = subprocess.run([sys.executable, "-S", "-E", "-c", _STAGE_CODE, src, *argv],
+    result = subprocess.run([sys.executable, "-B", "-S", "-E", "-c", _STAGE_CODE, src, *argv],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     status, *modules = result.stdout.split()
@@ -1486,6 +1507,19 @@ def test_fetch_refuses_two_raw_files_of_one_document(tmp_path, capsys):
     assert _cli(config_path, "fetch") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err and "31984D0001-en.html" in err and "31984D0001-en.txt" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fetch_exits_1_naming_a_source_entry_it_cannot_read(tmp_path, capsys):
+    html = tmp_path / "html"
+    shutil.copytree(FIXTURES / "html", html)
+    entry = html / "31999D0001-en.html"
+    entry.mkdir()
+    config_path = _source_config(tmp_path, html)
+    capsys.readouterr()
+    assert _cli(config_path, "fetch") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and f"cannot read {entry}: " in err
     assert not (tmp_path / "out").exists()
 
 

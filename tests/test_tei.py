@@ -158,17 +158,21 @@ def _doc(body, boundaries=None, title="A title", **kw):
     )
 
 
+def _section_of_each_paragraph(doc):
+    return [section for section, start, stop in doc.sections() for _ in range(start, stop)]
+
+
 def test_build_extent_counts_title():
     doc = _doc([f"paragraph {i}" for i in range(39)])
     assert doc.extent == 40
-    assert doc.paragraphs[0].section == HEAD and doc.paragraphs[0].n == 1
-    assert doc.paragraphs[1].n == 2 and doc.paragraphs[1].section == BODY
+    assert doc.paragraphs[0] == "A title" and _section_of_each_paragraph(doc)[0] == HEAD
+    assert doc.paragraphs[1] == "paragraph 0" and _section_of_each_paragraph(doc)[1] == BODY
 
 
 def test_build_title_only():
     doc = _doc([])
     assert doc.extent == 1
-    assert [p.section for p in doc.paragraphs] == [HEAD]
+    assert _section_of_each_paragraph(doc) == [HEAD]
 
 
 def test_build_sections_from_boundaries():
@@ -176,7 +180,7 @@ def test_build_sections_from_boundaries():
         ["b1", "b2", "s1", "s2", "a1"],
         boundaries=SectionBoundaries(signature_start=4, annex_start=6),
     )
-    assert [p.section for p in doc.paragraphs] == [HEAD, BODY, BODY, SIGNATURE, SIGNATURE, ANNEX]
+    assert _section_of_each_paragraph(doc) == [HEAD, BODY, BODY, SIGNATURE, SIGNATURE, ANNEX]
 
 
 def test_build_rejects_bad_boundaries():
@@ -290,6 +294,21 @@ def documents(draw):
 @given(documents())
 def test_round_trip_generated(doc):
     assert parse_tei(serialize_tei(doc)) == doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents())
+def test_sections_are_contiguous_ranges_that_agree_with_the_boundaries(doc):
+    ranges = doc.sections()
+    assert ranges[0] == (HEAD, 0, 1) and ranges[-1][2] == doc.extent
+    assert [start for _, start, _ in ranges[1:]] == [stop for _, _, stop in ranges[:-1]]
+    assert all(start < stop for _, start, stop in ranges)
+    order = [section for section, _, _ in ranges]
+    assert order == [s for s in (HEAD, BODY, SIGNATURE, ANNEX) if s in order]
+    first = {section: start + 1 for section, start, _ in ranges}
+    assert first.get(SIGNATURE) == doc.boundaries.signature_start
+    assert first.get(ANNEX) == doc.boundaries.annex_start
+    assert parse_tei(serialize_tei(doc)).sections() == ranges
 
 
 @settings(max_examples=20, deadline=None)
