@@ -18,25 +18,19 @@ from .celex import CelexId
 
 @dataclass(frozen=True)
 class AlignmentLink:
-    arity: tuple[int, int]
+    """Two contiguous paragraph runs, not both empty; ``standoff`` checks the links it reads."""
+
     src_pars: tuple[int, ...]
     tgt_pars: tuple[int, ...]
     score: float | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        a, b = self.arity
-        src, tgt = self.src_pars, self.tgt_pars
-        if a < 0 or b < 0 or not (a or b):
-            raise ValueError(f"bad arity {self.arity}")
-        if len(src) != a or len(tgt) != b:
-            raise ValueError(f"arity {a}-{b} inconsistent with {src}/{tgt}")
-        for pars in (src, tgt):
-            if len(pars) > 1 and pars != tuple(range(pars[0], pars[0] + len(pars))):
-                raise ValueError(f"paragraph numbers must be contiguous: {pars}")
+    @property
+    def arity(self) -> tuple[int, int]:
+        return len(self.src_pars), len(self.tgt_pars)
 
     @property
     def arity_label(self) -> str:
-        return f"{self.arity[0]}-{self.arity[1]}"
+        return f"{len(self.src_pars)}-{len(self.tgt_pars)}"
 
 
 @dataclass(frozen=True)
@@ -66,12 +60,6 @@ def links_cover(links, n_src: int, n_tgt: int, first_src: int = 1, first_tgt: in
                 return False
             want_tgt += len(tgt)
     return want_src == first_src + n_src and want_tgt == first_tgt + n_tgt
-
-
-def parse_arity(label: str) -> tuple[int, int]:
-    """Parse an ``a-b`` arity label."""
-    a, _, b = label.partition("-")
-    return int(a), int(b)
 
 
 def monotone_dp(n: int, m: int, moves, row_beads, spans=None):
@@ -169,7 +157,6 @@ def steps_to_alignment(
     """
     links = tuple(
         AlignmentLink(
-            arity=(a, b),
             src_pars=tuple(range(first_src + i, first_src + i + a)),
             tgt_pars=tuple(range(first_tgt + j, first_tgt + j + b)),
             score=score,

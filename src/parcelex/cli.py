@@ -561,7 +561,10 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
                 # What export and bitext wrote from the old alignment goes with it.
                 records[name].pop(pair, None)
                 _remove_pair(config, name, src, tgt)
-                alignments = _align_pair(config, name, src, tgt, src_texts, tgt_texts)
+                try:
+                    alignments = _align_pair(config, name, src, tgt, src_texts, tgt_texts)
+                except ParcelexError as exc:
+                    raise InputError(f"{name} {pair}: {exc}") from None
                 _write(files[0], export_standoff_xml(standoff_from_alignments(alignments)))
                 records[name][pair] = {**entry, "files": _file_digests(files)}
                 aligned += 1
@@ -634,6 +637,8 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
         raise InputError("bitext requires --pairs")
     if not celex_ids:
         raise InputError("bitext requires --celex")
+    if not (aligner or config.aligners):
+        raise InputError("no aligner configured; give --aligner")
     name = aligner or config.aligners[0]
     docs: dict[tuple[str, CelexId], object] = {}
 
@@ -686,15 +691,6 @@ def cmd_stats(config: PipelineConfig) -> None:
     _log(f"wrote statistics for {len(table)} languages")
 
 
-def _standoff_to_alignments(file) -> list[BitextAlignment]:
-    from .beads import BitextAlignment
-
-    return [
-        BitextAlignment(celex=celex, src_lang=file.src_lang, tgt_lang=file.tgt_lang, links=links)
-        for celex, links in file.entries
-    ]
-
-
 def cmd_agree(config: PipelineConfig, pairs=None) -> None:
     from .standoff import aligner_agreement
 
@@ -709,9 +705,12 @@ def cmd_agree(config: PipelineConfig, pairs=None) -> None:
         path_b = _standoff_path(config, name_b, src, tgt)
         if not (path_a.is_file() and path_b.is_file()):
             continue
-        a = _standoff_to_alignments(_load_standoff(config, name_a, src, tgt))
-        b = _standoff_to_alignments(_load_standoff(config, name_b, src, tgt))
-        report = aligner_agreement(a, b)
+        a = _load_standoff(config, name_a, src, tgt)
+        b = _load_standoff(config, name_b, src, tgt)
+        try:
+            report = aligner_agreement(a, b)
+        except ParcelexError as exc:
+            raise InputError(f"{path_a} and {path_b}: {exc}") from None
         summary.append(
             f"{src},{tgt},{report.n_links_a},{report.n_links_b},"
             f"{report.exact_match_fraction:.6f}"

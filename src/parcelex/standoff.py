@@ -13,7 +13,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .beads import AlignmentLink, links_cover, parse_arity
+from .beads import AlignmentLink, links_cover
 from .celex import CelexId, format_celex, jrc_alignment_id, parse_celex
 from .errors import (
     DanglingPointerError,
@@ -73,9 +73,11 @@ def _join(pars) -> str:
 
 
 _POINTER_LIST = re.compile(r"\d+(?:;\d+)*").fullmatch
+_LINK_TYPE = re.compile(r"\d+-\d+").fullmatch
 
 
 def _split_pars(text: str) -> tuple[int, ...]:
+    """The run a pointer list names: empty, or paragraph numbers counting up by one."""
     # ``\d`` and ``str.isdecimal`` accept the same characters; most links point at one paragraph.
     if text.isdecimal():
         return (int(text),)
@@ -83,27 +85,34 @@ def _split_pars(text: str) -> tuple[int, ...]:
         return ()
     if _POINTER_LIST(text) is None:
         raise MalformedXmlError(f"bad paragraph pointer list {text!r}")
-    return tuple(map(int, text.split(";")))
+    pars = tuple(map(int, text.split(";")))
+    if pars != tuple(range(pars[0], pars[0] + len(pars))):
+        raise SchemaViolationError(f"paragraph numbers must be contiguous: {text!r}")
+    return pars
 
 
 def _parse_link(arity: str, source: str, target: str, score: str | None) -> AlignmentLink:
     """A link from its serialized fields; a corrupted field is an input error.
 
-    A score must be a finite float: no aligner writes ``nan`` or an infinity.
+    The type must spell the two runs' lengths, and the runs must not both be
+    empty.  A score must be a finite float: no aligner writes ``nan`` or an
+    infinity.
     """
-    try:
-        a, b = parse_arity(arity)
-    except ValueError:
-        raise UnsupportedArityError(f"bad link type {arity!r}") from None
     src_pars, tgt_pars = _split_pars(source), _split_pars(target)
+    if arity != f"{len(src_pars)}-{len(tgt_pars)}":
+        if _LINK_TYPE(arity) is None:
+            raise UnsupportedArityError(f"bad link type {arity!r}")
+        raise SchemaViolationError(f"link type {arity} does not match {source!r} {target!r}")
+    if not (src_pars or tgt_pars):
+        raise SchemaViolationError(f"link {arity} points at no paragraph")
     try:
         if score is not None:
             score = float(score)
             if not math.isfinite(score):
                 raise ValueError(f"score {score} is not finite")
-        return AlignmentLink((a, b), src_pars, tgt_pars, score)
     except ValueError as exc:
         raise SchemaViolationError(f"bad link {arity} {source!r} {target!r}: {exc}") from None
+    return AlignmentLink(src_pars, tgt_pars, score)
 
 
 def _standoff_file(src_lang: str, tgt_lang: str, entries) -> StandoffFile:
@@ -281,30 +290,29 @@ class AgreementReport:
     per_arity_confusion: dict[tuple[str, str], int]
 
 
-def _link_index(alignments):
+def _link_index(file: StandoffFile):
     """Map (celex, side, paragraph n) -> containing link, plus the link id set."""
     by_par = {}
     ids = set()
     n_links = 0
-    for alignment in alignments:
-        for link in alignment.links:
+    for celex, links in file.entries:
+        for link in links:
             n_links += 1
-            ids.add((alignment.celex, link.src_pars, link.tgt_pars))
+            ids.add((celex, link.src_pars, link.tgt_pars))
             for n in link.src_pars:
-                by_par[(alignment.celex, "src", n)] = link
+                by_par[(celex, "src", n)] = link
             for n in link.tgt_pars:
-                by_par[(alignment.celex, "tgt", n)] = link
+                by_par[(celex, "tgt", n)] = link
     return by_par, ids, n_links
 
 
-def aligner_agreement(a, b) -> AgreementReport:
+def aligner_agreement(a: StandoffFile, b: StandoffFile) -> AgreementReport:
     """Exact link-set Jaccard agreement plus a per-paragraph arity confusion."""
-    a, b = list(a), list(b)
-    docs_a = {al.celex for al in a}
-    docs_b = {al.celex for al in b}
+    docs_a = {celex for celex, _ in a.entries}
+    docs_b = {celex for celex, _ in b.entries}
     if docs_a != docs_b:
         raise MismatchedDocumentsError(
-            f"collections cover different documents: {docs_a ^ docs_b}"
+            "cover different documents: " + ", ".join(map(format_celex, sorted(docs_a ^ docs_b)))
         )
     pars_a, ids_a, n_a = _link_index(a)
     pars_b, ids_b, n_b = _link_index(b)

@@ -79,13 +79,7 @@ def corrupted_pair(
 
     def link(a, b):
         s0, t0 = len(src) - a + 1, len(tgt) - b + 1
-        links.append(
-            AlignmentLink(
-                arity=(a, b),
-                src_pars=tuple(range(s0, s0 + a)),
-                tgt_pars=tuple(range(t0, t0 + b)),
-            )
-        )
+        links.append(AlignmentLink(tuple(range(s0, s0 + a)), tuple(range(t0, t0 + b))))
 
     remaining = n_paragraphs
     while remaining > 0:
@@ -209,13 +203,7 @@ def planted_bitext(
 
         def link(a, b):
             s0, t0 = len(src) - a + 1, len(tgt) - b + 1
-            links.append(
-                AlignmentLink(
-                    arity=(a, b),
-                    src_pars=tuple(range(s0, s0 + a)),
-                    tgt_pars=tuple(range(t0, t0 + b)),
-                )
-            )
+            links.append(AlignmentLink(tuple(range(s0, s0 + a)), tuple(range(t0, t0 + b))))
 
         target_pairs = min(pars_per_doc, n_pairs - made)
         pairs_here = 0

@@ -61,7 +61,6 @@ class TeiDocument:
 
     celex: CelexId
     lang: str
-    title: str
     paragraphs: tuple[str, ...]
     boundaries: SectionBoundaries
     eurovoc_codes: frozenset[int]
@@ -197,7 +196,6 @@ def build_document(
     return TeiDocument(
         celex=celex,
         lang=lang,
-        title=title,
         paragraphs=(title, *texts),
         boundaries=boundaries,
         eurovoc_codes=frozenset(int(c) for c in eurovoc_codes),
@@ -242,7 +240,7 @@ def serialize_tei(doc: TeiDocument) -> str:
     out('    <fileDesc>\n')
     out('      <titleStmt>\n')
     out(f'        <title>JRC-ACQUIS {format_celex(doc.celex)} {_language_name(doc.lang)}</title>\n')
-    out(f'        <title>{escape(doc.title)}</title>\n')
+    out(f'        <title>{escape(doc.paragraphs[0])}</title>\n')
     out('      </titleStmt>\n')
     out(f'      <extent>{doc.extent} paragraph segments</extent>\n')
     out('      <publicationStmt>\n')
@@ -304,10 +302,7 @@ def parse_tei(xml_text: str) -> TeiDocument:
 
     header = _require(root, "teiHeader")
     file_desc = _require(header, "fileDesc")
-    titles = file_desc.findall("titleStmt/title")
-    if not titles:
-        raise SchemaViolationError("titleStmt must contain a title")
-    title = (titles[-1].text or "").strip()
+    _require(file_desc, "titleStmt/title")
 
     extent_el = _require(file_desc, "extent")
     m = _EXTENT(extent_el.text or "")
@@ -357,7 +352,6 @@ def parse_tei(xml_text: str) -> TeiDocument:
     return TeiDocument(
         celex=celex,
         lang=lang,
-        title=title,
         paragraphs=tuple(texts),
         boundaries=SectionBoundaries(starts.get(SIGNATURE), starts.get(ANNEX)),
         eurovoc_codes=codes,

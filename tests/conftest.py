@@ -182,11 +182,11 @@ FIGURE2_MT = [
 ]
 
 FIGURE2_LINKS = (
-    AlignmentLink(arity=(1, 1), src_pars=(2,), tgt_pars=(2,)),
-    AlignmentLink(arity=(1, 1), src_pars=(3,), tgt_pars=(3,)),
-    AlignmentLink(arity=(1, 1), src_pars=(4,), tgt_pars=(4,)),
-    AlignmentLink(arity=(1, 1), src_pars=(5,), tgt_pars=(5,)),
-    AlignmentLink(arity=(2, 1), src_pars=(6, 7), tgt_pars=(6,)),
+    AlignmentLink(src_pars=(2,), tgt_pars=(2,)),
+    AlignmentLink(src_pars=(3,), tgt_pars=(3,)),
+    AlignmentLink(src_pars=(4,), tgt_pars=(4,)),
+    AlignmentLink(src_pars=(5,), tgt_pars=(5,)),
+    AlignmentLink(src_pars=(6, 7), tgt_pars=(6,)),
 )
 
 

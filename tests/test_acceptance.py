@@ -196,7 +196,7 @@ def test_c07_tei_round_trip(figure1_document, figure2_documents):
 def test_c08_standoff_fidelity(figure2_documents):
     et, mt, links = figure2_documents
     scored = tuple(
-        AlignmentLink(l.arity, l.src_pars, l.tgt_pars, score=0.25 + i / 8)
+        AlignmentLink(l.src_pars, l.tgt_pars, score=0.25 + i / 8)
         for i, l in enumerate(links)
     )
     file = StandoffFile(src_lang="et", tgt_lang="mt", entries=((et.celex, scored),))

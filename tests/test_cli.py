@@ -1447,6 +1447,74 @@ def test_a_usage_error_exits_1_naming_it(aligned_tree, tmp_path, prepare, comman
     assert _tree(tmp_path / "out") == before
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"aligners": []}, {"languages": ["en"]}, {"languages": ["en", "fr"], "aligners": ["hunalign"]}],
+    ids=["no-aligner", "one-language", "hunalign-only"],
+)
+def test_every_stage_exits_0_or_1_under_a_narrow_config(tmp_path, profiles_dir, overrides, capsys):
+    config_path = make_config(tmp_path, profiles_dir, **overrides)
+    chain = [("fetch",), ("normalize",), ("align",), ("export",),
+             ("bitext", "--pairs", "en-fr", "--celex", "31986L0003"), ("stats",), ("agree",)]
+    errs = {}
+    for stage in chain:
+        capsys.readouterr()
+        assert _cli(config_path, *stage) in (0, 1), stage
+        errs[stage[0]] = capsys.readouterr().err
+        assert "internal error" not in errs[stage[0]], stage
+    if overrides == {"aligners": []}:
+        assert "no aligner configured; give --aligner" in errs["bitext"]
+
+
+def test_agree_names_both_files_when_they_cover_different_documents(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    alignments = tmp_path / "out" / "alignments"
+    path = alignments / "hunalign" / "de-en.standoff.xml"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: text.rindex("  <linkGrp")] + "</standoff>\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", "agree") == 1
+    err = capsys.readouterr().err
+    other = alignments / "gale_church" / "de-en.standoff.xml"
+    assert "internal error" not in err
+    assert f"{other} and {path}: cover different documents: 31986L0003" in err
+
+
+@pytest.mark.parametrize(
+    "aligner, overrides, message",
+    [
+        ("hunalign", {}, "hunalign en-fr: phase 1 produced no 1-1 links to sample"),
+        (
+            "gale_church", {"gc_params": {"arity_priors": {"1-1": 0.9, "1-0": 0.05, "0-1": 0.05}}},
+            "gale_church en-fr: unsupported arity 1-2",
+        ),
+    ],
+    ids=["hunalign-no-1-1-links", "gale-church-no-1-2-prior"],
+)
+def test_an_aligner_failure_exits_1_naming_the_aligner_and_pair(tmp_path, aligner, overrides,
+                                                                 message, capsys):
+    # Two documents, each one body paragraph in en against three in fr.
+    html = tmp_path / "html"
+    html.mkdir()
+    fr = "".join(f"<p>{n} paragraphe.</p>" for n in ("Premier", "Deuxième", "Troisième"))
+    for celex in ("31984D0001", "31985R0002"):
+        (html / f"{celex}-en.html").write_text(
+            "<html><body><p>The title.</p><p>One body paragraph here.</p></body></html>",
+            encoding="utf-8",
+        )
+        (html / f"{celex}-fr.html").write_text(
+            f"<html><body><p>Le titre.</p>{fr}</body></html>", encoding="utf-8"
+        )
+    config_path = _source_config(tmp_path, html, languages=["en", "fr"], aligners=[aligner],
+                                 **overrides)
+    for stage in ("fetch", "normalize"):
+        assert _cli(config_path, stage) == 0
+    capsys.readouterr()
+    assert _cli(config_path, "align") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and f"error: {message}" in err
+
+
 # A fresh interpreter runs one subcommand; prints its exit status and the parcelex modules loaded.
 _STAGE_CODE = """
 import sys
