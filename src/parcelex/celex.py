@@ -21,7 +21,7 @@ CCVISTA = "ccvista"
 ENDPOINTS = (SMARTAPI, LEXURISERV, CCVISTA)
 
 # Matched whole: a trailing newline is not part of an identifier.
-CELEX_RE = re.compile(r"(\d)(\d{4})([A-Z])(\d{4})(?:\((\d{2})\))?")
+CELEX_RE = re.compile(r"([0-9])([0-9]{4})([A-Z])([0-9]{4})(?:\(([0-9]{2})\))?")
 
 _SMARTAPI_TEMPLATE = (
     "http://europa.eu.int/smartapi/cgi/sga_doc"
@@ -36,9 +36,13 @@ _CCVISTA_TEMPLATE = "http://{host}/Fulcrum/CCVista/{lang}/{celex}-{lang}.doc"
 DEFAULT_CCVISTA_HOST = "ccvista.taiaex.be"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class CelexId:
-    """Structured CELEX identifier."""
+    """Structured CELEX identifier, as ``parse_celex`` reads it from text.
+
+    Identifiers sort as their formatted forms do: a plain identifier comes
+    just before the bracketed parts of the same document.
+    """
 
     doc_type: int
     year: int
@@ -46,17 +50,10 @@ class CelexId:
     serial: str
     part: int | None = None
 
-    def __post_init__(self):
-        if not 0 <= self.doc_type <= 9:
-            raise MalformedCelexError(f"doc_type out of range: {self.doc_type!r}")
-        if not 0 <= self.year <= 9999:
-            raise MalformedCelexError(f"year out of range: {self.year!r}")
-        if len(self.letter) != 1 or not self.letter.isascii() or not self.letter.isupper():
-            raise MalformedCelexError(f"letter must be a single uppercase A-Z: {self.letter!r}")
-        if len(self.serial) != 4 or not self.serial.isdigit():
-            raise MalformedCelexError(f"serial must be four digits: {self.serial!r}")
-        if self.part is not None and not 1 <= self.part <= 99:
-            raise MalformedCelexError(f"part out of range 1-99: {self.part!r}")
+    def __lt__(self, other: CelexId) -> bool:
+        return (self.doc_type, self.year, self.letter, self.serial, self.part or 0) < (
+            other.doc_type, other.year, other.letter, other.serial, other.part or 0
+        )
 
     def __str__(self):
         return format_celex(self)

@@ -36,7 +36,7 @@ _CONFIG_KEYS = frozenset({
 # What normalize reads of each manifest entry.
 _MANIFEST_KEYS = frozenset({"celex", "lang", "file", "source_url", "retrieved"})
 # The name of a raw document, matched whole.
-_FIXTURE_FILE_RE = re.compile(r"(\d{5}[A-Z]\d{4}(?:\(\d{2}\))?)-([a-z]{2})\.(html|txt)")
+_FIXTURE_FILE_RE = re.compile(r"([0-9]{5}[A-Z][0-9]{4}(?:\([0-9]{2}\))?)-([a-z]{2})\.(html|txt)")
 # A language pair as --pairs and the align record spell it.
 _PAIR_RE = re.compile(r"([a-z]{2})-([a-z]{2})")
 # The name of a file that align writes for a pair.
@@ -282,10 +282,12 @@ def _load_eurovoc_map(config: PipelineConfig) -> dict[str, list[int]]:
     path = Path(config.eurovoc_map)
     eurovoc = _read(path, json.loads)
     if not isinstance(eurovoc, dict) or not all(
-        isinstance(codes, list) and all(type(code) is int for code in codes)
+        isinstance(codes, list) and all(type(code) is int and code >= 0 for code in codes)
         for codes in eurovoc.values()
     ):
-        raise InputError(f"{path}: expected an object mapping CELEX codes to lists of integers")
+        raise InputError(
+            f"{path}: expected an object mapping CELEX codes to lists of nonnegative integers"
+        )
     return eurovoc
 
 
@@ -655,7 +657,8 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
     for src, tgt in _resolve_pairs(config, pairs):
         file = _load_standoff(config, name, src, tgt)
         links_by_celex = dict(file.entries)
-        for celex in celex_ids:
+        # An id named twice is written once, as a pair named twice is.
+        for celex in dict.fromkeys(celex_ids):
             if celex not in links_by_celex:
                 raise InputError(f"no links for {format_celex(celex)} in {src}-{tgt}")
             src_doc, tgt_doc = tei(src, celex), tei(tgt, celex)

@@ -49,10 +49,6 @@ class InstanceTooLargeError(ParcelexError, ValueError):
     """Instance exceeds the exhaustive oracle's size bound."""
 
 
-class MalformedLexiconError(ParcelexError, ValueError):
-    """A lexicon entry carries a weight outside [0, 1]."""
-
-
 class MalformedProfileError(ParcelexError, ValueError):
     """A language profile line is not ``<ngram><TAB><rank>``, or its ranks have gaps."""
 

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .beads import BitextAlignment, monotone_dp, steps_to_alignment
 from .celex import CelexId
-from .errors import MalformedLexiconError, NoOneToOneLinksError
+from .errors import NoOneToOneLinksError
 from .params import HunParams
 
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+")
@@ -71,8 +71,8 @@ def merge_segments(segments) -> TokenizedSegment:
 class Lexicon:
     """Bilingual token-pair association weights bootstrapped from 1-1 links.
 
-    Weights lie in [0, 1]; the aligner's scoring relies on them being
-    nonnegative.
+    ``build_lexicon`` makes every weight lie in (0, 1]; the aligner's
+    scoring relies on them being nonnegative.
     """
 
     entries: dict[tuple[str, str], float]
@@ -80,8 +80,6 @@ class Lexicon:
     def __post_init__(self):
         by_src: dict[str, dict[str, float]] = {}
         for (s, t), w in self.entries.items():
-            if not 0.0 <= w <= 1.0:
-                raise MalformedLexiconError(f"weight of {s!r} -> {t!r} is {w!r}, not in [0, 1]")
             by_src.setdefault(s, {})[t] = w
         self._by_src = by_src
 

@@ -54,11 +54,6 @@ class LanguageProfile:
     ngram_ranks: dict[str, int] = field(compare=False)
     k: int = DEFAULT_PROFILE_SIZE
 
-    def __post_init__(self):
-        ranks = sorted(self.ngram_ranks.values())
-        if ranks != list(range(1, len(ranks) + 1)):
-            raise ValueError(f"profile ranks must be 1..{len(ranks)} without gaps")
-
 
 def train_language_profile(
     training_text: str,
@@ -168,16 +163,14 @@ def parse_profile(text: str, where: str | Path) -> LanguageProfile:
     for number, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
-        try:
-            gram, rank = line.split("\t")
-            ranks[gram] = int(rank)
-        except ValueError:
+        fields = line.split("\t")
+        if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdecimal()):
             raise MalformedProfileError(
                 f"{where}:{number}: expected <ngram><TAB><rank>, got {line!r}"
-            ) from None
-    try:
-        return LanguageProfile(
-            lang=Path(where).stem, ngram_ranks=ranks, k=max(len(ranks), DEFAULT_PROFILE_SIZE)
-        )
-    except ValueError as exc:
-        raise MalformedProfileError(f"{where}: {exc}") from None
+            )
+        ranks[fields[0]] = int(fields[1])
+    if sorted(ranks.values()) != list(range(1, len(ranks) + 1)):
+        raise MalformedProfileError(f"{where}: profile ranks must be 1..{len(ranks)} without gaps")
+    return LanguageProfile(
+        lang=Path(where).stem, ngram_ranks=ranks, k=max(len(ranks), DEFAULT_PROFILE_SIZE)
+    )

@@ -39,13 +39,6 @@ class StandoffFile:
     tgt_lang: str
     entries: tuple[tuple[CelexId, tuple[AlignmentLink, ...]], ...]
 
-    def __post_init__(self):
-        celexes = [c for c, _ in self.entries]
-        if celexes != sorted(celexes):
-            raise ValueError("entries must be sorted by celex")
-        if len(set(celexes)) != len(celexes):
-            raise ValueError("duplicate celex entries")
-
 
 def canonical_pair(lang_a: str, lang_b: str) -> tuple[str, str]:
     """Unordered pairs are named in lexicographic language-code order."""
@@ -72,14 +65,14 @@ def _join(pars) -> str:
     return ";".join(map(str, pars))
 
 
-_POINTER_LIST = re.compile(r"\d+(?:;\d+)*").fullmatch
-_LINK_TYPE = re.compile(r"\d+-\d+").fullmatch
+_POINTER_LIST = re.compile(r"[0-9]+(?:;[0-9]+)*").fullmatch
+_LINK_TYPE = re.compile(r"[0-9]+-[0-9]+").fullmatch
 
 
 def _split_pars(text: str) -> tuple[int, ...]:
     """The run a pointer list names: empty, or paragraph numbers counting up by one."""
-    # ``\d`` and ``str.isdecimal`` accept the same characters; most links point at one paragraph.
-    if text.isdecimal():
+    # Most links point at one paragraph, written in ASCII digits as ``_POINTER_LIST`` asks.
+    if text.isascii() and text.isdecimal():
         return (int(text),)
     if not text:
         return ()
@@ -115,13 +108,6 @@ def _parse_link(arity: str, source: str, target: str, score: str | None) -> Alig
     return AlignmentLink(src_pars, tgt_pars, score)
 
 
-def _standoff_file(src_lang: str, tgt_lang: str, entries) -> StandoffFile:
-    try:
-        return StandoffFile(src_lang=src_lang, tgt_lang=tgt_lang, entries=tuple(entries))
-    except ValueError as exc:
-        raise SchemaViolationError(str(exc)) from None
-
-
 def export_standoff_xml(file: StandoffFile) -> str:
     """Pointer document: one linkGrp per celex, one link element per bead."""
     w = ['<?xml version="1.0" encoding="utf-8"?>\n']
@@ -140,7 +126,7 @@ def export_standoff_xml(file: StandoffFile) -> str:
 
 
 def import_standoff_xml(xml_text: str) -> StandoffFile:
-    """Inverse of export_standoff_xml."""
+    """Inverse of export_standoff_xml; each linkGrp must follow the one before in celex order."""
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -150,6 +136,10 @@ def import_standoff_xml(xml_text: str) -> StandoffFile:
     entries = []
     for grp in root.findall("linkGrp"):
         celex = parse_celex(grp.get("n", ""))
+        if entries and not entries[-1][0] < celex:
+            if celex == entries[-1][0]:
+                raise SchemaViolationError("duplicate celex entries")
+            raise SchemaViolationError("entries must be sorted by celex")
         links = tuple([
             _parse_link(
                 el.get("type", ""), el.get("source", ""), el.get("target", ""), el.get("score")
@@ -157,7 +147,7 @@ def import_standoff_xml(xml_text: str) -> StandoffFile:
             for el in grp.findall("link")
         ])
         entries.append((celex, links))
-    return _standoff_file(root.get("src", ""), root.get("tgt", ""), entries)
+    return StandoffFile(root.get("src", ""), root.get("tgt", ""), tuple(entries))
 
 
 def export_csv(file: StandoffFile) -> str:
@@ -190,8 +180,8 @@ def import_csv(csv_text: str) -> StandoffFile:
         per_celex.setdefault(parse_celex(code), []).append(
             _parse_link(arity, src, tgt, score or None)
         )
-    return _standoff_file(
-        *version.groups(), ((c, tuple(links)) for c, links in sorted(per_celex.items()))
+    return StandoffFile(
+        *version.groups(), tuple((c, tuple(links)) for c, links in sorted(per_celex.items()))
     )
 
 

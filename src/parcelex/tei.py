@@ -44,16 +44,6 @@ class SectionBoundaries:
     signature_start: int | None = None
     annex_start: int | None = None
 
-    def __post_init__(self):
-        if (
-            self.signature_start is not None
-            and self.annex_start is not None
-            and self.signature_start >= self.annex_start
-        ):
-            raise InconsistentBoundariesError(
-                f"signature ({self.signature_start}) must precede annex ({self.annex_start})"
-            )
-
 
 @dataclass(frozen=True)
 class TeiDocument:
@@ -188,11 +178,14 @@ def build_document(
         raise ValueError("the title and body paragraphs must be non-empty")
     boundaries = boundaries or SectionBoundaries()
     extent = len(texts) + 1
-    for name, bound in ((SIGNATURE, boundaries.signature_start), (ANNEX, boundaries.annex_start)):
+    signature, annex = boundaries.signature_start, boundaries.annex_start
+    for name, bound in ((SIGNATURE, signature), (ANNEX, annex)):
         if bound is not None and not 2 <= bound <= extent:
             raise InconsistentBoundariesError(
                 f"{name} start {bound} outside paragraph range 2..{extent}"
             )
+    if signature is not None and annex is not None and signature >= annex:
+        raise InconsistentBoundariesError(f"signature ({signature}) must precede annex ({annex})")
     return TeiDocument(
         celex=celex,
         lang=lang,
@@ -277,7 +270,7 @@ def serialize_tei(doc: TeiDocument) -> str:
     return "".join(w)
 
 
-_EXTENT = re.compile(r"(\d+) paragraph segments").match
+_EXTENT = re.compile(r"([0-9]+) paragraph segments").match
 
 
 def _require(parent, tag_path: str):
@@ -321,14 +314,11 @@ def parse_tei(xml_text: str) -> TeiDocument:
 
     body_el = _require(root, "text/body")
     head_el = _require(body_el, "head")
-    try:
-        codes = frozenset(
-            int(el.text or 0)
-            for el in header.findall("profileDesc/textClass/classCode")
-            if el.get("scheme") == "eurovoc"
-        )
-    except ValueError as exc:
-        raise SchemaViolationError(str(exc)) from None
+    codes = frozenset(
+        _number(el.text or "", "eurovoc code")
+        for el in header.findall("profileDesc/textClass/classCode")
+        if el.get("scheme") == "eurovoc"
+    )
 
     texts = [_paragraph_text(head_el, 1)]
     starts = {}  # the number of the first paragraph of each section after the body
@@ -360,12 +350,16 @@ def parse_tei(xml_text: str) -> TeiDocument:
     )
 
 
+def _number(text: str, what: str) -> int:
+    """``text`` read as a number written in ASCII decimal digits and nothing else."""
+    if not (text.isascii() and text.isdecimal()):
+        raise SchemaViolationError(f"{what} must be written in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _paragraph_text(el, n: int) -> str:
     """The text of a ``head`` or ``p`` element, checked to be paragraph ``n`` and non-empty."""
-    try:
-        number = int(el.get("n", 0))
-    except ValueError as exc:
-        raise SchemaViolationError(str(exc)) from None
+    number = _number(el.get("n", ""), "paragraph number")
     if number < 1:
         raise SchemaViolationError(f"paragraph number must be >= 1, got {number}")
     if number != n:

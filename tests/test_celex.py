@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +73,13 @@ def test_format_parse_identity(celex):
     assert parse_celex(format_celex(celex)) == celex
 
 
+@given(st.lists(celex_ids), st.lists(st.one_of(st.none(), st.integers(1, 99))))
+def test_ids_sort_as_their_formatted_forms(ids, parts):
+    # Other parts of the same documents, so that plain and bracketed ids meet.
+    ids += [dataclasses.replace(celex, part=part) for celex, part in zip(ids, parts)]
+    assert sorted(ids) == sorted(ids, key=format_celex)
+
+
 @given(celex_ids, st.sampled_from(["en", "fr", "ro", "mt"]))
 def test_url_contains_celex_once_and_lang(celex, lang):
     endpoint = LEXURISERV if celex.part is not None else SMARTAPI
@@ -123,14 +132,3 @@ def test_jrc_document_id():
 
 def test_jrc_alignment_id():
     assert jrc_alignment_id(parse_celex("31960D0511"), "et", "mt") == "jrc31960D0511-et-mt"
-
-
-def test_celexid_validation():
-    with pytest.raises(MalformedCelexError):
-        CelexId(10, 1999, "D", "0624")
-    with pytest.raises(MalformedCelexError):
-        CelexId(2, 1999, "d", "0624")
-    with pytest.raises(MalformedCelexError):
-        CelexId(2, 1999, "D", "624")
-    with pytest.raises(MalformedCelexError):
-        CelexId(2, 1999, "D", "0624", 100)

@@ -841,13 +841,18 @@ def _edit_link_lines(change):
 # Well-formed files with a bad field, which every stage that reads them must reject.
 _FIELD_DAMAGES = {
     ("tei", "classcode-abc"): _sub(r'(scheme="eurovoc">)\d+', r"\1abc"),
+    ("tei", "classcode-empty"): _sub(r'(scheme="eurovoc">)\d+', r"\1"),
     ("tei", "root-lang-english"): _edit_root("TEI.2", 'lang="en"', 'lang="english"'),
     ("tei", "root-lang-fr"): _edit_root("TEI.2", 'lang="en"', 'lang="fr"'),
     ("tei", "root-n-other-celex"): _edit_root("TEI.2", 'n="31984D0001"', 'n="31985R0002"'),
+    ("tei", "root-n-arabic-indic-digits"): _edit_root(
+        "TEI.2", 'n="31984D0001"', 'n="\u0663\u0661\u0669\u0668\u0664D0001"'
+    ),
     ("tei", "root-not-tei2"): _sub(r"(</?)TEI\.2\b", r"\1TEI", count=0),
     ("tei", "p-n-misnumbered"): _sub(r'<p n="2">', '<p n="3">'),
     ("tei", "p-n-0"): _sub(r'<p n="2">', '<p n="0">'),
     ("tei", "p-n-abc"): _sub(r'<p n="2">', '<p n="abc">'),
+    ("tei", "p-n-plus-2"): _sub(r'<p n="2">', '<p n="+2">'),
     ("tei", "p-empty"): _sub(r'<p n="2">[^<]*</p>', '<p n="2"></p>'),
     ("tei", "div-type-unknown"): _sub(r'<div type="body">', '<div type="preamble">'),
     ("tei", "div-body-as-annex-before-signature"): _sub(r'<div type="body">', '<div type="annex">'),
@@ -865,6 +870,7 @@ _FIELD_DAMAGES = {
     ("tei", "no-title"): _sub(r" *<title>[^<]*</title>\n", "", count=0),
     ("tei", "no-head"): _sub(r" *<head [^>]*>[^<]*</head>\n", ""),
     ("standoff", "score-nan"): _sub(r'score="[^"]*"', 'score="nan"'),
+    ("standoff", "pointer-arabic-indic"): _sub(r'source="2"', 'source="\u0662"'),
     ("standoff", "link-repeated"): _edit_link_lines(
         lambda lines, links: lines[: links[0] + 1] + lines[links[0] :]
     ),
@@ -876,6 +882,8 @@ _FIELD_DAMAGES = {
     ("standoff", "root-not-standoff"): _sub(r"(</?)standoff\b", r"\1links", count=0),
     ("standoff", "linkgrp-n-repeated"): _sub(r'n="31985R0002"', 'n="31984D0001"'),
     ("standoff", "linkgrp-out-of-order"): _sub(r'n="31984D0001"', 'n="31999D0001"'),
+    ("profile", "rank-plus-1"): _sub(r"\t1\n", "\t+1\n"),
+    ("eurovoc", "code-negative"): _edit_json(lambda codes: {**codes, "31984D0001": [-4180]}),
     ("config", "list"): _edit_json(lambda config: [config]),
     ("config", "source-string"): _edit_json(lambda config: {**config, "source": "x"}),
     ("config", "hun-params-string"): _edit_json(lambda config: {**config, "hun_params": "x"}),
@@ -1560,6 +1568,45 @@ def test_a_pair_named_twice_is_run_once(aligned_tree, tmp_path, command, repeate
         assert _cli(root / "config.json", *command, "--pairs", pairs) == 0
         runs[pairs] = (_tree(root / "out"), capsys.readouterr().err)
     assert runs[repeated] == runs["en-fr"]
+
+
+def test_a_celex_named_twice_is_written_once(aligned_tree, tmp_path, capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    capsys.readouterr()
+    bitext = ("bitext", "--pairs", "en-fr", "--celex", "31984D0001,31984D0001")
+    assert _cli(tmp_path / "config.json", *bitext) == 0
+    assert "generated 1 in-place bitext files" in capsys.readouterr().err
+
+
+def test_a_plain_and_a_bracketed_id_of_one_document_run_through_every_stage(tmp_path):
+    html = tmp_path / "html"
+    html.mkdir()
+    for code, fixture in (("21999D0624", "31984D0001"), ("21999D0624(01)", "31985R0002")):
+        for lang in ("en", "fr"):
+            shutil.copy(FIXTURES / "html" / f"{fixture}-{lang}.html", html / f"{code}-{lang}.html")
+    config_path = _source_config(tmp_path, html, languages=["en", "fr"])
+    bitext = ("bitext", "--pairs", "en-fr", "--celex", "21999D0624(01),21999D0624")
+    for stage in [("fetch",), ("normalize",), ("align",), ("export",), bitext, ("stats",), ("agree",)]:
+        assert _cli(config_path, *stage) == 0, stage
+    for aligner in ("gale_church", "hunalign"):
+        standoff = (tmp_path / "out" / "alignments" / aligner / "en-fr.standoff.xml").read_text(
+            encoding="utf-8"
+        )
+        groups = re.findall(r'<linkGrp n="([^"]*)">', standoff)
+        assert groups == ["21999D0624", "21999D0624(01)"]
+
+
+def test_fetch_skips_a_raw_file_named_with_non_ascii_digits(tmp_path):
+    html = tmp_path / "html"
+    shutil.copytree(FIXTURES / "html", html)
+    config_path = _source_config(tmp_path, html)
+    trees = []
+    for extra in ("notes-en.html", "\u0663\u0661\u0669\u0668\u0664D0002-en.html"):
+        shutil.copy(html / "31984D0001-en.html", html / extra)
+        for stage in ("fetch", "normalize"):
+            assert _cli(config_path, stage) == 0, (extra, stage)
+        trees.append(_tree(tmp_path / "out"))
+    assert trees[0] == trees[1]
 
 
 def test_fetch_refuses_two_raw_files_of_one_document(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from parcelex.beads import links_cover
 from parcelex.celex import CelexId
-from parcelex.errors import MalformedLexiconError, NoOneToOneLinksError
+from parcelex.errors import NoOneToOneLinksError
 from parcelex.hunalign import (
     HunParams,
     Lexicon,
@@ -508,8 +508,3 @@ def test_a_merge_whose_move_index_needs_more_than_a_byte():
     assert [
         (l.arity, l.src_pars, l.tgt_pars, l.score.hex()) for l in got.links
     ] == _reference_align(src, tgt, None, params)
-
-
-def test_lexicon_rejects_weights_outside_unit_interval():
-    with pytest.raises(MalformedLexiconError):
-        Lexicon(entries={("a", "x"): -0.1})

@@ -164,6 +164,8 @@ def test_xml_unsorted_groups_are_schema_violations():
     group = xml[xml.index("  <linkGrp") : xml.index("</standoff>")]
     with pytest.raises(SchemaViolationError):
         import_standoff_xml(xml.replace(group, group + group.replace("31960D0511", "31950D0511")))
+    with pytest.raises(SchemaViolationError, match="duplicate celex entries"):
+        import_standoff_xml(xml.replace(group, group + group))
 
 
 @pytest.mark.parametrize(
@@ -181,13 +183,6 @@ def test_csv_without_the_version_line_is_schema_violation(first_line):
 def test_csv_bad_header_is_schema_violation():
     with pytest.raises(SchemaViolationError):
         import_csv("# standoff-csv v1 et-mt\ncelex,arity\n")
-
-
-def test_entries_must_be_sorted():
-    a = (parse_celex("31970D0001"), ())
-    b = (parse_celex("31960D0511"), ())
-    with pytest.raises(ValueError):
-        StandoffFile(src_lang="et", tgt_lang="mt", entries=(a, b))
 
 
 def test_canonical_pair():

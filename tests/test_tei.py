@@ -140,11 +140,6 @@ def test_section_patterns_can_be_joined_into_alternations():
             assert re.compile(p).flags == re.compile("").flags, p
 
 
-def test_boundaries_order_validation():
-    with pytest.raises(InconsistentBoundariesError):
-        SectionBoundaries(signature_start=10, annex_start=5)
-
-
 CELEX = parse_celex("31984D0001")
 DATE = datetime.date(2006, 2, 20)
 
@@ -186,6 +181,8 @@ def test_build_sections_from_boundaries():
 def test_build_rejects_bad_boundaries():
     with pytest.raises(InconsistentBoundariesError):
         _doc(["a", "b"], boundaries=SectionBoundaries(signature_start=9))
+    with pytest.raises(InconsistentBoundariesError, match="must precede annex"):
+        _doc(["a"] * 12, boundaries=SectionBoundaries(signature_start=10, annex_start=5))
 
 
 def test_serialize_golden_figure1(figure1_document):
