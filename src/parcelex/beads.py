@@ -44,21 +44,18 @@ class BitextAlignment:
 def links_cover(links, n_src: int, n_tgt: int, first_src: int = 1, first_tgt: int = 1) -> bool:
     """True iff links are monotone and cover both sides exactly once.
 
-    A link's paragraphs are contiguous, so each side of a link is checked
-    by where it starts.
+    Each run of a link must be the paragraphs that follow the run before it
+    on its side, counting up by one.
     """
-    want_src = first_src
-    want_tgt = first_tgt
+    want_src, want_tgt = first_src, first_tgt
     for link in links:
         src, tgt = link.src_pars, link.tgt_pars
-        if src:
-            if src[0] != want_src:
-                return False
-            want_src += len(src)
-        if tgt:
-            if tgt[0] != want_tgt:
-                return False
-            want_tgt += len(tgt)
+        if src != tuple(range(want_src, want_src + len(src))):
+            return False
+        if tgt != tuple(range(want_tgt, want_tgt + len(tgt))):
+            return False
+        want_src += len(src)
+        want_tgt += len(tgt)
     return want_src == first_src + n_src and want_tgt == first_tgt + n_tgt
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MalformedCelexError, ParcelexError, UnknownLanguageError
-from .params import LANG_RE, LOCAL_DIRECTORY, FetchSource, GCParams, HunParams, _require_int
+from .params import ARITY_LABELS, LANG_RE, LOCAL_DIRECTORY, FetchSource, GCParams, HunParams
+from .params import _require_int
 
 # Every other parcelex module and argparse are imported where they
 # are used, so that reading the config loads no stage module and each stage
@@ -36,7 +37,7 @@ _CONFIG_KEYS = frozenset({
 # What normalize reads of each manifest entry.
 _MANIFEST_KEYS = frozenset({"celex", "lang", "file", "source_url", "retrieved"})
 # The name of a raw document, matched whole.
-_FIXTURE_FILE_RE = re.compile(r"([0-9]{5}[A-Z][0-9]{4}(?:\([0-9]{2}\))?)-([a-z]{2})\.(html|txt)")
+_FIXTURE_FILE_RE = re.compile(r"([0-9]{5}[A-Z][0-9]{4}(?:\([0-9]{2}\))?)-([a-z]{2})\.html")
 # A language pair as --pairs and the align record spell it.
 _PAIR_RE = re.compile(r"([a-z]{2})-([a-z]{2})")
 # The name of a file that align writes for a pair.
@@ -100,7 +101,7 @@ def _gc_from_dict(d: dict) -> GCParams:
     d = dict(d)
     if "arity_priors" in d:
         d["arity_priors"] = {
-            tuple(int(x) for x in k.split("-")): v for k, v in _object(d, "arity_priors").items()
+            ARITY_LABELS.get(k, k): v for k, v in _object(d, "arity_priors").items()
         }
     return GCParams(**d)
 
@@ -125,10 +126,10 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r}; expected some of {sorted(_CONFIG_KEYS)}")
         hun_raw = dict(_object(raw, "hun_params"))
-        # The top-level seed is another spelling of hun_params' rng_seed, and --seed overrides both.
+        # The top-level seed is the config's one spelling of the lexicon seed; --seed overrides it.
+        if "rng_seed" in hun_raw:
+            raise ValueError("hun_params takes no 'rng_seed'; give the lexicon seed as 'seed'")
         if "seed" in raw:
-            if "rng_seed" in hun_raw:
-                raise ValueError("give 'seed' or hun_params 'rng_seed', not both")
             hun_raw["rng_seed"] = raw["seed"]
         if seed_override is not None:
             hun_raw["rng_seed"] = seed_override
@@ -207,13 +208,9 @@ def cmd_fetch(config: PipelineConfig) -> None:
         m = _FIXTURE_FILE_RE.fullmatch(entry.name)
         if m and m.group(2) in config.languages:
             try:
-                celex = parse_celex(m.group(1))
+                found[(parse_celex(m.group(1)), m.group(2))] = entry.name
             except MalformedCelexError as exc:
                 raise InputError(f"{entry}: {exc}") from None
-            key = (celex, m.group(2))
-            if key in found:
-                raise InputError(f"{root}: {found[key]} and {entry.name} hold the same document")
-            found[key] = entry.name
     if not found:
         raise InputError(f"no <celex>-<lang>.html fixtures under {root}")
     # Every document is read before raw/ is replaced, so that a bad one leaves the old tree.
@@ -235,7 +232,7 @@ def cmd_fetch(config: PipelineConfig) -> None:
 
 
 def _load_manifest(config: PipelineConfig) -> list[dict]:
-    """The manifest's document entries, each with ``celex`` and ``retrieved`` parsed."""
+    """The manifest's entries of configured languages, with ``celex`` and ``retrieved`` parsed."""
     path = config.output_root / "raw" / "manifest.json"
     if not path.is_file():
         raise InputError(f"{path} missing; run fetch first")
@@ -250,19 +247,23 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
         raise InputError(f"{path}: every document needs the string keys {sorted(_MANIFEST_KEYS)}")
     from .celex import parse_celex
 
+    files = set()
     for entry in documents:
         # The name fetch writes for the entry, so that normalize reads nothing outside raw/.
         m = _FIXTURE_FILE_RE.fullmatch(entry["file"])
         if m is None or m.group(1, 2) != (entry["celex"], entry["lang"]):
             raise InputError(
-                f"{path}: {entry['file']!r} is not {entry['celex']}-{entry['lang']}.html or .txt"
+                f"{path}: {entry['file']!r} is not {entry['celex']}-{entry['lang']}.html"
             )
+        if entry["file"] in files:
+            raise InputError(f"{path}: {entry['file']} is listed twice")
+        files.add(entry["file"])
         try:
             entry["celex"] = parse_celex(entry["celex"])
             entry["retrieved"] = datetime.date.fromisoformat(entry["retrieved"])
         except ValueError as exc:
             raise InputError(f"{path}: {entry['file']}: {exc}") from None
-    return documents
+    return [entry for entry in documents if entry["lang"] in config.languages]
 
 
 def _load_profiles(config: PipelineConfig) -> ProfileIndex | None:

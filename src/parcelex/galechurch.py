@@ -40,11 +40,10 @@ from itertools import accumulate
 from .beads import BitextAlignment, monotone_dp, steps_to_alignment
 from .celex import CelexId
 from .errors import InstanceTooLargeError, UnsupportedArityError
-from .params import CHARACTERS, GCParams
+from .params import CHARACTERS, DEFAULT_PRIORS, GCParams
 
-# Tie-break order: prefer 1-1, then lower combined arity, then advancing the
-# source side first.
-ARITY_PREFERENCE = ((1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2))
+# The six bead types in tie-break order.
+ARITY_PREFERENCE = tuple(DEFAULT_PRIORS)
 
 EXHAUSTIVE_MAX_PARS = 20
 
@@ -133,9 +132,6 @@ def _dp_block(src_lengths, tgt_lengths, params: GCParams):
     """
     n, m = len(src_lengths), len(tgt_lengths)
     moves = [(a, b) for a, b in ARITY_PREFERENCE if a <= n and b <= m]
-    for a, b in moves:
-        if (a, b) not in params.arity_priors:
-            raise UnsupportedArityError(f"unsupported arity {a}-{b}")
     log_prior = {move: math.log(params.arity_priors[move]) for move in moves}
     skip = _match_cost(params.skip_delta)
     src_sums = list(accumulate(src_lengths, initial=0))

@@ -37,14 +37,17 @@ WORDS = "words"
 
 DEFAULT_MEAN_RATIO = 1.0
 DEFAULT_VARIANCE = 6.8
+# The six bead types in tie-break order: 1-1, lower combined arity, source side first.
 DEFAULT_PRIORS = {
     (1, 1): 0.89,
-    (2, 1): 0.0445,
-    (1, 2): 0.0445,
     (1, 0): 0.00495,
     (0, 1): 0.00495,
+    (2, 1): 0.0445,
+    (1, 2): 0.0445,
     (2, 2): 0.011,
 }
+# Each bead type by its one spelling, "<source>-<target>".
+ARITY_LABELS = {f"{a}-{b}": (a, b) for a, b in DEFAULT_PRIORS}
 # Skip beads are priced like a match that is this many standard deviations off.
 DEFAULT_SKIP_DELTA = 4.0
 
@@ -99,13 +102,16 @@ class GCParams:
     def __post_init__(self):
         for name in ("mean_ratio", "variance", "skip_delta"):
             _require_finite(name, getattr(self, name))
-        for arity, p in self.arity_priors.items():
-            if arity not in DEFAULT_PRIORS:
-                raise ValueError(f"arity prior {arity} is not one of {sorted(DEFAULT_PRIORS)}")
+        priors = self.arity_priors
+        if priors.keys() != DEFAULT_PRIORS.keys():
+            missing = [label for label, arity in ARITY_LABELS.items() if arity not in priors]
+            unknown = [arity for arity in priors if arity not in DEFAULT_PRIORS]
+            raise ValueError(f"arity priors: missing bead types {missing}, unknown {unknown}")
+        for arity, p in priors.items():
             _require_finite(f"arity prior {arity}", p)
         if self.variance <= 0:
             raise ValueError("variance must be positive")
-        if any(p <= 0 for p in self.arity_priors.values()) or sum(self.arity_priors.values()) > 1 + 1e-9:
+        if any(p <= 0 for p in priors.values()) or sum(priors.values()) > 1 + 1e-9:
             raise ValueError("arity priors must be positive and sum to at most 1")
         if self.length_unit not in (CHARACTERS, WORDS):
             raise ValueError(f"unknown length unit {self.length_unit!r}")

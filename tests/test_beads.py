@@ -22,6 +22,17 @@ def test_links_cover_detects_gaps_and_overlaps():
     assert not links_cover([ok[1], ok[0]], 3, 2)  # out of order
 
 
+def test_links_cover_checks_every_paragraph_of_a_run():
+    # Each run starts where the one before it ends, so only the runs' insides are wrong.
+    gapped = [AlignmentLink((1, 3), (1,)), AlignmentLink((3,), (2,))]
+    repeated = [AlignmentLink((1, 1), (1,)), AlignmentLink((3,), (2,))]
+    gapped_target = [AlignmentLink((1,), (1, 3)), AlignmentLink((2, 3), (3,))]
+    assert links_cover([AlignmentLink((1, 2), (1,)), AlignmentLink((3,), (2,))], 3, 2)
+    assert not links_cover(gapped, 3, 2)
+    assert not links_cover(repeated, 3, 2)
+    assert not links_cover(gapped_target, 3, 3)
+
+
 def test_links_cover_with_offsets():
     links = [AlignmentLink((2,), (2,)), AlignmentLink((3,), ())]
     assert links_cover(links, 2, 1, first_src=2, first_tgt=2)

@@ -13,7 +13,8 @@ from conftest import FIXTURES
 import parcelex
 from parcelex.celex import parse_celex
 from parcelex.cli import (
-    _FLAGS, _STAGES, SUBCOMMANDS, InputError, PipelineConfig, _inputs_digest, load_config, main, run,
+    _FLAGS, _STAGES, SUBCOMMANDS, InputError, PipelineConfig, _config_from_json, _inputs_digest,
+    load_config, main, run,
 )
 from parcelex.langid import save_profile, train_language_profile
 from parcelex.standoff import export_standoff_xml, import_csv, import_standoff_xml
@@ -192,14 +193,6 @@ def test_seed_override_changes_digest(tmp_path, profiles_dir):
     a = load_config(config_path)
     b = load_config(config_path, seed_override=99)
     assert a.hun.rng_seed == 7 and b.hun.rng_seed == 99
-
-
-def test_seed_override_wins_over_hun_params_rng_seed(tmp_path):
-    path = _config_json({**_VALID_CONFIG, "hun_params": {"rng_seed": 5}})(tmp_path)
-    a = load_config(path)
-    b = load_config(path, seed_override=99)
-    assert a.hun.rng_seed == 5 and b.hun.rng_seed == 99
-    assert a.hun.digest() != b.hun.digest()
 
 
 def test_config_requires_languages(tmp_path, profiles_dir):
@@ -461,6 +454,14 @@ def _manifest_file_outside_raw(root):
     return _edit_manifest_entry(root, 0, "file", "../../config.json")
 
 
+def _manifest_entry_listed_twice(root):
+    path = root / "out" / "raw" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["documents"].append(manifest["documents"][1])
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path
+
+
 def _profile_bad_utf8(root):
     return _bad_utf8_byte(root / "profiles" / "fr.profile")
 
@@ -502,7 +503,8 @@ def _no_profile_left(root):
     [_untab_profile_line, _truncate_manifest, _manifest_without_documents, _delete_raw_file,
      _raw_file_bad_utf8, _manifest_bad_date, _manifest_file_not_a_string, _profile_bad_utf8,
      _eurovoc_not_json, _eurovoc_list, _eurovoc_codes_as_string, _profile_is_a_directory,
-     _manifest_lang_not_a_code, _manifest_file_outside_raw, _no_profile_left],
+     _manifest_lang_not_a_code, _manifest_file_outside_raw, _no_profile_left,
+     _manifest_entry_listed_twice],
 )
 def test_corrupted_profile_or_manifest_exits_1(tmp_path, profiles_dir, corrupt, capsys):
     shutil.copytree(profiles_dir, tmp_path / "profiles")
@@ -528,6 +530,14 @@ def _config_is_a_directory(tmp_path):
 
 
 _VALID_CONFIG = {"languages": ["en"], "source": {"root": "html"}, "output_root": "out"}
+# The default prior of each of the six bead types, by its label.
+_PRIORS = {"1-1": 0.89, "1-0": 0.00495, "0-1": 0.00495, "2-1": 0.0445, "1-2": 0.0445, "2-2": 0.011}
+
+# Spellings of a bead type that int() reads as its label's numbers, each with that label.
+_MISSPELLED_LABELS = [
+    ("01-1", "1-1", "leading-zero"), ("+1-1", "1-1", "sign"), (" 0-1", "0-1", "space"),
+    ("\u0661-0", "1-0", "arabic-digit"),
+]
 
 # Parameter values that are not finite numbers, or not integers where a count
 # or seed belongs. JSON spells NaN and Infinity, and Python reads them.
@@ -535,7 +545,6 @@ _BAD_NUMBERS = [
     ("hun_params", "max_split", 2.5),
     ("hun_params", "sample_size", 1.5),
     ("hun_params", "min_cooc", "2"),
-    ("hun_params", "rng_seed", [1]),
     ("hun_params", "sample_size", True),
     ("hun_params", "skip_penalty", "x"),
     ("hun_params", "skip_penalty", float("nan")),
@@ -545,7 +554,6 @@ _BAD_NUMBERS = [
     ("gc_params", "mean_ratio", True),
     ("gc_params", "skip_delta", "4"),
     ("gc_params", "variance", float("nan")),
-    ("gc_params", "arity_priors", {"1-1": float("nan")}),
 ]
 
 
@@ -556,6 +564,14 @@ def _config_json(value):
         return path
 
     return make
+
+
+def _with_priors(priors):
+    return _config_json({**_VALID_CONFIG, "gc_params": {"arity_priors": priors}})
+
+
+def _priors_without(label):
+    return {key: p for key, p in _PRIORS.items() if key != label}
 
 
 @pytest.mark.parametrize(
@@ -577,6 +593,7 @@ def _config_json(value):
         (_config_json({**_VALID_CONFIG, "top_descriptors": 2.5}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "top_descriptors": True}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "seed": 1.9}), "bad config value"),
+        (_config_json({**_VALID_CONFIG, "seed": [1]}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "selection": "false"}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "selection": 0}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "aligners": ["hunalign", "hunalign"]}), "bad config value"),
@@ -587,6 +604,26 @@ def _config_json(value):
         (_config_json({**_VALID_CONFIG, "languages": ["en", "FR"]}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "languages": ["en", 1]}), "bad config value"),
         (_config_json({**_VALID_CONFIG, "seed": 7, "hun_params": {"rng_seed": 5}}), "bad config value"),
+        (
+            _config_json({**_VALID_CONFIG, "hun_params": {"rng_seed": 5}}),
+            "bad config value: hun_params takes no 'rng_seed'; give the lexicon seed as 'seed'",
+        ),
+        (
+            _with_priors(_priors_without("2-2")),
+            "bad config value: arity priors: missing bead types ['2-2'], unknown []",
+        ),
+        (
+            _with_priors({**_PRIORS, "1-1": float("nan")}),
+            "bad config value: arity prior (1, 1) must be a finite number, got nan",
+        ),
+        *(
+            (
+                _with_priors({**_priors_without(label), spelling: _PRIORS[label]}),
+                f"bad config value: arity priors: missing bead types [{label!r}], "
+                f"unknown [{spelling!r}]",
+            )
+            for spelling, label, _ in _MISSPELLED_LABELS
+        ),
         (_config_json({**_VALID_CONFIG, "gc_params": {"arity_priors": {"3-1": 0.01}}}), "bad config value"),
         (
             _config_json({**_VALID_CONFIG, "gc_params": {"arity_priors": {"1-1-1": 0.01}}}),
@@ -625,9 +662,11 @@ def _config_json(value):
     ids=[
         "not-utf8", "directory", "missing", "list", "source", "gc-params", "hun-params",
         "arity-priors", "languages", "top-descriptors-negative", "top-descriptors-float",
-        "top-descriptors-bool", "seed-float", "selection-string", "selection-int",
+        "top-descriptors-bool", "seed-float", "seed-list", "selection-string", "selection-int",
         "aligners-repeated", "aligners-string", "aligners-unknown", "languages-repeated",
         "languages-three-letters", "languages-uppercase", "languages-number", "seed-and-rng-seed",
+        "rng-seed", "arity-priors-without-2-2",
+        "arity-prior-nan", *(f"arity-prior-{name}" for _, _, name in _MISSPELLED_LABELS),
         "arity-prior-3-1", "arity-prior-1-1-1", "unknown-key-aligner", "unknown-key-top-descriptor",
         "unknown-source-key", "unknown-endpoint", "http-endpoint-mode", "source-without-root",
         "no-output-root",
@@ -1362,6 +1401,29 @@ def test_stats_reads_only_the_configured_languages(aligned_tree, tmp_path):
     assert [line.split(",")[0] for line in table.splitlines()[1:]] == ["en", "fr"]
 
 
+def test_normalize_reads_only_the_configured_languages(aligned_tree, tmp_path):
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    shutil.copytree(aligned_tree, rerun)
+    shutil.copytree(aligned_tree / "profiles", fresh / "profiles")
+    for root in (rerun, fresh):
+        # A de entry of the manifest needs no de profile once de is not configured.
+        (root / "profiles" / "de.profile").unlink()
+        make_config(root, "profiles", languages=["en", "fr"])
+    assert _cli(fresh / "config.json", "fetch") == 0
+    for root in (rerun, fresh):
+        assert _cli(root / "config.json", "normalize") == 0
+    assert _tree(rerun / "out" / "tei") == _tree(fresh / "out" / "tei")
+    assert sorted(p.name for p in (rerun / "out" / "tei").iterdir()) == ["en", "fr"]
+
+
+def test_stats_over_an_empty_tei_directory_exits_1(tmp_path, capsys):
+    config_path = _source_config(tmp_path, FIXTURES / "html")
+    (tmp_path / "out" / "tei").mkdir(parents=True)
+    assert _cli(config_path, "stats") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and f"no TEI documents under {tmp_path / 'out' / 'tei'}" in err
+
+
 def test_an_output_that_cannot_be_written_exits_1_naming_it(aligned_tree, tmp_path, capsys):
     shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
     path = tmp_path.joinpath("out", *_PROVENANCE)
@@ -1488,16 +1550,34 @@ def test_agree_names_both_files_when_they_cover_different_documents(aligned_tree
     assert f"{other} and {path}: cover different documents: 31986L0003" in err
 
 
+def test_links_that_stop_short_of_the_last_paragraph_fail_only_bitext(aligned_tree, tmp_path,
+                                                                       capsys):
+    shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
+    path = tmp_path.joinpath("out", *_STANDOFF)
+    text = path.read_text(encoding="utf-8")
+    end = text.index("  </linkGrp>")  # of the first group, 31984D0001
+    path.write_text(text[: text.rindex("    <link ", 0, end)] + text[end:], encoding="utf-8")
+    for stage in (("export",), ("agree",)):
+        assert _cli(tmp_path / "config.json", *stage) == 0, stage
+    capsys.readouterr()
+    assert _cli(tmp_path / "config.json", *_BITEXT) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err and f"{path}: 31984D0001: " in err
+
+
+def test_the_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config reference\n\n```json\n(.*?)```", readme, re.DOTALL).group(1)
+    config = _config_from_json(json.loads(block), tmp_path, None)
+    assert config.languages == ("de", "en", "fr") and config.hun.rng_seed == 1960
+
+
 @pytest.mark.parametrize(
     "aligner, overrides, message",
     [
         ("hunalign", {}, "hunalign en-fr: phase 1 produced no 1-1 links to sample"),
-        (
-            "gale_church", {"gc_params": {"arity_priors": {"1-1": 0.9, "1-0": 0.05, "0-1": 0.05}}},
-            "gale_church en-fr: unsupported arity 1-2",
-        ),
     ],
-    ids=["hunalign-no-1-1-links", "gale-church-no-1-2-prior"],
+    ids=["hunalign-no-1-1-links"],
 )
 def test_an_aligner_failure_exits_1_naming_the_aligner_and_pair(tmp_path, aligner, overrides,
                                                                  message, capsys):
@@ -1609,19 +1689,37 @@ def test_fetch_skips_a_raw_file_named_with_non_ascii_digits(tmp_path):
     assert trees[0] == trees[1]
 
 
-def test_fetch_refuses_two_raw_files_of_one_document(tmp_path, capsys):
+def test_fetch_skips_a_txt_raw_file(tmp_path):
+    html = tmp_path / "html"
+    shutil.copytree(FIXTURES / "html", html)
+    config_path = _source_config(tmp_path, html)
+    trees = []
+    for extra in ((), ("31984D0001-en.txt", "31999D0001-en.txt")):
+        for name in extra:
+            shutil.copy(html / "31984D0001-en.html", html / name)
+        for stage in ("fetch", "normalize"):
+            assert _cli(config_path, stage) == 0, (extra, stage)
+        trees.append(_tree(tmp_path / "out"))
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize(
+    "make_root, message",
+    [
+        (lambda html: html / "missing", "source directory not found: {root}"),
+        (lambda html: html, "no <celex>-<lang>.html fixtures under {root}"),
+    ],
+    ids=["missing", "no-html-documents"],
+)
+def test_fetch_without_raw_documents_exits_1(tmp_path, make_root, message, capsys):
     html = tmp_path / "html"
     html.mkdir()
-    for lang in ("en", "fr"):
-        shutil.copy(FIXTURES / "html" / f"31984D0001-{lang}.html", html)
-    shutil.copy(FIXTURES / "html" / "31984D0001-en.html", html / "31984D0001-en.txt")
-    config_path = make_config(
-        tmp_path, None, languages=["en", "fr"], source={"mode": "local_directory", "root": str(html)},
-    )
+    (html / "31984D0001-en.txt").write_text("<p>The title.</p>", encoding="utf-8")
+    root = make_root(html)
     capsys.readouterr()
-    assert _cli(config_path, "fetch") == 1
+    assert _cli(_source_config(tmp_path, root), "fetch") == 1
     err = capsys.readouterr().err
-    assert "internal error" not in err and "31984D0001-en.html" in err and "31984D0001-en.txt" in err
+    assert "internal error" not in err and message.format(root=root) in err
     assert not (tmp_path / "out").exists()
 
 

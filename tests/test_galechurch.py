@@ -177,12 +177,36 @@ def test_oracle_equivalence_property(n, m, rnd):
 def test_params_validation():
     with pytest.raises(ValueError):
         GCParams(variance=0)
-    with pytest.raises(ValueError):
-        GCParams(arity_priors={(1, 1): 1.5})
+    with pytest.raises(ValueError, match="sum to at most 1"):
+        GCParams(arity_priors={**DEFAULT_PRIORS, (1, 1): 1.5})
     with pytest.raises(ValueError):
         GCParams(length_unit="syllables")
     with pytest.raises(ValueError, match="arity prior"):
         GCParams(arity_priors={(1, 1): 0.9, (3, 1): 0.01})
+
+
+def test_bead_types_are_the_six_priors_in_tie_break_order():
+    assert ARITY_PREFERENCE == tuple(DEFAULT_PRIORS)
+    assert ARITY_PREFERENCE == ((1, 1), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "priors, named",
+    [
+        (
+            {arity: p for arity, p in DEFAULT_PRIORS.items() if arity != (2, 2)},
+            "missing bead types ['2-2']",
+        ),
+        ({(1, 1): 0.9}, "missing bead types ['1-0', '0-1', '2-1', '1-2', '2-2']"),
+        ({**DEFAULT_PRIORS, (3, 1): 0.001}, "unknown [(3, 1)]"),
+        ({**DEFAULT_PRIORS, "1-1": 0.001}, "unknown ['1-1']"),
+    ],
+    ids=["no-2-2", "only-1-1", "3-1", "label-not-tuple"],
+)
+def test_a_prior_table_that_is_not_the_six_bead_types_is_refused(priors, named):
+    with pytest.raises(ValueError) as exc:
+        GCParams(arity_priors=priors)
+    assert named in str(exc.value)
 
 
 def test_digest_stable():
@@ -282,17 +306,6 @@ def test_dp_matches_reference_with_1_and_3000_character_paragraphs(params):
     tgt = [rng.choice(shapes) for _ in range(11)]
     got = align_gale_church(src, tgt, params, first_src=2, first_tgt=2)
     assert _link_bits(got) == _reference_align(src, tgt, params, first=2)
-
-
-def test_missing_arity_prior_raises_only_where_the_arity_fits():
-    priors = {arity: p for arity, p in DEFAULT_PRIORS.items() if arity != (2, 2)}
-    params = GCParams(arity_priors=priors)
-    src, tgt = ["x" * 40], ["y" * 20, "y" * 25]
-    assert _link_bits(align_gale_church(src, tgt, params)) == _reference_align(src, tgt, params)
-    with pytest.raises(UnsupportedArityError):
-        align_gale_church(src * 2, tgt, params)
-    with pytest.raises(UnsupportedArityError):
-        _reference_align(src * 2, tgt, params)
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from parcelex.standoff import (
     import_standoff_xml,
     standoff_from_alignments,
 )
+from parcelex.tei import build_document
 
 CELEX = parse_celex("31960D0511")
 
@@ -275,6 +276,14 @@ def test_generate_inplace_requires_full_coverage(figure2_documents):
     et, mt, links = figure2_documents
     with pytest.raises(ValueError):
         generate_inplace(et, mt, links[:-1])
+
+
+def test_generate_inplace_refuses_a_run_with_a_gap():
+    # Both runs start where coverage expects them, but the first skips source paragraph 3.
+    src = build_document(CELEX, "et", "Pealkiri.", ["Üks.", "Kaks.", "Kolm."])
+    tgt = build_document(CELEX, "mt", "Titlu.", ["Wieħed.", "Tnejn."])
+    with pytest.raises(SchemaViolationError):
+        generate_inplace(src, tgt, [AlignmentLink((2, 4), (2,)), AlignmentLink((4,), (3,))])
 
 
 def _alignment(links, celex=CELEX):
