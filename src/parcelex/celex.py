@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import MalformedCelexError, UnsupportedEndpointError
+from .errors import ParcelexError
 from .params import LANG_RE
 
 # The sites that published the documents, each addressing them by its own URL.
@@ -62,13 +62,13 @@ class CelexId:
 def parse_celex(text: str) -> CelexId:
     """Parse a CELEX identifier, rejecting any deviation from the grammar."""
     if not text:
-        raise MalformedCelexError("empty CELEX identifier")
+        raise ParcelexError("empty CELEX identifier")
     m = CELEX_RE.fullmatch(text)
     if m is None:
-        raise MalformedCelexError(f"not a CELEX identifier: {text!r}")
+        raise ParcelexError(f"not a CELEX identifier: {text!r}")
     doc_type, year, letter, serial, part = m.groups()
     if part is not None and int(part) == 0:
-        raise MalformedCelexError(f"bracket part must be 01-99: {text!r}")
+        raise ParcelexError(f"bracket part must be 01-99: {text!r}")
     return CelexId(
         doc_type=int(doc_type),
         year=int(year),
@@ -107,9 +107,7 @@ def document_url(
     code = format_celex(celex)
     if endpoint == SMARTAPI:
         if celex.part is not None:
-            raise UnsupportedEndpointError(
-                f"smartapi cannot address bracketed id {code}; use {LEXURISERV}"
-            )
+            raise ParcelexError(f"smartapi cannot address bracketed id {code}; use {LEXURISERV}")
         return _SMARTAPI_TEMPLATE.format(celex=code, lang=lang)
     if endpoint == LEXURISERV:
         return _LEXURISERV_TEMPLATE.format(celex=code, lang=lang)

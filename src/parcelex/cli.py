@@ -8,6 +8,7 @@ relative to the config file.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import itertools
 import json
@@ -16,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import MalformedCelexError, ParcelexError, UnknownLanguageError
+from .errors import ParcelexError
 from .params import ARITY_LABELS, LANG_RE, LOCAL_DIRECTORY, FetchSource, GCParams, HunParams
 from .params import _require_int
 
@@ -42,10 +43,6 @@ _FIXTURE_FILE_RE = re.compile(r"([0-9]{5}[A-Z][0-9]{4}(?:\([0-9]{2}\))?)-([a-z]{
 _PAIR_RE = re.compile(r"([a-z]{2})-([a-z]{2})")
 # The name of a file that align writes for a pair.
 _PAIR_FILE_RE = re.compile(r"([a-z]{2}-[a-z]{2})\.(?:standoff\.xml|lexicon\.txt)")
-
-
-class InputError(ParcelexError):
-    """Bad invocation or missing inputs; maps to exit status 1."""
 
 
 @dataclass
@@ -93,7 +90,7 @@ def _distinct(values, valid) -> bool:
 def _object(raw: dict, key: str) -> dict:
     value = raw.get(key, {})
     if not isinstance(value, dict):
-        raise InputError(f"{key!r} must be a JSON object")
+        raise ParcelexError(f"{key!r} must be a JSON object")
     return value
 
 
@@ -109,14 +106,14 @@ def _gc_from_dict(d: dict) -> GCParams:
 def load_config(path: str | Path, seed_override: int | None = None) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
-        raise InputError(f"config file not found: {path}")
+        raise ParcelexError(f"config file not found: {path}")
     return _read(path, lambda text: _config_from_json(json.loads(text), path.parent, seed_override))
 
 
 def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineConfig:
     """The config that parsed JSON spells; ``PipelineConfig`` and the parameter classes check it."""
     if not isinstance(raw, dict):
-        raise InputError("config must be a JSON object")
+        raise ParcelexError("config must be a JSON object")
 
     def respath(key):
         return (base / raw[key]).resolve() if key in raw and raw[key] else None
@@ -149,9 +146,11 @@ def _config_from_json(raw, base: Path, seed_override: int | None) -> PipelineCon
             hun=HunParams(**hun_raw),
         )
     except KeyError as exc:
-        raise InputError(f"config is missing required key {exc}") from None
+        raise ParcelexError(f"config is missing required key {exc}") from None
+    except ParcelexError:
+        raise  # already says which key is wrong; it is a ValueError too
     except (TypeError, ValueError) as exc:
-        raise InputError(f"bad config value: {exc}") from None
+        raise ParcelexError(f"bad config value: {exc}") from None
 
 
 def _log(msg: str) -> None:
@@ -163,13 +162,13 @@ def _read(path: Path, parse=str):
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+        raise ParcelexError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+        raise ParcelexError(f"cannot read {path}: {exc.strerror}") from None
     try:
         return parse(text)
     except (ParcelexError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}") from None
+        raise ParcelexError(f"{path}: {exc}") from None
 
 
 def _write(path: Path, text: str) -> None:
@@ -178,18 +177,44 @@ def _write(path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror}") from None
+        raise ParcelexError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _clear(directory: Path) -> None:
-    """Remove a directory that a stage writes whole, so that it holds only this run's files."""
+    """Remove a directory if it exists; a failure names it."""
     import shutil
 
     try:
         if directory.exists():
             shutil.rmtree(directory)
     except OSError as exc:
-        raise InputError(f"cannot remove {directory}: {exc.strerror}") from None
+        raise ParcelexError(f"cannot remove {directory}: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def _staged(directory: Path):
+    """Yield ``<directory>.new`` to build a stage's tree in; swap it in once the stage has passed.
+
+    A stage that fails or is killed leaves the old tree whole: a failure
+    removes what it made, and the next run removes what a killed one left.
+    """
+    new, old = (directory.with_name(f"{directory.name}.{suffix}") for suffix in ("new", "old"))
+    made_parent = not directory.parent.exists()
+    _clear(new)
+    _clear(old)
+    try:
+        yield new
+    except BaseException:
+        _clear(new)
+        if made_parent:
+            with contextlib.suppress(OSError):
+                directory.parent.rmdir()
+        raise
+    if directory.exists():
+        directory.rename(old)
+    if new.exists():
+        new.rename(directory)
+    _clear(old)
 
 
 def _json_dump(obj) -> str:
@@ -202,32 +227,29 @@ def cmd_fetch(config: PipelineConfig) -> None:
 
     root = Path(config.source.root)
     if not root.is_dir():
-        raise InputError(f"source directory not found: {root}")
+        raise ParcelexError(f"source directory not found: {root}")
     found = {}  # (celex, lang) -> the name of its raw file
     for entry in sorted(root.iterdir()):
         m = _FIXTURE_FILE_RE.fullmatch(entry.name)
         if m and m.group(2) in config.languages:
             try:
                 found[(parse_celex(m.group(1)), m.group(2))] = entry.name
-            except MalformedCelexError as exc:
-                raise InputError(f"{entry}: {exc}") from None
+            except ParcelexError as exc:
+                raise ParcelexError(f"{entry}: {exc}") from None
     if not found:
-        raise InputError(f"no <celex>-<lang>.html fixtures under {root}")
-    # Every document is read before raw/ is replaced, so that a bad one leaves the old tree.
-    documents = []
-    for key, name in found.items():
-        try:
-            documents.append((name, fetch_document(root / name, *key)))
-        except OSError as exc:
-            raise InputError(f"cannot read {root / name}: {exc.strerror}") from None
+        raise ParcelexError(f"no <celex>-<lang>.html fixtures under {root}")
     raw = config.output_root / "raw"
-    _clear(raw)
     manifest = []
-    for name, doc in documents:
-        _write(raw / name, doc.content)
-        manifest.append({"celex": format_celex(doc.celex), "lang": doc.lang, "file": name,
-                         "source_url": doc.source_url, "retrieved": doc.retrieved.isoformat()})
-    _write(raw / "manifest.json", _json_dump({"documents": manifest}))
+    with _staged(raw) as new:
+        for key, name in found.items():
+            try:
+                doc = fetch_document(root / name, *key)
+            except OSError as exc:
+                raise ParcelexError(f"cannot read {root / name}: {exc.strerror}") from None
+            _write(new / name, doc.content)
+            manifest.append({"celex": format_celex(doc.celex), "lang": doc.lang, "file": name,
+                             "source_url": doc.source_url, "retrieved": doc.retrieved.isoformat()})
+        _write(new / "manifest.json", _json_dump({"documents": manifest}))
     _log(f"fetched {len(manifest)} documents into {raw}")
 
 
@@ -235,16 +257,18 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
     """The manifest's entries of configured languages, with ``celex`` and ``retrieved`` parsed."""
     path = config.output_root / "raw" / "manifest.json"
     if not path.is_file():
-        raise InputError(f"{path} missing; run fetch first")
+        raise ParcelexError(f"{path} missing; run fetch first")
     try:
         documents = _read(path, json.loads)["documents"]
     except (KeyError, TypeError):
-        raise InputError(f'{path}: no "documents" list') from None
+        raise ParcelexError(f'{path}: no "documents" list') from None
     if not isinstance(documents, list) or not all(
         isinstance(entry, dict) and all(isinstance(entry.get(key), str) for key in _MANIFEST_KEYS)
         for entry in documents
     ):
-        raise InputError(f"{path}: every document needs the string keys {sorted(_MANIFEST_KEYS)}")
+        raise ParcelexError(
+            f"{path}: every document needs the string keys {sorted(_MANIFEST_KEYS)}"
+        )
     from .celex import parse_celex
 
     files = set()
@@ -252,17 +276,17 @@ def _load_manifest(config: PipelineConfig) -> list[dict]:
         # The name fetch writes for the entry, so that normalize reads nothing outside raw/.
         m = _FIXTURE_FILE_RE.fullmatch(entry["file"])
         if m is None or m.group(1, 2) != (entry["celex"], entry["lang"]):
-            raise InputError(
+            raise ParcelexError(
                 f"{path}: {entry['file']!r} is not {entry['celex']}-{entry['lang']}.html"
             )
         if entry["file"] in files:
-            raise InputError(f"{path}: {entry['file']} is listed twice")
+            raise ParcelexError(f"{path}: {entry['file']} is listed twice")
         files.add(entry["file"])
         try:
             entry["celex"] = parse_celex(entry["celex"])
             entry["retrieved"] = datetime.date.fromisoformat(entry["retrieved"])
         except ValueError as exc:
-            raise InputError(f"{path}: {entry['file']}: {exc}") from None
+            raise ParcelexError(f"{path}: {entry['file']}: {exc}") from None
     return [entry for entry in documents if entry["lang"] in config.languages]
 
 
@@ -273,7 +297,7 @@ def _load_profiles(config: PipelineConfig) -> ProfileIndex | None:
 
     paths = sorted(Path(config.profiles_dir).glob("*.profile"))
     if not paths:
-        raise InputError(f"no *.profile files under {config.profiles_dir}")
+        raise ParcelexError(f"no *.profile files under {config.profiles_dir}")
     return ProfileIndex(parse_profile(_read(path), path) for path in paths)
 
 
@@ -286,9 +310,18 @@ def _load_eurovoc_map(config: PipelineConfig) -> dict[str, list[int]]:
         isinstance(codes, list) and all(type(code) is int and code >= 0 for code in codes)
         for codes in eurovoc.values()
     ):
-        raise InputError(
+        raise ParcelexError(
             f"{path}: expected an object mapping CELEX codes to lists of nonnegative integers"
         )
+    from .celex import format_celex, parse_celex
+
+    for key in eurovoc:
+        try:
+            canonical = format_celex(parse_celex(key)) == key
+        except ParcelexError:
+            canonical = False
+        if not canonical:
+            raise ParcelexError(f"{path}: key {key!r} is not a canonical CELEX identifier")
     return eurovoc
 
 
@@ -339,7 +372,7 @@ def cmd_normalize(config: PipelineConfig) -> None:
             _log(f"skipping empty document {format_celex(entry['celex'])}-{entry['lang']}")
             continue
         if profiles is not None and entry["lang"] not in profiles.langs:
-            raise UnknownLanguageError(f"no profile for declared language {entry['lang']!r}")
+            raise ParcelexError(f"no profile for declared language {entry['lang']!r}")
         documents.append((entry, paragraphs))
 
     # A language check only removes languages, and the selection rule is
@@ -353,21 +386,21 @@ def cmd_normalize(config: PipelineConfig) -> None:
             documents = _select(documents)
 
     tei = config.output_root / "tei"
-    _clear(tei)
-    for entry, paragraphs in documents:
-        celex, lang = entry["celex"], entry["lang"]
-        title, body = paragraphs[0], paragraphs[1:]
-        doc = build_document(
-            celex=celex,
-            lang=lang,
-            title=title,
-            body_paragraphs=body,
-            boundaries=classify_sections(body) if body else None,
-            eurovoc_codes=eurovoc.get(format_celex(celex), ()),
-            source_url=entry["source_url"],
-            download_date=entry["retrieved"],
-        )
-        _write(tei / lang / f"{jrc_document_id(celex, lang)}.xml", serialize_tei(doc))
+    with _staged(tei) as new:
+        for entry, paragraphs in documents:
+            celex, lang = entry["celex"], entry["lang"]
+            title, body = paragraphs[0], paragraphs[1:]
+            doc = build_document(
+                celex=celex,
+                lang=lang,
+                title=title,
+                body_paragraphs=body,
+                boundaries=classify_sections(body) if body else None,
+                eurovoc_codes=eurovoc.get(format_celex(celex), ()),
+                source_url=entry["source_url"],
+                download_date=entry["retrieved"],
+            )
+            _write(new / lang / f"{jrc_document_id(celex, lang)}.xml", serialize_tei(doc))
     _log(f"normalized {len(documents)} documents into {tei}")
 
 
@@ -377,7 +410,7 @@ def _read_tei(path: Path):
 
     doc = _read(path, parse_tei)
     if doc.lang != path.parent.name or doc.id != path.stem:
-        raise InputError(f"{path}: holds document {doc.id}, not the one its path names")
+        raise ParcelexError(f"{path}: holds document {doc.id}, not the one its path names")
     return doc
 
 
@@ -385,10 +418,10 @@ def _load_tei_corpus(config: PipelineConfig, langs) -> dict[str, dict[CelexId, o
     """Parse the TEI documents of ``langs``."""
     tei_root = config.output_root / "tei"
     if not tei_root.is_dir():
-        raise InputError(f"{tei_root} missing; run normalize first")
+        raise ParcelexError(f"{tei_root} missing; run normalize first")
     paths = sorted(tei_root.glob("*/*.xml"))
     if not paths:
-        raise InputError(f"no TEI documents under {tei_root}")
+        raise ParcelexError(f"no TEI documents under {tei_root}")
     corpus: dict[str, dict[CelexId, object]] = {}
     for path in paths:
         if path.parent.name in langs:
@@ -405,10 +438,10 @@ def _resolve_pairs(config: PipelineConfig, pairs) -> list[tuple[str, str]]:
         return list(itertools.combinations(sorted(config.languages), 2))
     for a, b in pairs:
         if a == b:
-            raise InputError(f"bad pair {a}-{b}: a language cannot be aligned with itself")
+            raise ParcelexError(f"bad pair {a}-{b}: a language cannot be aligned with itself")
         for lang in (a, b):
             if lang not in config.languages:
-                raise InputError(
+                raise ParcelexError(
                     f"bad pair {a}-{b}: {lang!r} is not one of the configured languages "
                     f"{list(config.languages)}"
                 )
@@ -450,7 +483,7 @@ def _align_pair(config: PipelineConfig, aligner: str, src_lang: str, tgt_lang: s
         path.parent.mkdir(parents=True, exist_ok=True)
         save_lexicon(lexicon, path)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror}") from None
+        raise ParcelexError(f"cannot write {path}: {exc.strerror}") from None
     return alignments
 
 
@@ -471,7 +504,7 @@ def _remove_pair(config: PipelineConfig, aligner: str, src: str, tgt: str) -> No
         try:
             path.unlink(missing_ok=True)
         except OSError as exc:
-            raise InputError(f"cannot remove {path}: {exc.strerror}") from None
+            raise ParcelexError(f"cannot remove {path}: {exc.strerror}") from None
 
 
 def _written_pairs(config: PipelineConfig, aligner: str) -> set[str]:
@@ -567,7 +600,7 @@ def cmd_align(config: PipelineConfig, pairs=None, aligner: str | None = None) ->
                 try:
                     alignments = _align_pair(config, name, src, tgt, src_texts, tgt_texts)
                 except ParcelexError as exc:
-                    raise InputError(f"{name} {pair}: {exc}") from None
+                    raise ParcelexError(f"{name} {pair}: {exc}") from None
                 _write(files[0], export_standoff_xml(standoff_from_alignments(alignments)))
                 records[name][pair] = {**entry, "files": _file_digests(files)}
                 aligned += 1
@@ -595,17 +628,17 @@ def _load_standoff(config: PipelineConfig, aligner: str, src: str, tgt: str):
 
     path = _standoff_path(config, aligner, src, tgt)
     if not path.is_file():
-        raise InputError(f"{path} missing; run align first")
+        raise ParcelexError(f"{path} missing; run align first")
     file = _read(path, import_standoff_xml)
     if (file.src_lang, file.tgt_lang) != (src, tgt):
-        raise InputError(
+        raise ParcelexError(
             f"{path}: holds pair {file.src_lang}-{file.tgt_lang}, not the one its path names"
         )
     for celex, links in file.entries:
         n_src = sum(len(link.src_pars) for link in links)
         n_tgt = sum(len(link.tgt_pars) for link in links)
         if not links_cover(links, n_src, n_tgt, 2, 2):
-            raise InputError(
+            raise ParcelexError(
                 f"{path}: {format_celex(celex)}: links do not cover paragraphs 2.. "
                 "of both documents once each, in order"
             )
@@ -628,7 +661,7 @@ def cmd_export(config: PipelineConfig, pairs=None, aligner: str | None = None) -
             )
             n += 1
     if n == 0:
-        raise InputError("no stand-off files to export; run align first")
+        raise ParcelexError("no stand-off files to export; run align first")
     _log(f"exported {n} CSV files")
 
 
@@ -637,11 +670,11 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
     from .standoff import generate_inplace
 
     if not pairs:
-        raise InputError("bitext requires --pairs")
+        raise ParcelexError("bitext requires --pairs")
     if not celex_ids:
-        raise InputError("bitext requires --celex")
+        raise ParcelexError("bitext requires --celex")
     if not (aligner or config.aligners):
-        raise InputError("no aligner configured; give --aligner")
+        raise ParcelexError("no aligner configured; give --aligner")
     name = aligner or config.aligners[0]
     docs: dict[tuple[str, CelexId], object] = {}
 
@@ -650,7 +683,9 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
         if (lang, celex) not in docs:
             path = config.output_root / "tei" / lang / f"{jrc_document_id(celex, lang)}.xml"
             if not path.is_file():
-                raise InputError(f"missing TEI document for {format_celex(celex)} ({lang}): {path}")
+                raise ParcelexError(
+                    f"missing TEI document for {format_celex(celex)} ({lang}): {path}"
+                )
             docs[(lang, celex)] = _read_tei(path)
         return docs[(lang, celex)]
 
@@ -661,13 +696,13 @@ def cmd_bitext(config: PipelineConfig, pairs=None, celex_ids=None, aligner: str 
         # An id named twice is written once, as a pair named twice is.
         for celex in dict.fromkeys(celex_ids):
             if celex not in links_by_celex:
-                raise InputError(f"no links for {format_celex(celex)} in {src}-{tgt}")
+                raise ParcelexError(f"no links for {format_celex(celex)} in {src}-{tgt}")
             src_doc, tgt_doc = tei(src, celex), tei(tgt, celex)
             try:
                 xml = generate_inplace(src_doc, tgt_doc, links_by_celex[celex])
             except ParcelexError as exc:
                 path = _standoff_path(config, name, src, tgt)
-                raise InputError(f"{path}: {format_celex(celex)}: {exc}") from None
+                raise ParcelexError(f"{path}: {format_celex(celex)}: {exc}") from None
             _write(
                 config.output_root / "bitext" / f"jrc{format_celex(celex)}-{src}-{tgt}.xml",
                 xml,
@@ -699,7 +734,7 @@ def cmd_agree(config: PipelineConfig, pairs=None) -> None:
     from .standoff import aligner_agreement
 
     if len(config.aligners) < 2:
-        raise InputError("agree needs two aligners configured")
+        raise ParcelexError("agree needs two aligners configured")
     name_a, name_b = config.aligners[0], config.aligners[1]
     summary = ["src,tgt,n_links_a,n_links_b,exact_match_fraction"]
     confusion = ["src,tgt,arity_a,arity_b,count"]
@@ -714,7 +749,7 @@ def cmd_agree(config: PipelineConfig, pairs=None) -> None:
         try:
             report = aligner_agreement(a, b)
         except ParcelexError as exc:
-            raise InputError(f"{path_a} and {path_b}: {exc}") from None
+            raise ParcelexError(f"{path_a} and {path_b}: {exc}") from None
         summary.append(
             f"{src},{tgt},{report.n_links_a},{report.n_links_b},"
             f"{report.exact_match_fraction:.6f}"
@@ -723,7 +758,7 @@ def cmd_agree(config: PipelineConfig, pairs=None) -> None:
             confusion.append(f"{src},{tgt},{arity_a},{arity_b},{count}")
         n += 1
     if n == 0:
-        raise InputError("no language pair has stand-off files from both aligners")
+        raise ParcelexError("no language pair has stand-off files from both aligners")
     _write(config.output_root / "stats" / "agreement.csv", "\n".join(summary) + "\n")
     _write(config.output_root / "stats" / "agreement_confusion.csv", "\n".join(confusion) + "\n")
     _log(f"compared aligners on {n} language pairs")
@@ -753,14 +788,14 @@ def run(
 ) -> int:
     """Programmatic entry point; returns the process exit status."""
     if subcommand not in _STAGES:
-        raise InputError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
+        raise ParcelexError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
     handler, options = _STAGES[subcommand]
     given = {"pairs": pairs, "celex_ids": celex_ids, "aligner": aligner}
     for option, value in given.items():
         if value is not None and option not in options:
-            raise InputError(f"{subcommand} does not take {_FLAGS[option]}")
+            raise ParcelexError(f"{subcommand} does not take {_FLAGS[option]}")
     if aligner is not None and aligner not in ALIGNERS:
-        raise InputError(f"unknown aligner {aligner!r}; expected one of {ALIGNERS}")
+        raise ParcelexError(f"unknown aligner {aligner!r}; expected one of {ALIGNERS}")
     handler(config, **{option: given[option] for option in options})
     return 0
 
@@ -770,7 +805,7 @@ def _parse_pairs(text: str) -> list[tuple[str, str]]:
     for chunk in text.split(","):
         m = _PAIR_RE.fullmatch(chunk)
         if not m:
-            raise InputError(f"bad pair {chunk!r}; expected like en-fr")
+            raise ParcelexError(f"bad pair {chunk!r}; expected like en-fr")
         pairs.append((m.group(1), m.group(2)))
     return pairs
 

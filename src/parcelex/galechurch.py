@@ -39,7 +39,7 @@ from itertools import accumulate
 
 from .beads import BitextAlignment, monotone_dp, steps_to_alignment
 from .celex import CelexId
-from .errors import InstanceTooLargeError, UnsupportedArityError
+from .errors import ParcelexError
 from .params import CHARACTERS, DEFAULT_PRIORS, GCParams
 
 # The six bead types in tie-break order.
@@ -94,7 +94,7 @@ def bead_cost(src_lengths, tgt_lengths, arity: tuple[int, int], params: GCParams
     """Cost of one bead; lower is better and always positive."""
     prior = params.arity_priors.get(tuple(arity))
     if prior is None:
-        raise UnsupportedArityError(f"unsupported arity {arity[0]}-{arity[1]}")
+        raise ParcelexError(f"unsupported arity {arity[0]}-{arity[1]}")
     a, b = arity
     if len(src_lengths) != a or len(tgt_lengths) != b:
         raise ValueError("segment counts do not match the arity")
@@ -242,7 +242,7 @@ def exhaustive_align(
     tgt_lengths = _lengths(tgt_pars, params)
     n, m = len(src_lengths), len(tgt_lengths)
     if n + m > EXHAUSTIVE_MAX_PARS:
-        raise InstanceTooLargeError(f"{n}+{m} paragraphs exceed the {EXHAUSTIVE_MAX_PARS} bound")
+        raise ParcelexError(f"{n}+{m} paragraphs exceed the {EXHAUSTIVE_MAX_PARS} bound")
 
     best_steps = None
     best_total = math.inf

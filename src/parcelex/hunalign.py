@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .beads import BitextAlignment, monotone_dp, steps_to_alignment
 from .celex import CelexId
-from .errors import NoOneToOneLinksError
+from .errors import ParcelexError
 from .params import HunParams
 
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+")
@@ -380,7 +380,7 @@ def build_lexicon(
             if link.arity == (1, 1):
                 one_to_one.append((alignment.celex, link.src_pars[0], link.tgt_pars[0]))
     if not one_to_one:
-        raise NoOneToOneLinksError("phase 1 produced no 1-1 links to sample")
+        raise ParcelexError("phase 1 produced no 1-1 links to sample")
 
     rng = random.Random(params.rng_seed)
     k = min(params.sample_size, len(one_to_one))

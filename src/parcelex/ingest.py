@@ -14,8 +14,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .celex import CelexId, format_celex
-from .errors import DecodeError, EmptyTextError, UnknownLanguageError, decode_utf8
+from .celex import CelexId
+from .errors import ParcelexError, decode_utf8
 from .langid import ProfileIndex, guess_language
 from .params import LANGUAGE_NAMES
 
@@ -45,7 +45,7 @@ def fetch_document(path: Path, celex: CelexId, lang: str) -> RawDocument:
     return RawDocument(
         celex=celex,
         lang=lang,
-        content=decode_utf8(path.read_bytes(), path, DecodeError),
+        content=decode_utf8(path.read_bytes(), path),
         source_url=path.as_uri(),
         retrieved=datetime.date.fromtimestamp(path.stat().st_mtime),
     )
@@ -99,10 +99,10 @@ def verify_language(lang: str, paragraphs: list[str], index: ProfileIndex) -> La
     rather than rejected.
     """
     if lang not in index.langs:
-        raise UnknownLanguageError(f"no profile for declared language {lang!r}")
+        raise ParcelexError(f"no profile for declared language {lang!r}")
     text = " ".join(paragraphs)
     if not text:
-        raise EmptyTextError(f"no text to verify as {lang!r}")
+        raise ParcelexError(f"no text to verify as {lang!r}")
     guessed, confidence = guess_language(text, index)
     short = len(text) < SHORT_TEXT_CHARS
     return LanguageVerdict(
@@ -125,10 +125,8 @@ def select_corpus(inventory: dict) -> set:
         langs = set(langs)
         unknown = langs - ALL_LANGUAGES
         if unknown:
-            raise UnknownLanguageError(
-                f"{format_celex(celex) if isinstance(celex, CelexId) else celex}: "
-                f"unknown language codes {sorted(unknown)}"
-            )
+            # A CelexId prints as format_celex spells it.
+            raise ParcelexError(f"{celex}: unknown language codes {sorted(unknown)}")
         if len(langs) < MIN_LANGUAGES:
             continue
         if len(langs & NEW_MEMBER_LANGUAGES) >= MIN_NEW_MEMBER_LANGUAGES or "ro" in langs:

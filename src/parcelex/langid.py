@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
-from .errors import EmptyTextError, InsufficientTrainingDataError, MalformedProfileError, decode_utf8
+from .errors import ParcelexError, decode_utf8
 
 DEFAULT_PROFILE_SIZE = 400
 DEFAULT_NGRAM_ORDERS = (1, 2, 3, 4, 5)
@@ -63,7 +63,7 @@ def train_language_profile(
 ) -> LanguageProfile:
     """Build the rank profile of the K most frequent character n-grams."""
     if len(training_text) < min_chars:
-        raise InsufficientTrainingDataError(
+        raise ParcelexError(
             f"need at least {min_chars} characters of training text for {lang!r}, "
             f"got {len(training_text)}"
         )
@@ -120,7 +120,7 @@ def guess_language(text: str, index: ProfileIndex) -> tuple[str, float]:
     Ties break toward the lexicographically smaller language code.
     """
     if not text or not text.strip():
-        raise EmptyTextError("cannot guess the language of empty text")
+        raise ParcelexError("cannot guess the language of empty text")
     if not index.langs:
         raise ValueError("at least one language profile is required")
     text_ranks = _rank(_ngram_counts(text), index.k)
@@ -146,10 +146,10 @@ def load_profile(path: str | Path) -> LanguageProfile:
     """Load a persisted profile of the language its file stem names.
 
     Invalid UTF-8 or anything ``parse_profile`` rejects raises
-    ``MalformedProfileError``.
+    ``ParcelexError``.
     """
     path = Path(path)
-    text = decode_utf8(path.read_bytes(), path, MalformedProfileError)
+    text = decode_utf8(path.read_bytes(), path)
     return parse_profile(text, path)
 
 
@@ -157,7 +157,7 @@ def parse_profile(text: str, where: str | Path) -> LanguageProfile:
     """The profile persisted as ``text``, of the language ``where``'s stem names.
 
     ``where`` names the text in error messages.  A malformed line, or ranks
-    other than 1..K, raise ``MalformedProfileError``.
+    other than 1..K, raise ``ParcelexError``.
     """
     ranks: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), 1):
@@ -165,12 +165,10 @@ def parse_profile(text: str, where: str | Path) -> LanguageProfile:
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdecimal()):
-            raise MalformedProfileError(
-                f"{where}:{number}: expected <ngram><TAB><rank>, got {line!r}"
-            )
+            raise ParcelexError(f"{where}:{number}: expected <ngram><TAB><rank>, got {line!r}")
         ranks[fields[0]] = int(fields[1])
     if sorted(ranks.values()) != list(range(1, len(ranks) + 1)):
-        raise MalformedProfileError(f"{where}: profile ranks must be 1..{len(ranks)} without gaps")
+        raise ParcelexError(f"{where}: profile ranks must be 1..{len(ranks)} without gaps")
     return LanguageProfile(
         lang=Path(where).stem, ngram_ranks=ranks, k=max(len(ranks), DEFAULT_PROFILE_SIZE)
     )

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 from .beads import AlignmentLink, links_cover
 from .celex import CelexId, format_celex, jrc_alignment_id, parse_celex
-from .errors import (
-    DanglingPointerError,
-    EmptyCollectionError,
-    MalformedXmlError,
-    MismatchedDocumentsError,
-    SchemaViolationError,
-    UnsupportedArityError,
-)
+from .errors import ParcelexError
 from .params import LANG_RE
 from .tei import TeiDocument, escape, quoteattr
 
@@ -49,7 +42,7 @@ def standoff_from_alignments(alignments) -> StandoffFile:
     """Collect per-document alignments of one language pair into a file."""
     alignments = sorted(alignments, key=lambda a: a.celex)
     if not alignments:
-        raise EmptyCollectionError("no alignments to collect")
+        raise ParcelexError("no alignments to collect")
     pairs = {(a.src_lang, a.tgt_lang) for a in alignments}
     if len(pairs) != 1:
         raise ValueError(f"alignments mix language pairs: {sorted(pairs)}")
@@ -77,10 +70,10 @@ def _split_pars(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     if _POINTER_LIST(text) is None:
-        raise MalformedXmlError(f"bad paragraph pointer list {text!r}")
+        raise ParcelexError(f"bad paragraph pointer list {text!r}")
     pars = tuple(map(int, text.split(";")))
     if pars != tuple(range(pars[0], pars[0] + len(pars))):
-        raise SchemaViolationError(f"paragraph numbers must be contiguous: {text!r}")
+        raise ParcelexError(f"paragraph numbers must be contiguous: {text!r}")
     return pars
 
 
@@ -94,17 +87,17 @@ def _parse_link(arity: str, source: str, target: str, score: str | None) -> Alig
     src_pars, tgt_pars = _split_pars(source), _split_pars(target)
     if arity != f"{len(src_pars)}-{len(tgt_pars)}":
         if _LINK_TYPE(arity) is None:
-            raise UnsupportedArityError(f"bad link type {arity!r}")
-        raise SchemaViolationError(f"link type {arity} does not match {source!r} {target!r}")
+            raise ParcelexError(f"bad link type {arity!r}")
+        raise ParcelexError(f"link type {arity} does not match {source!r} {target!r}")
     if not (src_pars or tgt_pars):
-        raise SchemaViolationError(f"link {arity} points at no paragraph")
+        raise ParcelexError(f"link {arity} points at no paragraph")
     try:
         if score is not None:
             score = float(score)
             if not math.isfinite(score):
                 raise ValueError(f"score {score} is not finite")
     except ValueError as exc:
-        raise SchemaViolationError(f"bad link {arity} {source!r} {target!r}: {exc}") from None
+        raise ParcelexError(f"bad link {arity} {source!r} {target!r}: {exc}") from None
     return AlignmentLink(src_pars, tgt_pars, score)
 
 
@@ -130,16 +123,16 @@ def import_standoff_xml(xml_text: str) -> StandoffFile:
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
-        raise MalformedXmlError(str(exc)) from None
+        raise ParcelexError(str(exc)) from None
     if root.tag != "standoff":
-        raise MalformedXmlError(f"expected standoff root, got {root.tag!r}")
+        raise ParcelexError(f"expected standoff root, got {root.tag!r}")
     entries = []
     for grp in root.findall("linkGrp"):
         celex = parse_celex(grp.get("n", ""))
         if entries and not entries[-1][0] < celex:
             if celex == entries[-1][0]:
-                raise SchemaViolationError("duplicate celex entries")
-            raise SchemaViolationError("entries must be sorted by celex")
+                raise ParcelexError("duplicate celex entries")
+            raise ParcelexError("entries must be sorted by celex")
         links = tuple([
             _parse_link(
                 el.get("type", ""), el.get("source", ""), el.get("target", ""), el.get("score")
@@ -168,14 +161,14 @@ def import_csv(csv_text: str) -> StandoffFile:
     lines = [l for l in csv_text.splitlines() if l]
     version = _CSV_VERSION_RE.fullmatch(lines[0]) if lines else None
     if version is None:
-        raise SchemaViolationError(f"expected the first line '{CSV_VERSION_LINE} <src>-<tgt>'")
+        raise ParcelexError(f"expected the first line '{CSV_VERSION_LINE} <src>-<tgt>'")
     if lines[1:2] != [CSV_HEADER]:
-        raise SchemaViolationError(f"expected header {CSV_HEADER!r}")
+        raise ParcelexError(f"expected header {CSV_HEADER!r}")
     per_celex: dict[CelexId, list[AlignmentLink]] = {}
     for line in lines[2:]:
         fields = line.split(",")
         if len(fields) != 5:
-            raise SchemaViolationError(f"expected 5 fields, got {len(fields)}: {line!r}")
+            raise ParcelexError(f"expected 5 fields, got {len(fields)}: {line!r}")
         code, arity, src, tgt, score = fields
         per_celex.setdefault(parse_celex(code), []).append(
             _parse_link(arity, src, tgt, score or None)
@@ -192,9 +185,7 @@ def generate_inplace(src_doc: TeiDocument, tgt_doc: TeiDocument, links) -> str:
     cover both documents' paragraphs after the head.
     """
     if src_doc.celex != tgt_doc.celex:
-        raise MismatchedDocumentsError(
-            f"documents disagree on celex: {src_doc.celex} vs {tgt_doc.celex}"
-        )
+        raise ParcelexError(f"documents disagree on celex: {src_doc.celex} vs {tgt_doc.celex}")
     links = list(links)
     # Links that cover paragraphs 2..extent of both documents point at no other paragraph,
     # so pointers are checked against the extents only to name what fails.
@@ -202,15 +193,15 @@ def generate_inplace(src_doc: TeiDocument, tgt_doc: TeiDocument, links) -> str:
         for link in links:
             for n in link.src_pars:
                 if not 2 <= n <= src_doc.extent:
-                    raise DanglingPointerError(
+                    raise ParcelexError(
                         f"source paragraph {n} not in {src_doc.id} (extent {src_doc.extent})"
                     )
             for n in link.tgt_pars:
                 if not 2 <= n <= tgt_doc.extent:
-                    raise DanglingPointerError(
+                    raise ParcelexError(
                         f"target paragraph {n} not in {tgt_doc.id} (extent {tgt_doc.extent})"
                     )
-        raise SchemaViolationError("links must cover every paragraph after the head exactly once")
+        raise ParcelexError("links must cover every paragraph after the head exactly once")
 
     code = format_celex(src_doc.celex)
     src, tgt = src_doc.lang, tgt_doc.lang
@@ -265,7 +256,7 @@ def arity_distribution(alignments) -> ArityDistribution:
             total_links += 1
             total_pars += size
     if total_links == 0:
-        raise EmptyCollectionError("no links in the collection")
+        raise ParcelexError("no links in the collection")
     return ArityDistribution(
         links={k: v / total_links for k, v in sorted(link_counts.items())},
         paragraphs={k: v / total_pars for k, v in sorted(par_counts.items())},
@@ -301,7 +292,7 @@ def aligner_agreement(a: StandoffFile, b: StandoffFile) -> AgreementReport:
     docs_a = {celex for celex, _ in a.entries}
     docs_b = {celex for celex, _ in b.entries}
     if docs_a != docs_b:
-        raise MismatchedDocumentsError(
+        raise ParcelexError(
             "cover different documents: " + ", ".join(map(format_celex, sorted(docs_a ^ docs_b)))
         )
     pars_a, ids_a, n_a = _link_index(a)

@@ -17,7 +17,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .celex import CelexId, format_celex, jrc_document_id, parse_celex
-from .errors import InconsistentBoundariesError, MalformedXmlError, SchemaViolationError
+from .errors import ParcelexError
 from .params import LANG_RE, LANGUAGE_NAMES
 
 HEAD = "head"
@@ -181,11 +181,9 @@ def build_document(
     signature, annex = boundaries.signature_start, boundaries.annex_start
     for name, bound in ((SIGNATURE, signature), (ANNEX, annex)):
         if bound is not None and not 2 <= bound <= extent:
-            raise InconsistentBoundariesError(
-                f"{name} start {bound} outside paragraph range 2..{extent}"
-            )
+            raise ParcelexError(f"{name} start {bound} outside paragraph range 2..{extent}")
     if signature is not None and annex is not None and signature >= annex:
-        raise InconsistentBoundariesError(f"signature ({signature}) must precede annex ({annex})")
+        raise ParcelexError(f"signature ({signature}) must precede annex ({annex})")
     return TeiDocument(
         celex=celex,
         lang=lang,
@@ -276,7 +274,7 @@ _EXTENT = re.compile(r"([0-9]+) paragraph segments").match
 def _require(parent, tag_path: str):
     el = parent.find(tag_path)
     if el is None:
-        raise SchemaViolationError(f"missing mandatory element {tag_path!r}")
+        raise ParcelexError(f"missing mandatory element {tag_path!r}")
     return el
 
 
@@ -285,13 +283,13 @@ def parse_tei(xml_text: str) -> TeiDocument:
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
-        raise MalformedXmlError(str(exc)) from None
+        raise ParcelexError(str(exc)) from None
     if root.tag != "TEI.2":
-        raise SchemaViolationError(f"expected TEI.2 root, got {root.tag!r}")
+        raise ParcelexError(f"expected TEI.2 root, got {root.tag!r}")
     celex = parse_celex(root.get("n", ""))
     lang = root.get("lang", "")
     if not LANG_RE.fullmatch(lang):
-        raise SchemaViolationError(f"root lang must be a two-letter lowercase code, got {lang!r}")
+        raise ParcelexError(f"root lang must be a two-letter lowercase code, got {lang!r}")
 
     header = _require(root, "teiHeader")
     file_desc = _require(header, "fileDesc")
@@ -300,7 +298,7 @@ def parse_tei(xml_text: str) -> TeiDocument:
     extent_el = _require(file_desc, "extent")
     m = _EXTENT(extent_el.text or "")
     if not m:
-        raise SchemaViolationError(f"unparseable extent {extent_el.text!r}")
+        raise ParcelexError(f"unparseable extent {extent_el.text!r}")
     extent = int(m.group(1))
 
     bibl = _require(file_desc, "sourceDesc/bibl")
@@ -310,7 +308,7 @@ def parse_tei(xml_text: str) -> TeiDocument:
     try:
         download_date = datetime.date.fromisoformat((date_el.text or "").strip())
     except ValueError:
-        raise SchemaViolationError(f"unparseable date {date_el.text!r}") from None
+        raise ParcelexError(f"unparseable date {date_el.text!r}") from None
 
     body_el = _require(root, "text/body")
     head_el = _require(body_el, "head")
@@ -326,18 +324,18 @@ def parse_tei(xml_text: str) -> TeiDocument:
     for div in body_el.findall("div"):
         section = div.get("type", "")
         if section not in _DIV_RANK:
-            raise SchemaViolationError(f"unknown div type {section!r}")
+            raise ParcelexError(f"unknown div type {section!r}")
         ps = div.findall("p")
         if not ps:
             continue
         if _DIV_RANK[section] < rank:
-            raise SchemaViolationError("sections must run head, body, signature, annex")
+            raise ParcelexError("sections must run head, body, signature, annex")
         rank = _DIV_RANK[section]
         starts.setdefault(section, len(texts) + 1)
         for p in ps:
             texts.append(_paragraph_text(p, len(texts) + 1))
     if len(texts) != extent:
-        raise SchemaViolationError(f"extent says {extent} segments but document has {len(texts)}")
+        raise ParcelexError(f"extent says {extent} segments but document has {len(texts)}")
 
     return TeiDocument(
         celex=celex,
@@ -353,7 +351,7 @@ def parse_tei(xml_text: str) -> TeiDocument:
 def _number(text: str, what: str) -> int:
     """``text`` read as a number written in ASCII decimal digits and nothing else."""
     if not (text.isascii() and text.isdecimal()):
-        raise SchemaViolationError(f"{what} must be written in ASCII digits, got {text!r}")
+        raise ParcelexError(f"{what} must be written in ASCII digits, got {text!r}")
     return int(text)
 
 
@@ -361,10 +359,10 @@ def _paragraph_text(el, n: int) -> str:
     """The text of a ``head`` or ``p`` element, checked to be paragraph ``n`` and non-empty."""
     number = _number(el.get("n", ""), "paragraph number")
     if number < 1:
-        raise SchemaViolationError(f"paragraph number must be >= 1, got {number}")
+        raise ParcelexError(f"paragraph number must be >= 1, got {number}")
     if number != n:
-        raise SchemaViolationError(f"paragraph numbers must be 1..extent; got {number} at {n}")
+        raise ParcelexError(f"paragraph numbers must be 1..extent; got {number} at {n}")
     text = (el.text or "").strip()
     if not text:
-        raise SchemaViolationError(f"paragraph {n}: text must be non-empty and trimmed")
+        raise ParcelexError(f"paragraph {n}: text must be non-empty and trimmed")
     return text

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,7 @@ from parcelex.celex import (
     jrc_document_id,
     parse_celex,
 )
-from parcelex.errors import MalformedCelexError, UnsupportedEndpointError
+from parcelex.errors import ParcelexError
 
 celex_ids = st.builds(
     CelexId,
@@ -64,7 +65,13 @@ def test_round_trip_example():
     ],
 )
 def test_parse_rejects(bad):
-    with pytest.raises(MalformedCelexError):
+    if not bad:
+        message = "empty CELEX identifier"
+    elif "(00)" in bad:
+        message = f"bracket part must be 01-99: {bad!r}"
+    else:
+        message = f"not a CELEX identifier: {bad!r}"
+    with pytest.raises(ParcelexError, match=f"^{re.escape(message)}$"):
         parse_celex(bad)
 
 
@@ -115,7 +122,7 @@ def test_ccvista_url_template():
 
 
 def test_smartapi_rejects_bracketed():
-    with pytest.raises(UnsupportedEndpointError):
+    with pytest.raises(ParcelexError, match=r"smartapi cannot address bracketed id 21999D0624\(01\)"):
         document_url(parse_celex("21999D0624(01)"), "en", SMARTAPI)
 
 

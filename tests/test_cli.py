@@ -12,8 +12,9 @@ import pytest
 from conftest import FIXTURES
 import parcelex
 from parcelex.celex import parse_celex
+from parcelex.errors import ParcelexError
 from parcelex.cli import (
-    _FLAGS, _STAGES, SUBCOMMANDS, InputError, PipelineConfig, _config_from_json, _inputs_digest,
+    _FLAGS, _STAGES, SUBCOMMANDS, PipelineConfig, _config_from_json, _inputs_digest,
     load_config, main, run,
 )
 from parcelex.langid import save_profile, train_language_profile
@@ -139,27 +140,27 @@ def test_selection_filters_corpus(tmp_path, profiles_dir):
 
 def test_normalize_without_fetch_is_input_error(pipeline):
     _, config, _ = pipeline
-    with pytest.raises(InputError):
+    with pytest.raises(ParcelexError, match=r"manifest\.json missing; run fetch first"):
         run("normalize", config)
 
 
 def test_align_without_normalize_is_input_error(pipeline):
     _, config, _ = pipeline
-    with pytest.raises(InputError):
+    with pytest.raises(ParcelexError, match="tei missing; run normalize first"):
         run("align", config)
 
 
 def test_bitext_requires_pairs_and_celex(pipeline):
     _, config, _ = pipeline
-    with pytest.raises(InputError):
+    with pytest.raises(ParcelexError, match="bitext requires --pairs"):
         run("bitext", config)
 
 
 def test_unknown_subcommand(pipeline):
     _, config, _ = pipeline
-    with pytest.raises(InputError):
+    with pytest.raises(ParcelexError, match="unknown subcommand 'frobnicate'"):
         run("frobnicate", config)
-    with pytest.raises(InputError, match="unknown aligner 'bleualign'"):
+    with pytest.raises(ParcelexError, match="unknown aligner 'bleualign'"):
         run("export", config, aligner="bleualign")
 
 
@@ -197,7 +198,8 @@ def test_seed_override_changes_digest(tmp_path, profiles_dir):
 
 def test_config_requires_languages(tmp_path, profiles_dir):
     config_path = make_config(tmp_path, profiles_dir, languages=[])
-    with pytest.raises(InputError):
+    message = "bad config value: config must list at least one language"
+    with pytest.raises(ParcelexError, match=message):
         load_config(config_path)
 
 
@@ -566,6 +568,11 @@ def _config_json(value):
     return make
 
 
+def _whole(message):
+    """What a stage prints, all of it, when the config at ``<config>`` fails with ``message``."""
+    return f"error: <config>: {message}\n"
+
+
 def _with_priors(priors):
     return _config_json({**_VALID_CONFIG, "gc_params": {"arity_priors": priors}})
 
@@ -581,12 +588,18 @@ def _priors_without(label):
         (_config_is_a_directory, "cannot read"),
         (lambda tmp_path: tmp_path / "nope.json", "config file not found"),
         (_config_json([_VALID_CONFIG]), "config must be a JSON object"),
-        (_config_json({**_VALID_CONFIG, "source": "x"}), "'source' must be a JSON object"),
-        (_config_json({**_VALID_CONFIG, "gc_params": "x"}), "'gc_params' must be a JSON object"),
-        (_config_json({**_VALID_CONFIG, "hun_params": "x"}), "'hun_params' must be a JSON object"),
+        (_config_json({**_VALID_CONFIG, "source": "x"}), _whole("'source' must be a JSON object")),
+        (
+            _config_json({**_VALID_CONFIG, "gc_params": "x"}),
+            _whole("'gc_params' must be a JSON object"),
+        ),
+        (
+            _config_json({**_VALID_CONFIG, "hun_params": "x"}),
+            _whole("'hun_params' must be a JSON object"),
+        ),
         (
             _config_json({**_VALID_CONFIG, "gc_params": {"arity_priors": 5}}),
-            "'arity_priors' must be a JSON object",
+            _whole("'arity_priors' must be a JSON object"),
         ),
         (_config_json({**_VALID_CONFIG, "languages": "en"}), '"languages" must be a list'),
         (_config_json({**_VALID_CONFIG, "top_descriptors": -1}), "bad config value"),
@@ -678,7 +691,10 @@ def test_unreadable_config_exits_1(tmp_path, make, message, capsys):
     for command in SUBCOMMANDS:
         assert main([command, "--config", str(path)]) == 1, command
         err = capsys.readouterr().err
-        assert "internal error" not in err and message in err and str(path) in err, command
+        if message.startswith("error: "):
+            assert err == message.replace("<config>", str(path)), command
+        else:
+            assert "internal error" not in err and message in err and str(path) in err, command
 
 
 # Characters XML 1.0 forbids, which a raw document may still hold literally.
@@ -923,6 +939,7 @@ _FIELD_DAMAGES = {
     ("standoff", "linkgrp-out-of-order"): _sub(r'n="31984D0001"', 'n="31999D0001"'),
     ("profile", "rank-plus-1"): _sub(r"\t1\n", "\t+1\n"),
     ("eurovoc", "code-negative"): _edit_json(lambda codes: {**codes, "31984D0001": [-4180]}),
+    ("eurovoc", "key-lowercase"): _edit_json(lambda codes: {**codes, "31984d0001": [4180]}),
     ("config", "list"): _edit_json(lambda config: [config]),
     ("config", "source-string"): _edit_json(lambda config: {**config, "source": "x"}),
     ("config", "hun-params-string"): _edit_json(lambda config: {**config, "hun_params": "x"}),
@@ -1438,7 +1455,6 @@ def test_an_output_that_cannot_be_written_exits_1_naming_it(aligned_tree, tmp_pa
 def test_a_failed_align_records_the_pairs_it_aligned_before_the_failure(aligned_tree, tmp_path,
                                                                         monkeypatch, capsys):
     import parcelex.hunalign
-    from parcelex.errors import NoOneToOneLinksError
 
     shutil.copytree(aligned_tree, tmp_path, dirs_exist_ok=True)
     shutil.rmtree(tmp_path / "out" / "alignments")
@@ -1446,7 +1462,7 @@ def test_a_failed_align_records_the_pairs_it_aligned_before_the_failure(aligned_
 
     def failing_on_en_fr(src_docs, tgt_docs, params, src_lang, tgt_lang, first_n):
         if (src_lang, tgt_lang) == ("en", "fr"):
-            raise NoOneToOneLinksError("no 1-1 links")
+            raise ParcelexError("no 1-1 links")
         return align_hunalign(src_docs, tgt_docs, params, src_lang=src_lang, tgt_lang=tgt_lang,
                               first_n=first_n)
 
@@ -1734,6 +1750,75 @@ def test_fetch_exits_1_naming_a_source_entry_it_cannot_read(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err and f"cannot read {entry}: " in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key", ["31984d0001", "31984D0001 ", "21999D0624(00)", "21999D0624(1)", "4180"]
+)
+def test_a_eurovoc_key_that_is_not_a_canonical_celex_exits_1_naming_it(tmp_path, key, capsys):
+    config_path = _source_config(tmp_path, FIXTURES / "html")
+    path = tmp_path / "eurovoc.json"
+    path.write_text(json.dumps({**EUROVOC_MAP, key: [4180]}), encoding="utf-8")
+    assert _cli(config_path, "fetch") == 0
+    capsys.readouterr()
+    assert _cli(config_path, "normalize") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: key {key!r} is not a canonical CELEX identifier\n"
+    assert not (tmp_path / "out" / "tei").exists()
+
+
+def _interrupt_writes(monkeypatch, after):
+    """Make every ``cli._write`` after the first ``after`` raise KeyboardInterrupt, as a kill would."""
+    import parcelex.cli
+
+    write = parcelex.cli._write
+    written = []
+
+    def interrupted(path, text):
+        if len(written) == after:
+            raise KeyboardInterrupt
+        written.append(path)
+        write(path, text)
+
+    monkeypatch.setattr(parcelex.cli, "_write", interrupted)
+
+
+@pytest.mark.parametrize(
+    "stage, tree, next_stage", [("fetch", "raw", "normalize"), ("normalize", "tei", "align")]
+)
+def test_a_stage_killed_partway_leaves_the_old_tree_or_none(tmp_path, monkeypatch, capsys, stage,
+                                                            tree, next_stage):
+    config_path = _source_config(tmp_path, FIXTURES / "html")
+    out = tmp_path / "out"
+    if stage == "normalize":
+        assert _cli(config_path, "fetch") == 0
+    # Killed on its first run, after 3 files: the next stage finds no tree.
+    _interrupt_writes(monkeypatch, after=3)
+    with pytest.raises(KeyboardInterrupt):
+        _cli(config_path, stage)
+    monkeypatch.undo()
+    assert not (out / tree).exists() and not (out / f"{tree}.new").exists()
+    capsys.readouterr()
+    assert _cli(config_path, next_stage) == 1
+    assert f"missing; run {stage} first" in capsys.readouterr().err
+
+    # Killed on a rerun: the next stage reads the old tree, byte for byte.
+    assert _cli(config_path, stage) == 0
+    old = _tree(out / tree)
+    _interrupt_writes(monkeypatch, after=3)
+    with pytest.raises(KeyboardInterrupt):
+        _cli(config_path, stage)
+    monkeypatch.undo()
+    assert _tree(out / tree) == old and not (out / f"{tree}.new").exists()
+    assert _cli(config_path, next_stage) == 0
+
+    # What a run killed outright leaves beside the tree is removed by the next run.
+    for leftover in (f"{tree}.new", f"{tree}.old"):
+        (out / leftover / "en").mkdir(parents=True)
+        (out / leftover / "en" / "stale.xml").write_text("stale", encoding="utf-8")
+    assert _cli(config_path, stage) == 0
+    assert _tree(out / tree) == old
+    assert not (out / f"{tree}.new").exists() and not (out / f"{tree}.old").exists()
 
 
 def test_normalize_parses_each_raw_document_once(tmp_path, profiles_dir, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from parcelex import galechurch
 from parcelex.beads import links_cover
-from parcelex.errors import InstanceTooLargeError, UnsupportedArityError
+from parcelex.errors import ParcelexError
 from parcelex.galechurch import (
     ARITY_PREFERENCE,
     GCParams,
@@ -48,7 +48,7 @@ def test_equal_length_one_one_cost():
 
 
 def test_unsupported_arity():
-    with pytest.raises(UnsupportedArityError):
+    with pytest.raises(ParcelexError, match="^unsupported arity 3-3$"):
         bead_cost([1, 2, 3], [1, 2, 3], (3, 3), P)
 
 
@@ -111,7 +111,7 @@ def test_both_empty():
 
 def test_oracle_rejects_large_instance():
     pars = ["x" * 10] * 13
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(ParcelexError, match=r"^13\+13 paragraphs exceed the 20 bound$"):
         exhaustive_align(pars, pars, P)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from parcelex.beads import links_cover
 from parcelex.celex import CelexId
-from parcelex.errors import NoOneToOneLinksError
+from parcelex.errors import ParcelexError
 from parcelex.hunalign import (
     HunParams,
     Lexicon,
@@ -209,7 +209,7 @@ def test_build_lexicon_perfect_cooccurrence():
 
 
 def test_build_lexicon_no_one_to_one():
-    with pytest.raises(NoOneToOneLinksError):
+    with pytest.raises(ParcelexError, match="^phase 1 produced no 1-1 links to sample$"):
         build_lexicon([], {}, P)
 
 
@@ -356,7 +356,7 @@ def test_identical_pair_phase3_equals_phase1():
 
 
 def test_empty_collection_surfaces_lexicon_error():
-    with pytest.raises(NoOneToOneLinksError):
+    with pytest.raises(ParcelexError, match="^phase 1 produced no 1-1 links to sample$"):
         align_hunalign({}, {}, P)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, bank_lines
 from parcelex.celex import parse_celex
-from parcelex.errors import DecodeError, EmptyTextError, UnknownLanguageError
+from parcelex.errors import ParcelexError
 from parcelex.ingest import (
     ALL_LANGUAGES,
     NEW_MEMBER_LANGUAGES,
@@ -42,7 +42,7 @@ def test_fetch_reads_the_file_it_is_given(tmp_path):
 def test_fetch_decode_failure(tmp_path):
     bad = tmp_path / "31984D0001-fr.html"
     bad.write_bytes(b"<p>caf\xe9</p>")  # latin-1 bytes, invalid utf-8
-    with pytest.raises(DecodeError, match="31984D0001-fr.html"):
+    with pytest.raises(ParcelexError, match=r"31984D0001-fr\.html: not valid UTF-8 at byte 6$"):
         fetch_document(bad, parse_celex("31984D0001"), "fr")
 
 
@@ -175,12 +175,12 @@ def test_verify_uses_given_paragraphs(profile_index):
         assert verify_language("fr", paragraphs, profile_index) == verify_language(
             "fr", [" ".join(paragraphs)], profile_index
         )
-    with pytest.raises(EmptyTextError):
+    with pytest.raises(ParcelexError, match="^no text to verify as 'fr'$"):
         verify_language("fr", [], profile_index)
 
 
 def test_verify_unknown_declared_language(profile_index):
-    with pytest.raises(UnknownLanguageError):
+    with pytest.raises(ParcelexError, match="^no profile for declared language 'xx'$"):
         verify_language("xx", _paragraphs("en"), profile_index)
 
 
@@ -213,7 +213,7 @@ def test_select_ten_old_without_new_members_dropped():
 
 
 def test_select_unknown_code():
-    with pytest.raises(UnknownLanguageError):
+    with pytest.raises(ParcelexError, match=r"^a: unknown language codes \['zz'\]$"):
         select_corpus({"a": {"en", "zz"}})
 
 
